@@ -54,6 +54,16 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _optional_int(text: str) -> int | None:
+    """An int, or None for `none` (the flag's feature switched off)."""
+    return None if text.strip().lower() == "none" else int(text)
+
+
+def _optional_float(text: str) -> float | None:
+    """A float, or None for `none` (the flag's feature switched off)."""
+    return None if text.strip().lower() == "none" else float(text)
+
+
 def _load_ruleset(args, known_labels: set[str] | None = None) -> RuleSet:
     if not args.rules:
         return RuleSet(())
@@ -258,8 +268,19 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse action of every flag the subcommand accepts."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[command]._actions}
+
+
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Flat key=value file; values override parsed flags."""
+    """Flat key=value file; values override parsed flags.
+
+    Each value is converted as its flag's argparse `type` would convert it
+    on the command line; on/off flags take 1/true/yes/on or anything else.
+    """
+    actions = _subcommand_actions(parser, args.command)
     with open(args.config, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -267,22 +288,19 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
                 continue
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if not hasattr(args, key):
+            action = actions.get(key)
+            if action is None or key in ("help", "config"):
                 parser.error(f"unknown config key {key!r}")
-            current = getattr(args, key)
-            if isinstance(current, bool):
+            if action.nargs == 0:
                 setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
-            elif isinstance(current, int):
-                setattr(args, key, int(value))
-            elif isinstance(current, float):
-                setattr(args, key, float(value))
-            elif isinstance(current, tuple):
-                if current and isinstance(current[0], int):
-                    setattr(args, key, _int_list(value))
-                else:
-                    setattr(args, key, _str_list(value))
-            else:
-                setattr(args, key, value)
+                continue
+            try:
+                parsed = action.type(value) if action.type else value
+            except ValueError:
+                parser.error(f"config key {key!r}: invalid value {value!r}")
+            if action.choices is not None and parsed not in action.choices:
+                parser.error(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+            setattr(args, key, parsed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags.add_argument("--batch-size", type=int, default=8)
     model_flags.add_argument("--emb-dim", type=int, default=16)
     model_flags.add_argument("--hidden", type=int, default=16)
-    model_flags.add_argument("--clip-norm", type=float, default=5.0)
+    model_flags.add_argument("--clip-norm", type=_optional_float, default=5.0,
+                             help="gradient-norm clip; none turns clipping off")
 
     p = sub.add_parser("compile", parents=[common, rules_flag], help="compile rules to automata")
     p.add_argument("--labels", help="optional label file for validation")
@@ -330,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", help="dev set for early stopping")
     p.add_argument("--variant", default="nnsc", choices=("nnsc", "instance", "word"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patience", type=int, default=None)
+    p.add_argument("--patience", type=_optional_int, default=None)
     p.add_argument("--embeddings", help="pretrained embedding text file")
     p.set_defaults(func=cmd_train)
 
@@ -344,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--q", type=_int_list, default=(5,))
     p.add_argument("--seeds", type=_int_list, default=(0, 1, 2))
-    p.add_argument("--augment-top3", type=int, default=None)
+    p.add_argument("--augment-top3", type=_optional_int, default=None)
     p.set_defaults(func=cmd_fewshot)
 
     p = sub.add_parser("synth-gen", parents=[common], help="generate the synthetic corpus")
@@ -364,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_int_list, default=(0, 1, 2),
                    help="sampling seeds")
     p.add_argument("--train-seeds", type=_int_list, default=(0, 1, 2, 3, 4))
-    p.add_argument("--augment-top3", type=int, default=None)
+    p.add_argument("--augment-top3", type=_optional_int, default=None)
     p.set_defaults(func=cmd_experiment)
 
     return parser

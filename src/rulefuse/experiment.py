@@ -28,7 +28,8 @@ from .model import (
     TrainConfig,
     TrainItem,
     build_vocab,
-    predict,
+    evaluate_items,
+    predict,  # noqa: F401 - bench/tracer.py patches rulefuse.experiment.predict
     train,
 )
 from .rules import RuleSet
@@ -113,12 +114,7 @@ def evaluate_accuracy(
 ) -> float:
     """Fraction of dataset samples the model classifies correctly."""
     cache = FeatureCache(ruleset, mdfas)
-    items = build_items(dataset, params.variant, cache)
-    hits = sum(
-        predict(params, it.sentence, it.instance_feats, it.word_tags) == it.label
-        for it in items
-    )
-    return hits / len(items)
+    return evaluate_items(params, build_items(dataset, params.variant, cache))
 
 
 @dataclass
@@ -258,19 +254,14 @@ def run_experiment(
                                 clip_norm=config.clip_norm,
                             ),
                         )
-                        test_items = test_items_by_variant[variant]
-                        hits = sum(
-                            predict(params, it.sentence, it.instance_feats, it.word_tags)
-                            == it.label
-                            for it in test_items
-                        )
+                        accuracy = evaluate_items(params, test_items_by_variant[variant])
                         rows.append(
                             {
                                 "variant": variant,
                                 "q": q,
                                 "sample_seed": sample_seed,
                                 "train_seed": train_seed,
-                                "accuracy": hits / len(test_items),
+                                "accuracy": accuracy,
                                 "wall_secs": time.perf_counter() - t0,
                             }
                         )

@@ -11,6 +11,8 @@ Three wiring modes:
 
 All math is plain numpy in float64 with hand-written backward passes so the
 analytic gradients can be checked against central finite differences.
+Training and scoring run on padded mini-batches: only the recurrence
+``h @ wh`` loops over time, and both LSTM directions advance together.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
 VARIANTS = ("nnsc", "instance", "word")
 UNK = "<unk>"
 CHECKPOINT_VERSION = "rulefuse-v1"
+INFER_CHUNK = 64  # sentences per forward-only inference batch
 
 _TENSOR_NAMES = (
     "emb",
@@ -212,74 +215,88 @@ class TrainConfig:
     clip_norm: float | None = 5.0
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+    """Softmax over the last axis; -inf entries get weight exactly 0."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _lstm_forward(X, wx, wh, b, reverse: bool):
-    n = X.shape[0]
-    hdim = wh.shape[0]
-    hs = np.zeros((n, hdim))
-    caches = [None] * n
-    h = np.zeros(hdim)
-    c = np.zeros(hdim)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        z = X[t] @ wx + h @ wh + b
-        gi = _sigmoid(z[:hdim])
-        gf = _sigmoid(z[hdim : 2 * hdim])
-        go = _sigmoid(z[2 * hdim : 3 * hdim])
-        gg = np.tanh(z[3 * hdim :])
-        c_new = gf * c + gi * gg
-        tanh_c = np.tanh(c_new)
-        caches[t] = (X[t], h, c, gi, gf, go, gg, tanh_c)
-        h = go * tanh_c
-        c = c_new
-        hs[t] = h
-    return hs, caches
+def _stacked(params, name: str) -> np.ndarray:
+    """The forward and backward direction's tensor, stacked on a new axis 0."""
+    return np.stack([getattr(params, "fwd_" + name), getattr(params, "bwd_" + name)])
 
 
-def _lstm_backward(dhs, caches, wx, wh, reverse: bool, dwx, dwh, db):
-    """BPTT for one direction; accumulates weight grads, returns dX."""
-    n = dhs.shape[0]
-    hdim = wh.shape[0]
-    dX = np.zeros((n, wx.shape[0]))
-    dh_carry = np.zeros(hdim)
-    dc_carry = np.zeros(hdim)
-    order = range(n) if reverse else range(n - 1, -1, -1)
-    for t in order:
-        x_t, h_prev, c_prev, gi, gf, go, gg, tanh_c = caches[t]
-        dh = dhs[t] + dh_carry
-        do = tanh_c * dh
-        dc = go * (1.0 - tanh_c * tanh_c) * dh + dc_carry
-        dgi = gg * dc
-        dgg = gi * dc
-        dgf = c_prev * dc
-        dc_carry = gf * dc
-        dz = np.concatenate(
-            [
-                dgi * gi * (1.0 - gi),
-                dgf * gf * (1.0 - gf),
-                do * go * (1.0 - go),
-                dgg * (1.0 - gg * gg),
-            ]
-        )
-        dwx += np.outer(x_t, dz)
-        dwh += np.outer(h_prev, dz)
-        db += dz
-        dX[t] = wx @ dz
-        dh_carry = wh @ dz
-    return dX
+def _lstm_forward(Xd, wx, wh, b, cache=None):
+    """Both LSTM directions, stacked on axis 0 of inputs and weights.
+
+    Xd is (2, T, B, d_in), the backward direction's sentences already
+    reversed within their lengths.  All timesteps are projected by one
+    matmul; only `h @ wh` runs per step.  Gates are ordered i, f, o, g.
+    Returns the hidden states (2, T, B, h); a `cache` dict also receives
+    the gate activations and cell states that `_lstm_backward` reads.
+    """
+    Zx = Xd @ wx[:, None]
+    Zx += b[:, None, None]
+    D, T, B, four_h = Zx.shape
+    hdim = four_h // 4
+    hs = np.empty((D, T, B, hdim))
+    h = np.zeros((D, B, hdim))
+    c = np.zeros((D, B, hdim))
+    if cache is not None:
+        gates = np.empty_like(Zx)
+        cells = np.empty_like(hs)
+    for t in range(T):
+        z = Zx[:, t] + h @ wh
+        s = 0.5 * (1.0 + np.tanh(z[..., : 3 * hdim] / 2))  # sigmoid of i, f, o at once
+        g = np.tanh(z[..., 3 * hdim :])
+        c = s[..., hdim : 2 * hdim] * c + s[..., :hdim] * g
+        h = s[..., 2 * hdim :] * np.tanh(c)
+        hs[:, t] = h
+        if cache is not None:
+            gates[:, t, :, : 3 * hdim] = s
+            gates[:, t, :, 3 * hdim :] = g
+            cells[:, t] = c
+    if cache is not None:
+        cache.update(gates=gates, cells=cells)
+    return hs
+
+
+def _lstm_backward(dhs, cache):
+    """BPTT through both stacked directions, from `_forward_batch`'s cache.
+
+    Returns (dXd, dwx, dwh, db), each stacked per direction like its
+    forward counterpart.  Padded steps receive zero upstream gradient and
+    follow every real step, so their dz is exactly zero and adds nothing.
+    """
+    Xd, hs, gates, cells, wx, wh = (
+        cache[k] for k in ("Xd", "hs", "gates", "cells", "wx", "wh")
+    )
+    hdim = wh.shape[1]
+    i, f, o, g = (gates[..., k * hdim : (k + 1) * hdim] for k in range(4))
+    tanh_c = np.tanh(cells)
+    c_prev = np.concatenate([np.zeros_like(cells[:, :1]), cells[:, :-1]], axis=1)
+    h_prev = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], axis=1)
+    # dz per gate i, f, o, g is coef * (dc, dc, dh, dc)
+    coef = np.concatenate(
+        [g * i * (1.0 - i), c_prev * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g * g)],
+        axis=-1,
+    )
+    dc_from_h = o * (1.0 - tanh_c * tanh_c)
+    wh_t = wh.swapaxes(1, 2)
+    dZ = np.empty_like(gates)
+    dh_carry = np.zeros_like(hs[:, 0])
+    dc_carry = np.zeros_like(cells[:, 0])
+    for t in range(dZ.shape[1] - 1, -1, -1):
+        dh = dhs[:, t] + dh_carry
+        dc = dc_from_h[:, t] * dh + dc_carry
+        dz = np.multiply(np.concatenate((dc, dc, dh, dc), axis=-1), coef[:, t], out=dZ[:, t])
+        dc_carry = f[:, t] * dc
+        dh_carry = dz @ wh_t
+    D, d_in, four_h = wx.shape
+    flat_dz = dZ.reshape(D, -1, four_h)
+    dwx = Xd.reshape(D, -1, d_in).swapaxes(1, 2) @ flat_dz
+    dwh = h_prev.reshape(D, -1, hdim).swapaxes(1, 2) @ flat_dz
+    return dZ @ wx.swapaxes(1, 2)[:, None], dwx, dwh, flat_dz.sum(axis=1)
 
 
 def _gather_features(params, sentence, instance_feats, word_tags):
@@ -325,44 +342,60 @@ def _gather_features(params, sentence, instance_feats, word_tags):
     return tagmat, u
 
 
-def _forward_cache(params, sentence, instance_feats=None, word_tags=None):
-    if sentence.n < 1:
+def _rows(items: Sequence[TrainItem]) -> list[tuple]:
+    """The (sentence, instance_feats, word_tags) rows `_forward_batch` reads."""
+    return [(it.sentence, it.instance_feats, it.word_tags) for it in items]
+
+
+def _forward_batch(params, rows, cache=None):
+    """Forward pass over (sentence, instance_feats, word_tags) rows at once.
+
+    Sentences are zero-padded to the longest, padding after the real words.
+    The backward direction reads each sentence reversed within its own
+    length, so its padding also comes last.  Attention scores past a
+    sentence's length are -inf.  Returns (H, alpha, f, logits, y) with a
+    leading batch axis; a `cache` dict receives what `_backward` reads.
+    """
+    lengths = np.array([sentence.n for sentence, _, _ in rows])
+    if lengths.min() < 1:
         raise ValueError("forward requires a non-empty sentence")
-    tagmat, u = _gather_features(params, sentence, instance_feats, word_tags)
-    idxs = [params.vocab.get(w, 0) for w in sentence.words]
-    E = params.emb[idxs]
-    X = np.concatenate([E, tagmat], axis=1) if tagmat is not None else E
+    feats = [_gather_features(params, *row) for row in rows]
+    B, T = len(rows), int(lengths.max())
+    mask = np.arange(T) < lengths[:, None]
+    ids = np.array([params.vocab.get(w, 0) for sentence, _, _ in rows for w in sentence.words])
+    X = np.zeros((B, T, params.input_width))
+    X[mask, : params.d] = params.emb[ids]
+    if params.variant == "word":
+        X[mask, params.d :] = np.concatenate([tags for tags, _ in feats])
+    if params.variant == "instance":
+        U = np.stack([u for _, u in feats])
+    else:
+        U = np.zeros((B, 0))
 
-    hf, cache_f = _lstm_forward(X, params.fwd_wx, params.fwd_wh, params.fwd_b, reverse=False)
-    hb, cache_b = _lstm_forward(X, params.bwd_wx, params.bwd_wh, params.bwd_b, reverse=True)
-    H = np.concatenate([hf, hb], axis=1)
+    rows_b = np.arange(B)
+    steps = np.arange(T)
+    rev = np.where(mask, lengths[:, None] - 1 - steps, steps)  # its own inverse
+    # both directions stacked, time-major: (2, T, B, d_in)
+    Xd = np.ascontiguousarray(np.stack([X, X[rows_b[:, None], rev]]).swapaxes(1, 2))
+    wx, wh = _stacked(params, "wx"), _stacked(params, "wh")
+    hs = _lstm_forward(Xd, wx, wh, _stacked(params, "b"), cache)
+    H = np.concatenate([hs[0].swapaxes(0, 1), hs[1][rev, rows_b[:, None]]], axis=-1)  # (B, T, 2h)
 
-    q = H[-1]
-    Wq = params.att_w @ q
-    scores = H @ Wq
-    alpha = _softmax(scores)
-    f = H.T @ alpha
+    q = H[rows_b, lengths - 1]
+    Wq = q @ params.att_w.T
+    alpha = _softmax(np.where(mask, (H @ Wq[:, :, None])[..., 0], -np.inf))
+    f = (alpha[:, None, :] @ H)[:, 0]
 
-    g = np.concatenate([f, u]) if u is not None else f
-    z1 = g @ params.mlp_w1 + params.mlp_b1
-    a1 = np.tanh(z1)
+    g = np.concatenate([f, U], axis=1)
+    a1 = np.tanh(g @ params.mlp_w1 + params.mlp_b1)
     logits = a1 @ params.mlp_w2 + params.mlp_b2
     y = _softmax(logits)
-
-    record = ActivationRecord(H=H, alpha=alpha, f=f, logits=logits, y=y)
-    cache = {
-        "idxs": idxs,
-        "cache_f": cache_f,
-        "cache_b": cache_b,
-        "H": H,
-        "q": q,
-        "Wq": Wq,
-        "alpha": alpha,
-        "g": g,
-        "a1": a1,
-        "y": y,
-    }
-    return record, cache
+    if cache is not None:
+        cache.update(
+            ids=ids, lengths=lengths, mask=mask, rev=rev, Xd=Xd, wx=wx, wh=wh, hs=hs,
+            H=H, q=q, Wq=Wq, alpha=alpha, g=g, a1=a1, y=y,
+        )
+    return H, alpha, f, logits, y
 
 
 def forward(
@@ -371,56 +404,48 @@ def forward(
     instance_feats: Sequence[InstanceFeature] | None = None,
     word_tags: Sequence[WordTagSeq] | None = None,
 ) -> ActivationRecord:
-    """Run the classifier on one sentence; features as the variant requires."""
-    record, _ = _forward_cache(params, sentence, instance_feats, word_tags)
-    return record
+    """Run the classifier on one sentence (a batch of one); features as the
+    variant requires."""
+    H, alpha, f, logits, y = _forward_batch(params, [(sentence, instance_feats, word_tags)])
+    return ActivationRecord(H=H[0], alpha=alpha[0], f=f[0], logits=logits[0], y=y[0])
 
 
-def _backward(params, cache, label: int, grads: dict[str, np.ndarray]) -> None:
-    h2 = 2 * params.h
-    y = cache["y"]
-    a1 = cache["a1"]
-    g = cache["g"]
-    H = cache["H"]
-    alpha = cache["alpha"]
-    q = cache["q"]
-    Wq = cache["Wq"]
+def _backward(params, cache, labels: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of the batch-mean cross-entropy, one array op per tensor."""
+    h = params.h
+    y, a1, g, H, alpha, q, Wq = (cache[k] for k in ("y", "a1", "g", "H", "alpha", "q", "Wq"))
+    lengths, rev, mask = cache["lengths"], cache["rev"], cache["mask"]
+    B = len(labels)
+    rows_b = np.arange(B)
+    grads = {}
 
     dlogits = y.copy()
-    dlogits[label] -= 1.0
-    grads["mlp_w2"] += np.outer(a1, dlogits)
-    grads["mlp_b2"] += dlogits
-    da1 = params.mlp_w2 @ dlogits
-    dz1 = (1.0 - a1 * a1) * da1
-    grads["mlp_w1"] += np.outer(g, dz1)
-    grads["mlp_b1"] += dz1
-    dg = params.mlp_w1 @ dz1
-    df = dg[:h2]
+    dlogits[rows_b, labels] -= 1.0
+    dlogits /= B
+    grads["mlp_w2"] = a1.T @ dlogits
+    grads["mlp_b2"] = dlogits.sum(axis=0)
+    dz1 = (1.0 - a1 * a1) * (dlogits @ params.mlp_w2.T)
+    grads["mlp_w1"] = g.T @ dz1
+    grads["mlp_b1"] = dz1.sum(axis=0)
+    df = (dz1 @ params.mlp_w1.T)[:, : 2 * h]
 
-    # attention: f = H^T alpha, alpha = softmax(H (W q)), q = H[-1]
-    dalpha = H @ df
-    dH = alpha[:, None] * df[None, :]
-    dscores = alpha * (dalpha - float(alpha @ dalpha))
-    dWq = H.T @ dscores
-    dH += dscores[:, None] * Wq[None, :]
-    grads["att_w"] += np.outer(dWq, q)
-    dq = params.att_w.T @ dWq
-    dH[-1] += dq
+    # attention: f = alpha H, alpha = softmax(H (W q)), q = H[len - 1];
+    # alpha is exactly 0 on padding, so padding gets no gradient here
+    dalpha = (H @ df[:, :, None])[..., 0]
+    dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    dWq = (dscores[:, None, :] @ H)[:, 0]
+    dH = alpha[:, :, None] * df[:, None, :] + dscores[:, :, None] * Wq[:, None, :]
+    grads["att_w"] = dWq.T @ q
+    dH[rows_b, lengths - 1] += dWq @ params.att_w
 
-    dhf = dH[:, : params.h]
-    dhb = dH[:, params.h :]
-    dX_f = _lstm_backward(
-        dhf, cache["cache_f"], params.fwd_wx, params.fwd_wh, False,
-        grads["fwd_wx"], grads["fwd_wh"], grads["fwd_b"],
-    )
-    dX_b = _lstm_backward(
-        dhb, cache["cache_b"], params.bwd_wx, params.bwd_wh, True,
-        grads["bwd_wx"], grads["bwd_wh"], grads["bwd_b"],
-    )
-    dX = dX_f + dX_b
-    demb = grads["emb"]
-    for t, idx in enumerate(cache["idxs"]):
-        demb[idx] += dX[t, : params.d]
+    dhs = np.stack([dH[:, :, :h], dH[rows_b[:, None], rev, h:]]).swapaxes(1, 2)  # (2, T, B, h)
+    dXd, dwx, dwh, db = _lstm_backward(dhs, cache)
+    for k, prefix in enumerate(("fwd_", "bwd_")):
+        grads[prefix + "wx"], grads[prefix + "wh"], grads[prefix + "b"] = dwx[k], dwh[k], db[k]
+    dX = dXd[0].swapaxes(0, 1) + dXd[1][rev, rows_b[:, None]]  # (B, T, d_in)
+    grads["emb"] = np.zeros_like(params.emb)
+    np.add.at(grads["emb"], cache["ids"], dX[mask, : params.d])
+    return {name: grads[name] for name in _TENSOR_NAMES}
 
 
 def loss_and_grads(
@@ -428,29 +453,22 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus analytic gradients.
 
+    One padded forward and backward pass covers the whole batch.
     Gradients mirror params.tensors(); raises NumericalError if the loss
     goes non-finite.
     """
     if not batch:
         raise ValueError("empty batch")
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
-    total = 0.0
-    for item in batch:
-        record, cache = _forward_cache(
-            params, item.sentence, item.instance_feats, item.word_tags
-        )
-        prob = record.y[item.label]
-        if not np.isfinite(prob) or prob <= 0.0:
-            raise NumericalError("class probability underflowed or went non-finite")
-        total += -float(np.log(prob))
-        _backward(params, cache, item.label, grads)
-    scale = 1.0 / len(batch)
-    loss = total * scale
+    cache: dict = {}
+    y = _forward_batch(params, _rows(batch), cache)[-1]
+    labels = np.array([item.label for item in batch])
+    probs = y[np.arange(len(batch)), labels]
+    if not (np.isfinite(probs).all() and (probs > 0.0).all()):
+        raise NumericalError("class probability underflowed or went non-finite")
+    loss = float(-np.log(probs).sum()) / len(batch)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss}")
-    for arr in grads.values():
-        arr *= scale
-    return loss, grads
+    return loss, _backward(params, cache, labels)
 
 
 def predict(
@@ -465,13 +483,19 @@ def predict(
 
 
 def evaluate_items(params: ModelParams, items: Sequence[TrainItem]) -> float:
-    """Fraction of items whose prediction matches the gold label."""
+    """Fraction of items whose prediction matches the gold label.
+
+    Forward-only batches of at most INFER_CHUNK sentences, keeping no
+    backward caches; argmax ties break toward the lowest class index, as
+    in `predict`.
+    """
     if not items:
         return 0.0
-    hits = sum(
-        predict(params, it.sentence, it.instance_feats, it.word_tags) == it.label
-        for it in items
-    )
+    hits = 0
+    for lo in range(0, len(items), INFER_CHUNK):
+        chunk = items[lo : lo + INFER_CHUNK]
+        y = _forward_batch(params, _rows(chunk))[-1]
+        hits += int((y.argmax(axis=1) == [it.label for it in chunk]).sum())
     return hits / len(items)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rulefuse.cli import main
+from rulefuse.cli import _apply_config_file, build_parser, main
 from rulefuse.model import load_model
 
 
@@ -136,3 +136,77 @@ def test_unknown_config_key_errors(corpus, tmp_path):
             "trace", "--rules", str(corpus / "rules.tsv"),
             "--sentence", "x", "--config", str(config),
         ])
+
+
+def _parse_with_config(argv, text, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    parser = build_parser()
+    args = parser.parse_args(argv + ["--config", str(config)])
+    _apply_config_file(args, parser)
+    return args
+
+
+def test_config_values_use_flag_types(corpus, tmp_path):
+    # defaults of None (patience) used to leave raw strings, and clip_norm
+    # could not be switched off
+    args = _parse_with_config(
+        ["train", "--train", str(corpus / "train.tsv")],
+        "patience = 3\nclip-norm = none\nlr = 0.25\n",
+        tmp_path,
+    )
+    assert args.patience == 3
+    assert args.clip_norm is None
+    assert args.lr == 0.25
+    flags = build_parser().parse_args(
+        ["train", "--train", "x", "--clip-norm", "none", "--patience", "none"]
+    )
+    assert flags.clip_norm is None and flags.patience is None
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (
+            ["train", "--train", "t.tsv"],
+            {"epochs": "7", "lr": "0.25", "batch-size": "4", "emb-dim": "6", "hidden": "5",
+             "clip-norm": "none", "variant": "word", "seed": "3", "patience": "2",
+             "test": "x.tsv", "rules": "r.tsv"},
+        ),
+        (
+            ["experiment", "--train", "t.tsv", "--test", "x.tsv"],
+            {"variant": "nnsc,word", "q": "2,3", "seeds": "4,5", "train-seeds": "6",
+             "augment-top3": "2", "clip-norm": "1.5", "epochs": "3"},
+        ),
+        (
+            ["encode", "--train", "t.tsv"],
+            {"gate-instance": "true", "full-match": "yes", "out": "f.jsonl"},
+        ),
+    ],
+)
+def test_config_file_matches_command_line(argv, values, tmp_path):
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    from_config = _parse_with_config(argv, text, tmp_path)
+    flags = []
+    for key, value in values.items():
+        flags += [f"--{key}"] if value in ("true", "yes") else [f"--{key}", value]
+    from_flags = build_parser().parse_args(argv + flags + ["--config", str(tmp_path / "run.conf")])
+    assert vars(from_config) == vars(from_flags)
+
+
+def test_config_rejects_bad_choice(corpus, tmp_path):
+    with pytest.raises(SystemExit):
+        _parse_with_config(
+            ["train", "--train", str(corpus / "train.tsv")], "variant = bogus\n", tmp_path
+        )
+
+
+def test_train_with_patience_and_no_clipping_from_config(corpus, tmp_path, capsys):
+    config = tmp_path / "train.conf"
+    config.write_text("patience = 1\nclip_norm = none\n")
+    assert main([
+        "train", "--rules", str(corpus / "rules.tsv"),
+        "--train", str(corpus / "train.tsv"), "--dev", str(corpus / "test.tsv"),
+        "--epochs", "3", "--emb-dim", "4", "--hidden", "4", "--config", str(config),
+    ]) == 0
+    assert "dev_accuracy=" in capsys.readouterr().out

@@ -6,6 +6,7 @@ from rulefuse.encoding import InstanceFeature, WordTagSeq
 from rulefuse.errors import DimensionMismatchError, MissingFeaturesError
 from rulefuse.matching import Sentence
 from rulefuse.model import (
+    INFER_CHUNK,
     ModelParams,
     TrainConfig,
     TrainItem,
@@ -20,6 +21,7 @@ from rulefuse.model import (
     save_model,
     train,
 )
+from rulefuse.model import _forward_batch
 
 
 def _vocab(*words):
@@ -118,6 +120,72 @@ def test_gradients_match_finite_differences(variant):
     for seed in (1, 2, 3, 4, 5):
         params, batch = random_model_case(seed, variant)
         assert max_grad_relative_error(params, batch) < 1e-4
+
+
+MIXED_LENGTHS = (1, 12, 3, 7, 2, 12, 5, 9, 4, 1)
+
+
+def _mixed_length_case(variant, seed=0, lengths=MIXED_LENGTHS):
+    """Params plus one batch whose sentences span lengths 1 to 12."""
+    rng = np.random.default_rng(seed)
+    words = ["red", "green", "blue", "cyan", "plum"]
+    m_sizes = [2, 4]
+    params = ModelParams.init(
+        variant, _vocab(*words), d=4, h=3, C=3, p=len(m_sizes), m_total=sum(m_sizes),
+        seed=seed,
+    )
+    # nonzero biases: with zero biases a zero input keeps a zero state, so
+    # misplaced zero padding would not show
+    for bias in (params.fwd_b, params.bwd_b, params.mlp_b1, params.mlp_b2):
+        bias[:] = rng.uniform(-0.3, 0.3, size=bias.shape)
+    batch = []
+    for n in lengths:
+        sentence = Sentence(tuple(rng.choice(words + ["oovword"]) for _ in range(n)))
+        feats = tags = None
+        if variant == "instance":
+            feats = [InstanceFeature(k + 1, rng.integers(0, 2, size=m).astype(float))
+                     for k, m in enumerate(m_sizes)]
+        elif variant == "word":
+            tags = [WordTagSeq(k + 1, rng.integers(0, 2, size=n).astype(float))
+                    for k in range(len(m_sizes))]
+        batch.append(TrainItem(sentence, int(rng.integers(0, 3)), feats, tags))
+    return params, batch
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_mixed_length_batch_gradients_match_finite_differences(variant):
+    params, batch = _mixed_length_case(variant, seed=7)
+    assert max_grad_relative_error(params, batch) < 1e-4
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_padding_leaves_each_sentence_unchanged(variant):
+    params, batch = _mixed_length_case(variant, seed=8)
+    rows = [(it.sentence, it.instance_feats, it.word_tags) for it in batch]
+    H, alpha, f, _, y = _forward_batch(params, rows)
+    for b, item in enumerate(batch):
+        n = item.sentence.n
+        alone = forward(params, item.sentence, item.instance_feats, item.word_tags)
+        assert np.max(np.abs(y[b] - alone.y)) < 1e-12
+        assert np.max(np.abs(H[b, :n] - alone.H)) < 1e-12
+        assert np.max(np.abs(f[b] - alone.f)) < 1e-12
+        assert np.all(alpha[b, n:] == 0.0)
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_batched_evaluation_equals_per_item_predict(variant):
+    # more items than one inference chunk, so the chunk boundary is crossed
+    lengths = [1 + (i * 5) % 12 for i in range(INFER_CHUNK + 37)]
+    params, items = _mixed_length_case(variant, seed=9, lengths=lengths)
+    predicted = [
+        predict(params, it.sentence, it.instance_feats, it.word_tags) for it in items
+    ]
+    agree = [TrainItem(it.sentence, c, it.instance_feats, it.word_tags)
+             for it, c in zip(items, predicted)]
+    differ = [TrainItem(it.sentence, (c + 1) % 3, it.instance_feats, it.word_tags)
+              for it, c in zip(items, predicted)]
+    assert evaluate_items(params, agree) == 1.0
+    assert evaluate_items(params, differ) == 0.0
 
 
 def test_uniform_logits_loss_is_log_C():
