@@ -17,7 +17,14 @@ from .data import (
     load_dataset,
     sample_fewshot,
 )
-from .encoding import InstanceFeature, WordTagSeq, encode_all, encode_instance, encode_word_tags
+from .encoding import (
+    InstanceFeature,
+    RuleMatcher,
+    WordTagSeq,
+    encode_all,
+    encode_instance,
+    encode_word_tags,
+)
 from .errors import (
     CapacityExceededError,
     DimensionMismatchError,
@@ -27,6 +34,7 @@ from .errors import (
     NumericalError,
     RegexSyntaxError,
     RulefuseError,
+    RulesMismatchError,
     UnknownLabelError,
 )
 from .experiment import (

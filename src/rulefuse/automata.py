@@ -195,30 +195,54 @@ def determinize(nfa: Nfa, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Subset construction.  The empty subset acts as the dead sink, which
     keeps the transition function total.  Raises CapacityExceededError when
     more than `state_budget` subsets appear.
+
+    Each NFA state's epsilon-closure is computed once, and the closure of a
+    set is the union of its members' closures, memoized per distinct raw
+    target set.  For each subset one pass over its members' moves groups
+    the targets by symbol; a symbol no member moves on goes to the empty
+    subset.  New subsets are numbered in breadth-first order, taking
+    symbols in ascending id order.
     """
     n_symbols = nfa.other_id + 1
-    start_set = _eps_closure(nfa, {nfa.start})
+    state_closures = [_eps_closure(nfa, {s}) for s in range(nfa.n_states)]
+    empty: frozenset[int] = frozenset()
+    closures: dict[frozenset[int], frozenset[int]] = {}
+    start_set = state_closures[nfa.start]
     ids: dict[frozenset[int], int] = {start_set: 0}
     order = [start_set]
     transitions: list[list[int]] = []
     queue = deque([start_set])
     while queue:
         subset = queue.popleft()
+        moved: dict[int, set[int]] = {}
+        for s in subset:
+            for sid, dsts in nfa.moves[s].items():
+                targets = moved.get(sid)
+                if targets is None:
+                    moved[sid] = set(dsts)
+                else:
+                    targets.update(dsts)
         row = []
         for sid in range(n_symbols):
-            targets: set[int] = set()
-            for s in subset:
-                targets.update(nfa.moves[s].get(sid, ()))
-            target_set = _eps_closure(nfa, targets) if targets else frozenset()
-            if target_set not in ids:
+            targets = moved.get(sid)
+            if targets is None:
+                target_set = empty
+            else:
+                key = frozenset(targets)
+                target_set = closures.get(key)
+                if target_set is None:
+                    target_set = empty.union(*(state_closures[t] for t in key))
+                    closures[key] = target_set
+            tid = ids.get(target_set)
+            if tid is None:
                 if len(ids) >= state_budget:
                     raise CapacityExceededError(
                         f"determinization exceeded {state_budget} states"
                     )
-                ids[target_set] = len(ids)
+                tid = ids[target_set] = len(ids)
                 order.append(target_set)
                 queue.append(target_set)
-            row.append(ids[target_set])
+            row.append(tid)
         transitions.append(row)
     finals = {ids[s] for s in order if nfa.accept in s}
     return Dfa(

@@ -22,7 +22,7 @@ from .data import (
     sample_fewshot,
     write_dataset,
 )
-from .encoding import feature_record
+from .encoding import RuleMatcher
 from .experiment import (
     ExperimentConfig,
     FeatureCache,
@@ -31,6 +31,7 @@ from .experiment import (
     evaluate_accuracy,
     rows_to_csv,
     rule_baseline_accuracy,
+    rule_binding,
     run_experiment,
 )
 from .matching import Sentence, run_trace
@@ -113,13 +114,11 @@ def cmd_trace(args) -> int:
 def cmd_encode(args) -> int:
     dataset = load_dataset(args.train)
     ruleset = _load_ruleset(args, set(dataset.label_names))
-    mdfas = compile_rules(ruleset)
+    matcher = RuleMatcher(ruleset, compile_rules(ruleset))
     fh = _out_handle(args)
     try:
         for sentence, label in dataset.samples:
-            record = feature_record(
-                ruleset,
-                mdfas,
+            record = matcher.record(
                 sentence,
                 dataset.label_names[label],
                 gate_instance=args.gate_instance,
@@ -153,6 +152,7 @@ def cmd_train(args) -> int:
         m_total=cache.m_total,
         seed=args.seed,
         labels=dataset.label_names,
+        rules=rule_binding(ruleset, mdfas),
     )
     if args.embeddings:
         loaded = load_pretrained_embeddings(params, args.embeddings)

@@ -38,6 +38,10 @@ class CapacityExceededError(RulefuseError):
     """Determinization exceeded the configured state budget."""
 
 
+class RulesMismatchError(RulefuseError):
+    """The rules differ from the ones a checkpoint was trained with."""
+
+
 class MissingFeaturesError(RulefuseError):
     """A model variant was called without the rule features it requires."""
 

@@ -21,7 +21,11 @@ import numpy as np
 
 from .automata import DEFAULT_STATE_BUDGET, Mdfa, compile as compile_ast
 from .data import Dataset, FewShotConfig, sample_fewshot
-from .encoding import encode_all
+from .encoding import (
+    RuleMatcher,
+    encode_all,  # noqa: F401 - bench/tracer.py patches rulefuse.experiment.encode_all
+)
+from .errors import RulesMismatchError
 from .matching import Sentence
 from .model import (
     ModelParams,
@@ -32,12 +36,14 @@ from .model import (
     predict,  # noqa: F401 - bench/tracer.py patches rulefuse.experiment.predict
     train,
 )
-from .rules import RuleSet
+from .rules import RuleSet, unparse
 
 __all__ = [
     "ExperimentConfig",
     "FeatureCache",
     "compile_rules",
+    "rule_binding",
+    "check_rule_binding",
     "rule_only_classify",
     "rule_baseline_accuracy",
     "build_items",
@@ -72,26 +78,64 @@ def rule_only_classify(
 def rule_baseline_accuracy(ruleset: RuleSet, mdfas: list[Mdfa], dataset: Dataset) -> float:
     """Accuracy of the first-match rule classifier; no-match counts as wrong."""
     index = dataset.label_index()
+    rule_labels = [index[rule.label] for rule in ruleset.rules]
+    matcher = RuleMatcher(ruleset, mdfas)
     hits = 0
     for sentence, label in dataset.samples:
-        if rule_only_classify(ruleset, mdfas, sentence, index) == label:
+        _, _, accepted = matcher.run(sentence)
+        accepting = np.flatnonzero(accepted)
+        if accepting.size and rule_labels[accepting[0]] == label:
             hits += 1
     return hits / len(dataset.samples)
+
+
+def rule_binding(ruleset: RuleSet, mdfas: list[Mdfa]) -> list[dict]:
+    """What a checkpoint records of the rules it was trained with, in order."""
+    return [
+        {"fingerprint": mdfa.fingerprint(), "pattern": unparse(rule.ast), "label": rule.label}
+        for rule, mdfa in zip(ruleset.rules, mdfas)
+    ]
+
+
+def check_rule_binding(params: ModelParams, ruleset: RuleSet, mdfas: list[Mdfa]) -> None:
+    """Raise RulesMismatchError unless the rules are the ones `params` was
+    trained with: same count, and per position the same automaton
+    fingerprint and label.
+
+    Only the `instance` and `word` variants read rule features, and
+    checkpoints without a binding (`rulefuse-v1`) have nothing to check.
+    """
+    if params.rules is None or params.variant == "nnsc":
+        return
+    given, stored = rule_binding(ruleset, mdfas), params.rules
+
+    def describe(entries: list[dict], k: int) -> str:
+        if k >= len(entries):
+            return "(missing)"
+        return f"({entries[k]['label']}: {entries[k]['pattern']})"
+
+    for k in range(max(len(given), len(stored))):
+        if k >= min(len(given), len(stored)) or (
+            given[k]["fingerprint"], given[k]["label"]
+        ) != (stored[k]["fingerprint"], stored[k]["label"]):
+            raise RulesMismatchError(
+                f"rule {k + 1} {describe(given, k)} differs from the checkpoint's "
+                f"rule {k + 1} {describe(stored, k)}"
+            )
 
 
 class FeatureCache:
     """Per-sentence rule features, computed lazily and shared across runs."""
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
-        self.ruleset = ruleset
-        self.mdfas = mdfas
-        self.m_total = sum(m.state_count for m in mdfas)
+        self.matcher = RuleMatcher(ruleset, mdfas)
+        self.m_total = self.matcher.m_total
         self._store: dict[tuple[str, ...], tuple] = {}
 
     def features(self, sentence: Sentence):
         key = sentence.words
         if key not in self._store:
-            self._store[key] = encode_all(self.ruleset, self.mdfas, sentence)
+            self._store[key] = self.matcher.encode(sentence)
         return self._store[key]
 
 
@@ -112,7 +156,12 @@ def build_items(dataset: Dataset, variant: str, cache: FeatureCache | None) -> l
 def evaluate_accuracy(
     params: ModelParams, ruleset: RuleSet, mdfas: list[Mdfa], dataset: Dataset
 ) -> float:
-    """Fraction of dataset samples the model classifies correctly."""
+    """Fraction of dataset samples the model classifies correctly.
+
+    Raises RulesMismatchError when the rules differ from those the
+    checkpoint was trained with (see check_rule_binding).
+    """
+    check_rule_binding(params, ruleset, mdfas)
     cache = FeatureCache(ruleset, mdfas)
     return evaluate_items(params, build_items(dataset, params.variant, cache))
 

@@ -49,7 +49,8 @@ __all__ = [
 
 VARIANTS = ("nnsc", "instance", "word")
 UNK = "<unk>"
-CHECKPOINT_VERSION = "rulefuse-v1"
+CHECKPOINT_VERSION = "rulefuse-v2"  # adds the rule binding
+UNBOUND_CHECKPOINT_VERSION = "rulefuse-v1"  # no rule binding; still loads
 INFER_CHUNK = 64  # sentences per forward-only inference batch
 
 _TENSOR_NAMES = (
@@ -102,6 +103,8 @@ class ModelParams:
     mlp_w2: np.ndarray
     mlp_b2: np.ndarray
     labels: list[str] | None = None  # class-name order used at training time
+    # fingerprint, pattern and label of each training rule, in rule order
+    rules: list[dict] | None = None
 
     @property
     def input_width(self) -> int:
@@ -124,6 +127,7 @@ class ModelParams:
         seed: int = 0,
         scale: float = 0.3,
         labels: list[str] | None = None,
+        rules: list[dict] | None = None,
     ) -> "ModelParams":
         """Seeded uniform(-scale, scale) weights, zero biases.
 
@@ -163,6 +167,7 @@ class ModelParams:
             mlp_w2=u(2 * h, C),
             mlp_b2=np.zeros(C),
             labels=list(labels) if labels is not None else None,
+            rules=list(rules) if rules is not None else None,
         )
 
     def tensors(self) -> dict[str, np.ndarray]:
@@ -179,6 +184,7 @@ class ModelParams:
             p=self.p,
             m_total=self.m_total,
             labels=list(self.labels) if self.labels is not None else None,
+            rules=list(self.rules) if self.rules is not None else None,
             **kwargs,
         )
 
@@ -574,9 +580,14 @@ def train(
 
 
 def save_model(params: ModelParams, path: str | os.PathLike) -> None:
-    """Write a single self-describing checkpoint (exact float round-trip)."""
+    """Write a single self-describing checkpoint (exact float round-trip).
+
+    A checkpoint that records the rules it was trained with is
+    `rulefuse-v2`; one without a rule binding keeps the `rulefuse-v1`
+    layout.
+    """
     meta = {
-        "version": CHECKPOINT_VERSION,
+        "version": UNBOUND_CHECKPOINT_VERSION if params.rules is None else CHECKPOINT_VERSION,
         "variant": params.variant,
         "d": params.d,
         "h": params.h,
@@ -586,14 +597,17 @@ def save_model(params: ModelParams, path: str | os.PathLike) -> None:
         "vocab": params.vocab,
         "labels": params.labels,
     }
+    if params.rules is not None:
+        meta["rules"] = params.rules
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **params.tensors())
 
 
 def load_model(path: str | os.PathLike) -> ModelParams:
+    """Read a `rulefuse-v2` or `rulefuse-v1` checkpoint (v1 has no rule binding)."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(data["meta"].item())
-        if meta.get("version") != CHECKPOINT_VERSION:
+        if meta.get("version") not in (CHECKPOINT_VERSION, UNBOUND_CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         tensors = {name: np.array(data[name]) for name in _TENSOR_NAMES}
     return ModelParams(
@@ -605,6 +619,7 @@ def load_model(path: str | os.PathLike) -> ModelParams:
         p=int(meta["p"]),
         m_total=int(meta["m_total"]),
         labels=meta.get("labels"),
+        rules=meta.get("rules"),
         **tensors,
     )
 

@@ -375,3 +375,49 @@ def random_model_case(seed: int, variant: str):
             ]
         batch.append(TrainItem(sentence, label, instance_feats, word_tags))
     return params, batch
+
+
+# ---------------------------------------------------------------------------
+# reference subset construction (the straightforward per-symbol scan)
+
+def oracle_determinize(nfa) -> tuple[list[list[int]], set[int], int]:
+    """(transitions, finals, start) of the breadth-first subset construction.
+
+    For every subset and every symbol it scans every member's moves and
+    closes the target set afresh.  The empty subset is the dead sink; new
+    subsets are numbered in discovery order, taking symbols in ascending
+    id order.  There is no state budget.
+    """
+
+    def closure(states: set[int]) -> frozenset[int]:
+        out = set(states)
+        stack = list(states)
+        while stack:
+            for t in nfa.eps[stack.pop()]:
+                if t not in out:
+                    out.add(t)
+                    stack.append(t)
+        return frozenset(out)
+
+    n_symbols = nfa.other_id + 1
+    start_set = closure({nfa.start})
+    ids = {start_set: 0}
+    order = [start_set]
+    transitions = []
+    queue = deque([start_set])
+    while queue:
+        subset = queue.popleft()
+        row = []
+        for sid in range(n_symbols):
+            targets: set[int] = set()
+            for s in subset:
+                targets.update(nfa.moves[s].get(sid, ()))
+            target_set = closure(targets) if targets else frozenset()
+            if target_set not in ids:
+                ids[target_set] = len(ids)
+                order.append(target_set)
+                queue.append(target_set)
+            row.append(ids[target_set])
+        transitions.append(row)
+    finals = {ids[s] for s in order if nfa.accept in s}
+    return transitions, finals, 0

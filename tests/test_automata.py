@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     OOV,
     minimal_state_count,
+    oracle_determinize,
     oracle_earlystop_accepts,
     oracle_full_match,
     random_ast,
@@ -99,6 +100,44 @@ def test_minimize_is_fixed_point():
 def test_capacity_budget():
     with pytest.raises(CapacityExceededError):
         compile(parse_regex("a b c d"), state_budget=2)
+
+
+# the three rule shapes of the ATIS-style benchmark rules, with fixed words:
+# keyword gaps, synonym alternations, optional words and `( . )?` windows
+ATIS_SHAPED = (
+    "( . )* ( fare | cost | price ) ( . )? ( . )? the ? flight ( . )* denver",
+    "( . )* ( lunch | dinner | meal | snack ) ( . )? ( . )? ( . )? me ? served ( . )* boston",
+    "( . )* please ? ( cheapest | lowest ) ( . )* ( fare | ticket ) ( . )? ( . )? to ? dallas",
+)
+
+
+def _reference_cases():
+    rng = random.Random(31337)
+    asts = [random_ast(rng, depth=rng.choice((2, 3, 4, 5))) for _ in range(240)]
+    return asts + [parse_regex(src) for src in ATIS_SHAPED]
+
+
+def test_determinize_matches_reference_subset_construction():
+    for ast in _reference_cases():
+        nfa = nfa_from_ast(ast)
+        transitions, finals, start = oracle_determinize(nfa)
+        dfa = determinize(nfa)
+        assert dfa.transitions == transitions, ast
+        assert dfa.finals == finals, ast
+        assert dfa.start == start
+        assert (dfa.symbols, dfa.other_id) == (nfa.symbols, nfa.other_id)
+
+
+def test_determinize_budget_matches_reference_state_count():
+    for ast in _reference_cases()[::4] + [parse_regex(src) for src in ATIS_SHAPED]:
+        nfa = nfa_from_ast(ast)
+        n_states = len(oracle_determinize(nfa)[0])
+        for budget in range(1, 7):
+            if n_states > budget:
+                with pytest.raises(CapacityExceededError):
+                    determinize(nfa, state_budget=budget)
+            else:
+                assert determinize(nfa, state_budget=budget).n_states == n_states
 
 
 def test_nfa_stages_preserve_language():

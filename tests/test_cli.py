@@ -1,9 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
 from rulefuse.cli import _apply_config_file, build_parser, main
-from rulefuse.model import load_model
+from rulefuse.data import load_dataset
+from rulefuse.encoding import encode_instance, encode_word_tags
+from rulefuse.errors import RulesMismatchError
+from rulefuse.experiment import compile_rules
+from rulefuse.matching import run_trace
+from rulefuse.model import load_model, save_model
+from rulefuse.rules import load_rules
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +67,38 @@ def test_encode_jsonl(corpus, tmp_path):
     assert len(record["instance"]) == 6
 
 
+@pytest.mark.parametrize(
+    "flags", [[], ["--gate-instance"], ["--full-match"], ["--gate-instance", "--full-match"]]
+)
+def test_encode_jsonl_equals_per_rule_traces(corpus, tmp_path, flags):
+    out = tmp_path / "features.jsonl"
+    main([
+        "encode", "--rules", str(corpus / "rules.tsv"),
+        "--train", str(corpus / "train.tsv"), "--out", str(out), *flags,
+    ])
+    gate, full = "--gate-instance" in flags, "--full-match" in flags
+    ruleset = load_rules(corpus / "rules.tsv")
+    mdfas = compile_rules(ruleset)
+    dataset = load_dataset(corpus / "train.tsv")
+    expected = []
+    for sentence, label in dataset.samples:
+        traces = [
+            run_trace(mdfa, sentence, rule_id=rule.rule_id, full_match=full)
+            for rule, mdfa in zip(ruleset.rules, mdfas)
+        ]
+        record = {
+            "text": sentence.text(),
+            "label": dataset.label_names[label],
+            "instance": [
+                [int(v) for v in encode_instance(trace, mdfa.state_count, gate=gate).values]
+                for trace, mdfa in zip(traces, mdfas)
+            ],
+            "tags": [[int(t) for t in encode_word_tags(trace, sentence.n).tags] for trace in traces],
+        }
+        expected.append(json.dumps(record) + "\n")
+    assert out.read_text() == "".join(expected)
+
+
 def test_train_eval_roundtrip(corpus, tmp_path, capsys):
     ckpt = tmp_path / "model.npz"
     main([
@@ -78,6 +117,53 @@ def test_train_eval_roundtrip(corpus, tmp_path, capsys):
         "--test", str(corpus / "test.tsv"), "--model", str(ckpt),
     ])
     assert "accuracy=" in capsys.readouterr().out
+
+
+def test_eval_rejects_rules_the_checkpoint_was_not_trained_with(corpus, tmp_path, capsys):
+    # an instance checkpoint scored garbage, with no error, on reordered rules
+    ckpt = tmp_path / "model.npz"
+    main([
+        "train", "--rules", str(corpus / "rules.tsv"), "--train", str(corpus / "train.tsv"),
+        "--variant", "instance", "--epochs", "2", "--emb-dim", "4", "--hidden", "4",
+        "--out", str(ckpt),
+    ])
+    capsys.readouterr()
+    lines = (corpus / "rules.tsv").read_text().splitlines()
+    reordered = tmp_path / "reordered.tsv"
+    reordered.write_text("\n".join(lines[::-1]) + "\n")
+    edited = tmp_path / "edited.tsv"
+    edited.write_text("\n".join(lines[:2] + [lines[2] + " extra"] + lines[3:]) + "\n")
+    test = str(corpus / "test.tsv")
+    with pytest.raises(RulesMismatchError, match=r"^rule 1 "):
+        main(["eval", "--rules", str(reordered), "--test", test, "--model", str(ckpt)])
+    with pytest.raises(RulesMismatchError, match=r"^rule 3 .*extra"):
+        main(["eval", "--rules", str(edited), "--test", test, "--model", str(ckpt)])
+    with pytest.raises(RulesMismatchError, match=r"^rule 1 .*missing"):
+        main(["eval", "--test", test, "--model", str(ckpt)])
+    assert main(["eval", "--rules", str(corpus / "rules.tsv"), "--test", test,
+                 "--model", str(ckpt)]) == 0
+    assert capsys.readouterr().out.startswith("accuracy=")
+
+
+def test_unbound_v1_checkpoint_still_evaluates(corpus, tmp_path, capsys):
+    ckpt = tmp_path / "model.npz"
+    main([
+        "train", "--rules", str(corpus / "rules.tsv"), "--train", str(corpus / "train.tsv"),
+        "--variant", "word", "--epochs", "2", "--emb-dim", "4", "--hidden", "4",
+        "--out", str(ckpt),
+    ])
+    params = load_model(ckpt)
+    assert [rule["label"] for rule in params.rules] == load_rules(corpus / "rules.tsv").labels()
+    params.rules = None
+    save_model(params, ckpt)
+    meta = json.loads(np.load(ckpt, allow_pickle=False)["meta"].item())
+    assert meta["version"] == "rulefuse-v1" and "rules" not in meta
+    reordered = tmp_path / "reordered.tsv"
+    reordered.write_text("\n".join((corpus / "rules.tsv").read_text().splitlines()[::-1]) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--rules", str(reordered), "--test", str(corpus / "test.tsv"),
+                 "--model", str(ckpt)]) == 0
+    assert capsys.readouterr().out.startswith("accuracy=")
 
 
 def test_eval_rule_only(corpus, capsys):

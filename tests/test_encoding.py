@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import OOV, random_ast
 from rulefuse.encoding import (
+    RuleMatcher,
     encode_all,
     encode_instance,
     encode_word_tags,
     feature_record,
 )
 from rulefuse.experiment import compile_rules
-from rulefuse.matching import Sentence, Trace
-from rulefuse.rules import parse_rule_lines
+from rulefuse.matching import Sentence, Trace, run_trace
+from rulefuse.rules import Rule, RuleSet, parse_regex, parse_rule_lines, unparse
 
 
 def test_instance_is_indicator_of_visited():
@@ -149,3 +151,49 @@ def test_encoding_properties(case):
         assert not tags.tags.any()
     else:
         assert tags.tags.tolist() == [1.0] * trace.consumed + [0.0] * (n - trace.consumed)
+
+
+def _random_ruleset(rng: random.Random) -> RuleSet:
+    asts = [random_ast(rng, depth=rng.choice((1, 2, 3, 4))) for _ in range(rng.randint(0, 6))]
+    if asts and rng.random() < 0.3:
+        asts[rng.randrange(len(asts))] = parse_regex("( . )*")
+    return RuleSet(
+        tuple(Rule(k + 1, f"l{k % 2}", ast, unparse(ast)) for k, ast in enumerate(asts))
+    )
+
+
+def test_matcher_equals_per_rule_traces_bit_for_bit():
+    rng = random.Random(4242)
+    tokens = ["a", "b", "c", OOV, "other"]
+    for case in range(120):
+        ruleset = _random_ruleset(rng)
+        if case == 0:  # a rule without literals next to ordinary ones
+            ruleset = parse_rule_lines(["x\t( . )*", "y\ta b", "x\t. c ."])
+        mdfas = compile_rules(ruleset)
+        matcher = RuleMatcher(ruleset, mdfas)
+        assert matcher.m_total == sum(m.state_count for m in mdfas)
+        sentences = [Sentence(())] + [
+            Sentence(tuple(rng.choice(tokens) for _ in range(rng.randint(1, 7))))
+            for _ in range(12)
+        ]
+        for sentence in sentences:
+            for gate in (False, True):
+                for full in (False, True):
+                    instances, tag_seqs = matcher.encode(
+                        sentence, gate_instance=gate, full_match=full
+                    )
+                    assert [f.rule_id for f in instances] == [r.rule_id for r in ruleset.rules]
+                    assert [t.rule_id for t in tag_seqs] == [r.rule_id for r in ruleset.rules]
+                    _, _, accepted = matcher.run(sentence, full_match=full)
+                    for k, (rule, mdfa) in enumerate(zip(ruleset.rules, mdfas)):
+                        trace = run_trace(mdfa, sentence, rule_id=rule.rule_id, full_match=full)
+                        want_inst = encode_instance(trace, mdfa.state_count, gate=gate)
+                        want_tags = encode_word_tags(trace, sentence.n)
+                        got_inst, got_tags = instances[k].values, tag_seqs[k].tags
+                        assert got_inst.dtype == want_inst.values.dtype
+                        assert got_inst.shape == want_inst.values.shape
+                        assert got_inst.tobytes() == want_inst.values.tobytes()
+                        assert got_tags.dtype == want_tags.tags.dtype
+                        assert got_tags.shape == want_tags.tags.shape
+                        assert got_tags.tobytes() == want_tags.tags.tobytes()
+                        assert bool(accepted[k]) == trace.accepted
