@@ -27,6 +27,7 @@ from .encoding import (
 )
 from .errors import (
     CapacityExceededError,
+    CheckpointError,
     DimensionMismatchError,
     EmptyDatasetError,
     MalformedLineError,

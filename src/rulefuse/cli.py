@@ -115,15 +115,15 @@ def cmd_encode(args) -> int:
     dataset = load_dataset(args.train)
     ruleset = _load_ruleset(args, set(dataset.label_names))
     matcher = RuleMatcher(ruleset, compile_rules(ruleset))
+    records = matcher.records(
+        [sentence for sentence, _ in dataset.samples],
+        [dataset.label_names[label] for _, label in dataset.samples],
+        gate_instance=args.gate_instance,
+        full_match=args.full_match,
+    )
     fh = _out_handle(args)
     try:
-        for sentence, label in dataset.samples:
-            record = matcher.record(
-                sentence,
-                dataset.label_names[label],
-                gate_instance=args.gate_instance,
-                full_match=args.full_match,
-            )
+        for record in records:
             fh.write(json.dumps(record) + "\n")
     finally:
         if fh is not sys.stdout:
@@ -166,14 +166,20 @@ def cmd_train(args) -> int:
         clip_norm=args.clip_norm,
     )
     params, history = train(params, items, config, dev_items=dev_items)
-    if history:
-        last = history[-1]
+    completed = [entry for entry in history if "aborted" not in entry]
+    if completed:
+        last = completed[-1]
         dev_part = (
             f" dev_accuracy={last['dev_accuracy']:.4f}"
             if last["dev_accuracy"] is not None
             else ""
         )
-        print(f"epochs={len(history)} loss={last['loss']:.4f}{dev_part}")
+        print(f"epochs={len(completed)} loss={last['loss']:.4f}{dev_part}")
+    if len(completed) < len(history):
+        print(
+            f"training aborted ({history[-1]['aborted']}) in epoch {history[-1]['epoch'] + 1}; "
+            "kept the parameters of the last finite epoch"
+        )
     if args.test:
         test = load_dataset(args.test, label_names=dataset.label_names)
         acc = evaluate_accuracy(params, ruleset, mdfas, test)

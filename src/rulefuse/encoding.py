@@ -12,14 +12,17 @@ Two encodings per (sentence, rule) pair:
 
 `RuleMatcher` computes both for a whole rule set at once: it stacks every
 rule's automaton into one transition table and advances all of them
-together, one array lookup per word.  `run_trace` with `encode_instance`
-and `encode_word_tags` is the one-rule path it must agree with.
+together, one array lookup per word, for one sentence (`encode`) or a
+whole padded dataset (`encode_batch`).  `run_trace` with
+`encode_instance` and `encode_word_tags` is the one-rule path both must
+agree with.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -84,7 +87,7 @@ def encode_word_tags(trace: Trace, n: int) -> WordTagSeq:
 
 
 class RuleMatcher:
-    """Every rule's automaton in one table, stepped together per sentence.
+    """Every rule's automaton in one table, stepped together.
 
     Built once per (rule set, automata).  Each literal word of any rule
     gets a global word id, and one more id stands for every other word;
@@ -175,23 +178,92 @@ class RuleMatcher:
         tag_seqs = [WordTagSeq(rule_id, row) for rule_id, row in zip(self.rule_ids, tags)]
         return instances, tag_seqs
 
-    def record(
+    def run_batch(
+        self, sentences: Sequence[Sentence], full_match: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`run` for N sentences at once.
+
+        Word ids are padded to `(N, T)` and all N x p automata advance with
+        one table lookup per word position.  Returns the `(T, N, p)` global
+        states (steps past a sentence's length are padding and read as
+        nothing), the `(N, p)` words consumed and the `(N, p)` acceptance
+        flags, each row equal to what `run` gives for that sentence.
+        """
+        N, p = len(sentences), len(self.start)
+        lengths = np.fromiter((s.n for s in sentences), dtype=np.intp, count=N)
+        T = max(1, int(lengths.max(initial=0)))
+        live = np.arange(T) < lengths[:, None]  # (N, T)
+        gids = np.full((N, T), self.other, dtype=np.intp)
+        gids[live] = np.fromiter(
+            (self.word_ids.get(w, self.other) for s in sentences for w in s.words),
+            dtype=np.intp,
+            count=int(lengths.sum()),
+        )
+        syms = self.symbols[gids.T]  # (T, N, p), time-major
+        table = self.table
+        states = np.empty(syms.shape, dtype=np.intp)
+        state = np.broadcast_to(self.start, (N, p))
+        for t in range(T):
+            state = states[t] = table[state, syms[t]]
+        empty = (lengths == 0)[:, None]
+        if full_match:
+            last = states[np.maximum(lengths - 1, 0), np.arange(N)]
+            accepted = self.final[np.where(empty, self.start, last)]
+            return states, np.repeat(lengths[:, None], p, axis=1), accepted
+        hit = self.final[states] & live.T[..., None]
+        reached = hit.any(axis=0)
+        consumed = np.where(reached, hit.argmax(axis=0) + 1, lengths[:, None])
+        return states, consumed, reached | (empty & self.final[self.start])
+
+    def encode_batch(
         self,
-        sentence: Sentence,
-        label: str,
+        sentences: Sequence[Sentence],
         gate_instance: bool = False,
         full_match: bool = False,
-    ) -> dict:
-        """JSON-serializable record of a sentence's features (0/1 as ints)."""
-        instances, tag_seqs = self.encode(
-            sentence, gate_instance=gate_instance, full_match=full_match
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Both feature kinds of N sentences, as the arrays the model reads.
+
+        Returns the `(N, m_total)` float64 state indicator and each
+        sentence's `(n, p)` float64 tag matrix (views into one padded
+        array).  Row i, split at `bounds`, and tags[i].T equal `encode`'s
+        per-rule features of sentence i bit for bit.
+        """
+        states, consumed, accepted = self.run_batch(sentences, full_match=full_match)
+        T, N, p = states.shape
+        # consumed never exceeds a sentence's length, so padding is never visited
+        visited = np.arange(T)[:, None, None] < consumed
+        if gate_instance:
+            visited &= accepted
+        indicator = np.zeros((N, self.m_total), dtype=np.float64)
+        rows = np.broadcast_to(np.arange(N)[:, None], states.shape)
+        indicator[rows[visited], states[visited]] = 1.0
+        tagged = (visited & accepted).swapaxes(0, 1).astype(np.float64, order="C")
+        return indicator, [tagged[i, : s.n] for i, s in enumerate(sentences)]
+
+    def records(
+        self,
+        sentences: Sequence[Sentence],
+        labels: Sequence[str],
+        gate_instance: bool = False,
+        full_match: bool = False,
+    ) -> list[dict]:
+        """JSON-serializable record of each sentence's features (0/1 as ints),
+        from one `encode_batch` call."""
+        indicator, tags = self.encode_batch(
+            sentences, gate_instance=gate_instance, full_match=full_match
         )
-        return {
-            "text": sentence.text(),
-            "label": label,
-            "instance": [[int(v) for v in feat.values] for feat in instances],
-            "tags": [[int(t) for t in seq.tags] for seq in tag_seqs],
-        }
+        return [
+            {
+                "text": sentence.text(),
+                "label": label,
+                "instance": [
+                    row[lo:hi].astype(np.int64).tolist()
+                    for lo, hi in zip(self.bounds, self.bounds[1:])
+                ],
+                "tags": tagmat.T.astype(np.int64).tolist(),
+            }
+            for sentence, label, row, tagmat in zip(sentences, labels, indicator, tags)
+        ]
 
 
 def encode_all(
@@ -216,6 +288,6 @@ def feature_record(
     full_match: bool = False,
 ) -> dict:
     """JSON-serializable record of a sentence's features (0/1 as ints)."""
-    return RuleMatcher(ruleset, mdfas).record(
-        sentence, label, gate_instance=gate_instance, full_match=full_match
-    )
+    return RuleMatcher(ruleset, mdfas).records(
+        [sentence], [label], gate_instance=gate_instance, full_match=full_match
+    )[0]

@@ -42,6 +42,10 @@ class RulesMismatchError(RulefuseError):
     """The rules differ from the ones a checkpoint was trained with."""
 
 
+class CheckpointError(RulefuseError, ValueError):
+    """A checkpoint file is not in a format this version can read."""
+
+
 class MissingFeaturesError(RulefuseError):
     """A model variant was called without the rule features it requires."""
 

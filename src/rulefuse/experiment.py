@@ -78,15 +78,14 @@ def rule_only_classify(
 def rule_baseline_accuracy(ruleset: RuleSet, mdfas: list[Mdfa], dataset: Dataset) -> float:
     """Accuracy of the first-match rule classifier; no-match counts as wrong."""
     index = dataset.label_index()
-    rule_labels = [index[rule.label] for rule in ruleset.rules]
-    matcher = RuleMatcher(ruleset, mdfas)
-    hits = 0
-    for sentence, label in dataset.samples:
-        _, _, accepted = matcher.run(sentence)
-        accepting = np.flatnonzero(accepted)
-        if accepting.size and rule_labels[accepting[0]] == label:
-            hits += 1
-    return hits / len(dataset.samples)
+    rule_labels = np.array([index[rule.label] for rule in ruleset.rules] + [-1])
+    _, _, accepted = RuleMatcher(ruleset, mdfas).run_batch(
+        [sentence for sentence, _ in dataset.samples]
+    )
+    # the first accepting rule, or column p, whose label is the -1 sentinel
+    first = np.column_stack([accepted, np.ones(len(accepted), dtype=bool)]).argmax(axis=1)
+    gold = np.array([label for _, label in dataset.samples])
+    return int((rule_labels[first] == gold).sum()) / len(dataset.samples)
 
 
 def rule_binding(ruleset: RuleSet, mdfas: list[Mdfa]) -> list[dict]:
@@ -125,12 +124,18 @@ def check_rule_binding(params: ModelParams, ruleset: RuleSet, mdfas: list[Mdfa])
 
 
 class FeatureCache:
-    """Per-sentence rule features, computed lazily and shared across runs."""
+    """Per-sentence rule features, computed lazily and shared across runs.
+
+    `features` gives one sentence's per-rule feature objects; `arrays`
+    gives many sentences' `(m_total,)` indicator and `(n, p)` tag matrix,
+    encoding the ones not yet cached in one batched matcher call.
+    """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
         self.matcher = RuleMatcher(ruleset, mdfas)
         self.m_total = self.matcher.m_total
         self._store: dict[tuple[str, ...], tuple] = {}
+        self._arrays: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def features(self, sentence: Sentence):
         key = sentence.words
@@ -138,19 +143,31 @@ class FeatureCache:
             self._store[key] = self.matcher.encode(sentence)
         return self._store[key]
 
+    def arrays(self, sentences: list[Sentence]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(indicator, tag matrix) of each sentence, in order."""
+        missing = {s.words: s for s in sentences if s.words not in self._arrays}
+        if missing:
+            indicator, tags = self.matcher.encode_batch(list(missing.values()))
+            self._arrays.update(zip(missing, zip(indicator, tags)))
+        return [self._arrays[s.words] for s in sentences]
+
 
 def build_items(dataset: Dataset, variant: str, cache: FeatureCache | None) -> list[TrainItem]:
-    """TrainItems carrying exactly the features the variant reads."""
-    items = []
-    for sentence, label in dataset.samples:
-        instance_feats = None
-        word_tags = None
-        if variant == "instance":
-            instance_feats = cache.features(sentence)[0]
-        elif variant == "word":
-            word_tags = cache.features(sentence)[1]
-        items.append(TrainItem(sentence, label, instance_feats, word_tags))
-    return items
+    """TrainItems carrying exactly the features the variant reads, as the
+    arrays the model consumes: the `(m_total,)` state indicator for
+    `instance`, the `(n, p)` tag matrix for `word`."""
+    if variant not in ("instance", "word"):
+        return [TrainItem(sentence, label) for sentence, label in dataset.samples]
+    feats = cache.arrays([sentence for sentence, _ in dataset.samples])
+    if variant == "instance":
+        return [
+            TrainItem(sentence, label, instance_feats=indicator)
+            for (sentence, label), (indicator, _) in zip(dataset.samples, feats)
+        ]
+    return [
+        TrainItem(sentence, label, word_tags=tags)
+        for (sentence, label), (_, tags) in zip(dataset.samples, feats)
+    ]
 
 
 def evaluate_accuracy(

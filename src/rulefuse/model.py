@@ -25,7 +25,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .encoding import InstanceFeature, WordTagSeq
-from .errors import DimensionMismatchError, MissingFeaturesError, NumericalError
+from .errors import (
+    CheckpointError,
+    DimensionMismatchError,
+    MissingFeaturesError,
+    NumericalError,
+)
 from .matching import Sentence
 
 __all__ = [
@@ -205,10 +210,16 @@ class ActivationRecord:
 
 @dataclass(frozen=True)
 class TrainItem:
+    """A labelled sentence with the rule features its variant reads.
+
+    Features are the `(m_total,)` state indicator or the `(n, p)` tag
+    matrix, as `build_items` gives them, or per-rule feature objects.
+    """
+
     sentence: Sentence
     label: int
-    instance_feats: Sequence[InstanceFeature] | None = None
-    word_tags: Sequence[WordTagSeq] | None = None
+    instance_feats: np.ndarray | Sequence[InstanceFeature] | None = None
+    word_tags: np.ndarray | Sequence[WordTagSeq] | None = None
 
 
 @dataclass
@@ -305,12 +316,27 @@ def _lstm_backward(dhs, cache):
     return dZ @ wx.swapaxes(1, 2)[:, None], dwx, dwh, flat_dz.sum(axis=1)
 
 
+def _feature_array(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The array itself, once its shape is the one the model reads."""
+    if values.shape != shape:
+        raise DimensionMismatchError(f"{what} has shape {values.shape}, expected {shape}")
+    return values
+
+
 def _gather_features(params, sentence, instance_feats, word_tags):
-    """Validate variant/feature agreement; return (tag matrix, instance vec)."""
+    """Validate variant/feature agreement; return (tag matrix, instance vec).
+
+    Features come either as the arrays the model reads, an `(n, p)` tag
+    matrix or an `(m_total,)` state indicator, which pass through after a
+    shape check, or as per-rule `WordTagSeq`/`InstanceFeature` sequences,
+    which are validated and stacked.
+    """
     n = sentence.n
     tagmat = None
     u = None
     if params.variant == "word":
+        if isinstance(word_tags, np.ndarray):
+            return _feature_array(word_tags, (n, params.p), "tag matrix"), None
         if word_tags is None:
             if params.p != 0:
                 raise MissingFeaturesError("word variant requires word tags")
@@ -329,6 +355,8 @@ def _gather_features(params, sentence, instance_feats, word_tags):
         else:
             tagmat = np.zeros((n, 0))
     elif params.variant == "instance":
+        if isinstance(instance_feats, np.ndarray):
+            return None, _feature_array(instance_feats, (params.m_total,), "state indicator")
         if instance_feats is None:
             if params.p != 0:
                 raise MissingFeaturesError("instance variant requires instance features")
@@ -528,7 +556,9 @@ def train(
     dev accuracy (when dev_items given).  With patience set, training stops
     after that many epochs without a dev-accuracy improvement and the best
     params are returned.  A numerical blow-up aborts with the last params
-    that were still finite.
+    that were still finite and ends the history with a record
+    `{"epoch": k, "loss": None, "dev_accuracy": None, "aborted": "numerical"}`
+    for the epoch it abandoned.
     """
     if not items:
         raise ValueError("empty training set")
@@ -554,10 +584,14 @@ def train(
                     arr -= config.lr * grads[name]
                 total_loss += loss * len(batch)
         except NumericalError:
+            blew_up = True
+        else:
+            blew_up = not params.all_finite()
+        if blew_up:
             params = snapshot
-            break
-        if not params.all_finite():
-            params = snapshot
+            history.append(
+                {"epoch": epoch, "loss": None, "dev_accuracy": None, "aborted": "numerical"}
+            )
             break
         entry = {"epoch": epoch, "loss": total_loss / len(items), "dev_accuracy": None}
         if dev_items is not None:
@@ -608,7 +642,7 @@ def load_model(path: str | os.PathLike) -> ModelParams:
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(data["meta"].item())
         if meta.get("version") not in (CHECKPOINT_VERSION, UNBOUND_CHECKPOINT_VERSION):
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+            raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
         tensors = {name: np.array(data[name]) for name in _TENSOR_NAMES}
     return ModelParams(
         variant=meta["variant"],

@@ -287,6 +287,17 @@ def test_config_rejects_bad_choice(corpus, tmp_path):
         )
 
 
+def test_train_reports_a_numerical_abort(corpus, capsys):
+    # this learning rate overflows in the first epoch, so no epoch completes
+    assert main([
+        "train", "--train", str(corpus / "train.tsv"), "--epochs", "20",
+        "--lr", "1e12", "--clip-norm", "none", "--emb-dim", "4", "--hidden", "3",
+    ]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "training aborted (numerical) in epoch 1; kept the parameters of the last finite epoch"
+    ]
+
+
 def test_train_with_patience_and_no_clipping_from_config(corpus, tmp_path, capsys):
     config = tmp_path / "train.conf"
     config.write_text("patience = 1\nclip_norm = none\n")

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,3 +199,67 @@ def test_matcher_equals_per_rule_traces_bit_for_bit():
                         assert got_tags.shape == want_tags.tags.shape
                         assert got_tags.tobytes() == want_tags.tags.tobytes()
                         assert bool(accepted[k]) == trace.accepted
+
+
+def _atis_gen():
+    """bench/atis_gen.py: the seeded 54-rule ATIS-shaped rules and corpus."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "atis_gen.py"
+    spec = importlib.util.spec_from_file_location("atis_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_batch_equals_encode(matcher, sentences):
+    """encode_batch and run_batch agree with encode and run, bit for bit."""
+    p = len(matcher.rule_ids)
+    for gate in (False, True):
+        for full in (False, True):
+            indicator, tags = matcher.encode_batch(sentences, gate_instance=gate, full_match=full)
+            assert indicator.dtype == np.float64
+            assert indicator.shape == (len(sentences), matcher.m_total)
+            assert len(tags) == len(sentences)
+            _, consumed, accepted = matcher.run_batch(sentences, full_match=full)
+            for i, sentence in enumerate(sentences):
+                instances, tag_seqs = matcher.encode(sentence, gate_instance=gate, full_match=full)
+                want_u = np.concatenate([f.values for f in instances] + [np.zeros(0)])
+                want_tags = np.stack(
+                    [seq.tags for seq in tag_seqs] + [np.zeros(sentence.n)], axis=1
+                )[:, :p]
+                assert indicator[i].tobytes() == want_u.tobytes()
+                assert tags[i].dtype == np.float64
+                assert tags[i].shape == (sentence.n, p)
+                assert tags[i].tobytes() == want_tags.tobytes()
+                _, want_consumed, want_accepted = matcher.run(sentence, full_match=full)
+                assert consumed[i].tolist() == want_consumed.tolist()
+                assert accepted[i].tolist() == want_accepted.tolist()
+
+
+def test_batch_encoder_equals_per_sentence_encode():
+    rng = random.Random(977)
+    tokens = ["a", "b", "c", OOV, "other"]
+    for case in range(80):
+        ruleset = _random_ruleset(rng)
+        if case == 0:
+            ruleset = parse_rule_lines(["x\t( . )*", "y\ta b", "x\t. c ."])
+        matcher = RuleMatcher(ruleset, compile_rules(ruleset))
+        # the longest sentence sits among shorter ones, so most rows are padded
+        lengths = [0, 1, 12, 1, 0] + [rng.randint(1, 7) for _ in range(10)]
+        rng.shuffle(lengths)
+        sentences = [Sentence(tuple(rng.choice(tokens) for _ in range(n))) for n in lengths]
+        _assert_batch_equals_encode(matcher, sentences)
+        _assert_batch_equals_encode(matcher, [Sentence(())])
+        indicator, tags = matcher.encode_batch([])
+        assert indicator.shape == (0, matcher.m_total) and tags == []
+
+
+def test_batch_encoder_equals_per_sentence_encode_on_atis_rules():
+    atis_gen = _atis_gen()
+    lines = atis_gen.generate_rules(0)
+    ruleset = parse_rule_lines(lines, known_labels=set(atis_gen.LABELS))
+    assert ruleset.p == 54
+    matcher = RuleMatcher(ruleset, compile_rules(ruleset))
+    corpus = atis_gen.generate_corpus(0, lines, 300)
+    sentences = [Sentence.from_text(text) for _, text, _ in corpus]
+    sentences += [Sentence(()), Sentence((OOV, "zzz")), Sentence(("flights",))]
+    _assert_batch_equals_encode(matcher, sentences)

@@ -3,7 +3,12 @@ import pytest
 
 from oracles import max_grad_relative_error, random_model_case
 from rulefuse.encoding import InstanceFeature, WordTagSeq
-from rulefuse.errors import DimensionMismatchError, MissingFeaturesError
+from rulefuse.errors import (
+    CheckpointError,
+    DimensionMismatchError,
+    MissingFeaturesError,
+    RulefuseError,
+)
 from rulefuse.matching import Sentence
 from rulefuse.model import (
     INFER_CHUNK,
@@ -188,6 +193,52 @@ def test_batched_evaluation_equals_per_item_predict(variant):
     assert evaluate_items(params, differ) == 0.0
 
 
+def _as_arrays(item):
+    """The item with its per-rule feature objects stacked as `build_items` gives them."""
+    feats = tags = None
+    if item.instance_feats is not None:
+        feats = np.concatenate([f.values for f in item.instance_feats])
+    if item.word_tags is not None:
+        tags = np.stack([seq.tags for seq in item.word_tags], axis=1)
+    return TrainItem(item.sentence, item.label, feats, tags)
+
+
+@pytest.mark.parametrize("variant", ["instance", "word"])
+def test_array_features_give_identical_bits(variant):
+    lengths = [1 + (i * 5) % 12 for i in range(INFER_CHUNK + 9)]
+    params, items = _mixed_length_case(variant, seed=10, lengths=lengths)
+    arrays = [_as_arrays(it) for it in items]
+    loss, grads = loss_and_grads(params, items[:16])
+    array_loss, array_grads = loss_and_grads(params, arrays[:16])
+    assert array_loss == loss
+    for name, grad in grads.items():
+        assert array_grads[name].tobytes() == grad.tobytes()
+    y = _forward_batch(params, [(it.sentence, it.instance_feats, it.word_tags) for it in items])[-1]
+    array_y = _forward_batch(
+        params, [(it.sentence, it.instance_feats, it.word_tags) for it in arrays]
+    )[-1]
+    assert array_y.tobytes() == y.tobytes()
+    assert evaluate_items(params, arrays) == evaluate_items(params, items)
+
+
+def test_wrong_shape_feature_arrays_raise():
+    params_i, items_i = _mixed_length_case("instance", seed=11, lengths=(3, 5))
+    params_w, items_w = _mixed_length_case("word", seed=11, lengths=(3, 5))
+    item = items_w[0]  # 3 words, 2 rules
+    tags = _as_arrays(item).word_tags
+    for bad in (tags.T, tags[:, :1], tags[:2], tags.ravel(), np.zeros((3, 2, 1))):
+        with pytest.raises(DimensionMismatchError):
+            forward(params_w, item.sentence, word_tags=bad)
+        with pytest.raises(DimensionMismatchError):
+            loss_and_grads(params_w, [TrainItem(item.sentence, 0, word_tags=bad)])
+    u = _as_arrays(items_i[0]).instance_feats  # m_total = 6
+    for bad in (u[:-1], np.append(u, 1.0), u[None, :], np.zeros(0)):
+        with pytest.raises(DimensionMismatchError):
+            forward(params_i, items_i[0].sentence, instance_feats=bad)
+        with pytest.raises(DimensionMismatchError):
+            evaluate_items(params_i, [TrainItem(items_i[0].sentence, 0, instance_feats=bad)])
+
+
 def test_uniform_logits_loss_is_log_C():
     params = _nnsc_params(C=4)
     params.mlp_w2[:] = 0.0
@@ -284,6 +335,21 @@ def test_blowup_aborts_with_last_good_params():
     assert len(history) < 20  # aborted early rather than running to the end
 
 
+def test_blowup_is_recorded_in_history():
+    items = _toy_items()
+    vocab = build_vocab(it.sentence for it in items)
+    params = ModelParams.init("nnsc", vocab, d=4, h=3, C=2, seed=7)
+    _, history = train(
+        params, items, TrainConfig(epochs=20, lr=1e12, seed=7, clip_norm=None)
+    )
+    *completed, last = history
+    assert last == {
+        "epoch": len(completed), "loss": None, "dev_accuracy": None, "aborted": "numerical"
+    }
+    assert [entry["epoch"] for entry in completed] == list(range(len(completed)))
+    assert all("aborted" not in entry and entry["loss"] is not None for entry in completed)
+
+
 def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     params = ModelParams.init(
         "instance", _vocab("a", "b"), d=4, h=3, C=2, p=1, m_total=3,
@@ -313,6 +379,21 @@ def test_checkpoint_version_field(tmp_path):
         assert "meta.npy" in zf.namelist()
     meta = json.loads(np.load(path, allow_pickle=False)["meta"].item())
     assert meta["version"] == "rulefuse-v1"
+
+
+def test_unsupported_checkpoint_version_is_a_typed_error(tmp_path):
+    import json
+
+    params = _nnsc_params()
+    path = tmp_path / "model.npz"
+    meta = {"version": "rulefuse-v99", "variant": "nnsc", "d": 4, "h": 3, "C": 3,
+            "p": 0, "m_total": 0, "vocab": params.vocab, "labels": None}
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **params.tensors())
+    with pytest.raises(RulefuseError, match="rulefuse-v99") as info:
+        load_model(path)
+    assert isinstance(info.value, CheckpointError)
+    assert isinstance(info.value, ValueError)  # callers catching ValueError still work
 
 
 def test_pretrained_embedding_hook(tmp_path):
