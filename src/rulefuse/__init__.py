@@ -28,6 +28,7 @@ from .encoding import (
 from .errors import (
     CapacityExceededError,
     CheckpointError,
+    ConfigError,
     DimensionMismatchError,
     EmptyDatasetError,
     MalformedLineError,

@@ -46,6 +46,10 @@ class CheckpointError(RulefuseError, ValueError):
     """A checkpoint file is not in a format this version can read."""
 
 
+class ConfigError(RulefuseError, ValueError):
+    """A model or training setting is outside the range it can run with."""
+
+
 class MissingFeaturesError(RulefuseError):
     """A model variant was called without the rule features it requires."""
 

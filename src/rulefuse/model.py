@@ -18,8 +18,9 @@ Training and scoring run on padded mini-batches: only the recurrence
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .encoding import InstanceFeature, WordTagSeq
 from .errors import (
     CheckpointError,
+    ConfigError,
     DimensionMismatchError,
     MissingFeaturesError,
     NumericalError,
@@ -57,6 +59,7 @@ UNK = "<unk>"
 CHECKPOINT_VERSION = "rulefuse-v2"  # adds the rule binding
 UNBOUND_CHECKPOINT_VERSION = "rulefuse-v1"  # no rule binding; still loads
 INFER_CHUNK = 64  # sentences per forward-only inference batch
+_SIZES = ("d", "h", "C", "p", "m_total")  # the model's sizes, as checkpoint meta keys
 
 _TENSOR_NAMES = (
     "emb",
@@ -84,9 +87,21 @@ def build_vocab(sentences: Iterable[Sentence]) -> dict[str, int]:
     return vocab
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 @dataclass
 class ModelParams:
-    """All trainable tensors plus the configuration they were built for."""
+    """The configuration of one classifier and all its weights.
+
+    Every weight lives in the one float64 vector `theta`; `emb`, `fwd_wx`,
+    ... `mlp_b2` are named views into it, in a layout built once per model.
+    Writing into a view writes `theta`; assigning a tensor copies into its
+    view.  Each LSTM direction's `wx`, `wh` and `b` lie back to back, so
+    both directions stacked on a new axis 0 are views too.
+    """
 
     variant: str
     vocab: dict[str, int]
@@ -95,21 +110,31 @@ class ModelParams:
     C: int
     p: int
     m_total: int
-    emb: np.ndarray
-    fwd_wx: np.ndarray
-    fwd_wh: np.ndarray
-    fwd_b: np.ndarray
-    bwd_wx: np.ndarray
-    bwd_wh: np.ndarray
-    bwd_b: np.ndarray
-    att_w: np.ndarray
-    mlp_w1: np.ndarray
-    mlp_b1: np.ndarray
-    mlp_w2: np.ndarray
-    mlp_b2: np.ndarray
+    theta: np.ndarray | None = None  # all zeros when not given
     labels: list[str] | None = None  # class-name order used at training time
     # fingerprint, pattern and label of each training rule, in rule order
     rules: list[dict] | None = None
+
+    def __post_init__(self):
+        _require(self.variant in VARIANTS, f"unknown variant {self.variant!r}")
+        for name, low in zip(_SIZES, (1, 1, 1, 0, 0)):
+            value = getattr(self, name)
+            _require(value >= low, f"{name} must be >= {low}, got {value}")
+        d_in, h4, h2 = self.input_width, 4 * self.h, 2 * self.h
+        shapes = {
+            "emb": (len(self.vocab), self.d), "wx": (2, d_in, h4), "wh": (2, self.h, h4),
+            "b": (2, h4), "att_w": (h2, h2), "mlp_w1": (self.classifier_width, h2),
+            "mlp_b1": (h2,), "mlp_w2": (h2, self.C), "mlp_b2": (self.C,),
+        }
+        self._layout, size = {}, 0
+        for name, shape in shapes.items():
+            lo, size = size, size + math.prod(shape)
+            self._layout[name] = (lo, size, shape)
+        if self.theta is None:
+            self.theta = np.zeros(size)
+        elif self.theta.shape != (size,):
+            raise DimensionMismatchError(f"theta has shape {self.theta.shape}, expected {(size,)}")
+        self._views = self.views(self.theta)
 
     @property
     def input_width(self) -> int:
@@ -118,6 +143,14 @@ class ModelParams:
     @property
     def classifier_width(self) -> int:
         return 2 * self.h + (self.m_total if self.variant == "instance" else 0)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views into `flat`, by name: the twelve tensors, plus the LSTM's
+        `wx`, `wh` and `b` with both directions stacked on axis 0."""
+        views = {name: flat[lo:hi].reshape(shape) for name, (lo, hi, shape) in self._layout.items()}
+        for name in ("wx", "wh", "b"):
+            views["fwd_" + name], views["bwd_" + name] = views[name]
+        return views
 
     @classmethod
     def init(
@@ -142,59 +175,48 @@ class ModelParams:
         model runs at; much smaller values stall learning because the
         stacked squashing layers attenuate the gradient.
         """
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-        rng = np.random.default_rng(seed)
-
-        def u(*shape):
-            return rng.uniform(-scale, scale, size=shape)
-
-        d_in = d + (p if variant == "word" else 0)
-        f_in = 2 * h + (m_total if variant == "instance" else 0)
-        return cls(
-            variant=variant,
-            vocab=dict(vocab),
-            d=d,
-            h=h,
-            C=C,
-            p=p,
-            m_total=m_total,
-            emb=u(len(vocab), d),
-            fwd_wx=u(d_in, 4 * h),
-            fwd_wh=u(h, 4 * h),
-            fwd_b=np.zeros(4 * h),
-            bwd_wx=u(d_in, 4 * h),
-            bwd_wh=u(h, 4 * h),
-            bwd_b=np.zeros(4 * h),
-            att_w=u(2 * h, 2 * h),
-            mlp_w1=u(f_in, 2 * h),
-            mlp_b1=np.zeros(2 * h),
-            mlp_w2=u(2 * h, C),
-            mlp_b2=np.zeros(C),
+        params = cls(
+            variant, dict(vocab), d, h, C, p, m_total,
             labels=list(labels) if labels is not None else None,
             rules=list(rules) if rules is not None else None,
         )
+        rng = np.random.default_rng(seed)
+        for name in ("emb", "fwd_wx", "fwd_wh", "bwd_wx", "bwd_wh", "att_w", "mlp_w1", "mlp_w2"):
+            view = params._views[name]
+            view[...] = rng.uniform(-scale, scale, size=view.shape)
+        return params
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _TENSOR_NAMES}
+        return {name: self._views[name] for name in _TENSOR_NAMES}
 
     def copy(self) -> "ModelParams":
-        kwargs = {name: getattr(self, name).copy() for name in _TENSOR_NAMES}
-        return ModelParams(
-            variant=self.variant,
+        return replace(
+            self,
             vocab=dict(self.vocab),
-            d=self.d,
-            h=self.h,
-            C=self.C,
-            p=self.p,
-            m_total=self.m_total,
+            theta=self.theta.copy(),
             labels=list(self.labels) if self.labels is not None else None,
             rules=list(self.rules) if self.rules is not None else None,
-            **kwargs,
         )
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(arr).all() for arr in self.tensors().values())
+        return bool(np.isfinite(self.theta).all())
+
+
+def _tensor_view(name: str) -> property:
+    def get(self):
+        return self._views[name]
+
+    def put(self, value):
+        view = self._views[name]
+        if np.shape(value) != view.shape:
+            raise DimensionMismatchError(f"{name}: shape {np.shape(value)}, expected {view.shape}")
+        view[...] = value
+
+    return property(get, put, doc=f"`{name}`, a view into `theta`; assigning copies into it.")
+
+
+for _name in _TENSOR_NAMES:
+    setattr(ModelParams, _name, _tensor_view(_name))
 
 
 @dataclass(frozen=True)
@@ -231,16 +253,21 @@ class TrainConfig:
     patience: int | None = None  # early stop on dev accuracy when set
     clip_norm: float | None = 5.0
 
+    def __post_init__(self):
+        _require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
+        _require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
+        lr, clip, patience = self.lr, self.clip_norm, self.patience
+        _require(bool(np.isfinite(lr)) and lr >= 0, f"lr must be finite and >= 0, got {lr}")
+        _require(clip is None or clip > 0, f"clip_norm must be None or > 0, got {clip}")
+        _require(
+            patience is None or patience >= 0, f"patience must be None or >= 0, got {patience}"
+        )
+
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis; -inf entries get weight exactly 0."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _stacked(params, name: str) -> np.ndarray:
-    """The forward and backward direction's tensor, stacked on a new axis 0."""
-    return np.stack([getattr(params, "fwd_" + name), getattr(params, "bwd_" + name)])
 
 
 def _lstm_forward(Xd, wx, wh, b, cache=None):
@@ -316,64 +343,36 @@ def _lstm_backward(dhs, cache):
     return dZ @ wx.swapaxes(1, 2)[:, None], dwx, dwh, flat_dz.sum(axis=1)
 
 
-def _feature_array(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The array itself, once its shape is the one the model reads."""
-    if values.shape != shape:
-        raise DimensionMismatchError(f"{what} has shape {values.shape}, expected {shape}")
-    return values
-
-
 def _gather_features(params, sentence, instance_feats, word_tags):
-    """Validate variant/feature agreement; return (tag matrix, instance vec).
+    """The rule features the variant reads, after one shape check: an
+    `(n, p)` tag matrix for `word`, an `(m_total,)` state indicator for
+    `instance`, None for `nnsc`.
 
-    Features come either as the arrays the model reads, an `(n, p)` tag
-    matrix or an `(m_total,)` state indicator, which pass through after a
-    shape check, or as per-rule `WordTagSeq`/`InstanceFeature` sequences,
-    which are validated and stacked.
+    Per-rule `WordTagSeq`/`InstanceFeature` sequences are first stacked
+    into that array.
     """
-    n = sentence.n
-    tagmat = None
-    u = None
-    if params.variant == "word":
-        if isinstance(word_tags, np.ndarray):
-            return _feature_array(word_tags, (n, params.p), "tag matrix"), None
-        if word_tags is None:
-            if params.p != 0:
-                raise MissingFeaturesError("word variant requires word tags")
-            word_tags = []
-        if len(word_tags) != params.p:
-            raise DimensionMismatchError(
-                f"expected {params.p} tag sequences, got {len(word_tags)}"
-            )
-        for seq in word_tags:
-            if len(seq.tags) != n:
-                raise DimensionMismatchError(
-                    f"tag sequence length {len(seq.tags)} != sentence length {n}"
-                )
+    if params.variant == "nnsc":
+        return None
+    word = params.variant == "word"
+    feats = word_tags if word else instance_feats
+    what = "tag matrix" if word else "state indicator"
+    if feats is None:
         if params.p:
-            tagmat = np.stack([np.asarray(seq.tags, dtype=np.float64) for seq in word_tags], axis=1)
+            raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
+        feats = ()
+    if not isinstance(feats, np.ndarray):
+        parts = [np.asarray(f.tags if word else f.values, dtype=np.float64) for f in feats]
+        if not parts:
+            feats = np.zeros((sentence.n, 0) if word else 0)
         else:
-            tagmat = np.zeros((n, 0))
-    elif params.variant == "instance":
-        if isinstance(instance_feats, np.ndarray):
-            return None, _feature_array(instance_feats, (params.m_total,), "state indicator")
-        if instance_feats is None:
-            if params.p != 0:
-                raise MissingFeaturesError("instance variant requires instance features")
-            instance_feats = []
-        if len(instance_feats) != params.p:
-            raise DimensionMismatchError(
-                f"expected {params.p} instance vectors, got {len(instance_feats)}"
-            )
-        if instance_feats:
-            u = np.concatenate([np.asarray(f.values, dtype=np.float64) for f in instance_feats])
-        else:
-            u = np.zeros(0)
-        if u.shape[0] != params.m_total:
-            raise DimensionMismatchError(
-                f"instance features total {u.shape[0]} != m_total {params.m_total}"
-            )
-    return tagmat, u
+            try:
+                feats = np.stack(parts, axis=1) if word else np.concatenate(parts)
+            except ValueError as exc:  # per-rule parts that do not line up
+                raise DimensionMismatchError(f"{what}: {exc}") from None
+    shape = (sentence.n, params.p) if word else (params.m_total,)
+    if feats.shape != shape:
+        raise DimensionMismatchError(f"{what} has shape {feats.shape}, expected {shape}")
+    return feats
 
 
 def _rows(items: Sequence[TrainItem]) -> list[tuple]:
@@ -400,19 +399,16 @@ def _forward_batch(params, rows, cache=None):
     X = np.zeros((B, T, params.input_width))
     X[mask, : params.d] = params.emb[ids]
     if params.variant == "word":
-        X[mask, params.d :] = np.concatenate([tags for tags, _ in feats])
-    if params.variant == "instance":
-        U = np.stack([u for _, u in feats])
-    else:
-        U = np.zeros((B, 0))
+        X[mask, params.d :] = np.concatenate(feats)
+    U = np.stack(feats) if params.variant == "instance" else np.zeros((B, 0))
 
     rows_b = np.arange(B)
     steps = np.arange(T)
     rev = np.where(mask, lengths[:, None] - 1 - steps, steps)  # its own inverse
     # both directions stacked, time-major: (2, T, B, d_in)
     Xd = np.ascontiguousarray(np.stack([X, X[rows_b[:, None], rev]]).swapaxes(1, 2))
-    wx, wh = _stacked(params, "wx"), _stacked(params, "wh")
-    hs = _lstm_forward(Xd, wx, wh, _stacked(params, "b"), cache)
+    wx, wh = params._views["wx"], params._views["wh"]
+    hs = _lstm_forward(Xd, wx, wh, params._views["b"], cache)
     H = np.concatenate([hs[0].swapaxes(0, 1), hs[1][rev, rows_b[:, None]]], axis=-1)  # (B, T, 2h)
 
     q = H[rows_b, lengths - 1]
@@ -444,23 +440,32 @@ def forward(
     return ActivationRecord(H=H[0], alpha=alpha[0], f=f[0], logits=logits[0], y=y[0])
 
 
-def _backward(params, cache, labels: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the batch-mean cross-entropy, one array op per tensor."""
+class _Gradients(dict):
+    """Gradients by tensor name, as views into the flat vector `flat`."""
+
+    def __init__(self, views: dict[str, np.ndarray], flat: np.ndarray):
+        super().__init__((name, views[name]) for name in _TENSOR_NAMES)
+        self.flat = flat
+
+
+def _backward(params, cache, labels: np.ndarray) -> _Gradients:
+    """Gradient of the batch-mean cross-entropy, laid out like `theta`."""
     h = params.h
     y, a1, g, H, alpha, q, Wq = (cache[k] for k in ("y", "a1", "g", "H", "alpha", "q", "Wq"))
     lengths, rev, mask = cache["lengths"], cache["rev"], cache["mask"]
     B = len(labels)
     rows_b = np.arange(B)
-    grads = {}
+    flat = np.zeros_like(params.theta)
+    grads = params.views(flat)
 
     dlogits = y.copy()
     dlogits[rows_b, labels] -= 1.0
     dlogits /= B
-    grads["mlp_w2"] = a1.T @ dlogits
-    grads["mlp_b2"] = dlogits.sum(axis=0)
+    grads["mlp_w2"][...] = a1.T @ dlogits
+    grads["mlp_b2"][...] = dlogits.sum(axis=0)
     dz1 = (1.0 - a1 * a1) * (dlogits @ params.mlp_w2.T)
-    grads["mlp_w1"] = g.T @ dz1
-    grads["mlp_b1"] = dz1.sum(axis=0)
+    grads["mlp_w1"][...] = g.T @ dz1
+    grads["mlp_b1"][...] = dz1.sum(axis=0)
     df = (dz1 @ params.mlp_w1.T)[:, : 2 * h]
 
     # attention: f = alpha H, alpha = softmax(H (W q)), q = H[len - 1];
@@ -469,17 +474,14 @@ def _backward(params, cache, labels: np.ndarray) -> dict[str, np.ndarray]:
     dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     dWq = (dscores[:, None, :] @ H)[:, 0]
     dH = alpha[:, :, None] * df[:, None, :] + dscores[:, :, None] * Wq[:, None, :]
-    grads["att_w"] = dWq.T @ q
+    grads["att_w"][...] = dWq.T @ q
     dH[rows_b, lengths - 1] += dWq @ params.att_w
 
     dhs = np.stack([dH[:, :, :h], dH[rows_b[:, None], rev, h:]]).swapaxes(1, 2)  # (2, T, B, h)
-    dXd, dwx, dwh, db = _lstm_backward(dhs, cache)
-    for k, prefix in enumerate(("fwd_", "bwd_")):
-        grads[prefix + "wx"], grads[prefix + "wh"], grads[prefix + "b"] = dwx[k], dwh[k], db[k]
+    dXd, grads["wx"][...], grads["wh"][...], grads["b"][...] = _lstm_backward(dhs, cache)
     dX = dXd[0].swapaxes(0, 1) + dXd[1][rev, rows_b[:, None]]  # (B, T, d_in)
-    grads["emb"] = np.zeros_like(params.emb)
     np.add.at(grads["emb"], cache["ids"], dX[mask, : params.d])
-    return {name: grads[name] for name in _TENSOR_NAMES}
+    return _Gradients(grads, flat)
 
 
 def loss_and_grads(
@@ -488,8 +490,9 @@ def loss_and_grads(
     """Mean cross-entropy over the batch plus analytic gradients.
 
     One padded forward and backward pass covers the whole batch.
-    Gradients mirror params.tensors(); raises NumericalError if the loss
-    goes non-finite.
+    Gradients mirror params.tensors(), as views into one vector laid out
+    like `params.theta` (their `flat` attribute); raises NumericalError if
+    the loss goes non-finite.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -533,15 +536,11 @@ def evaluate_items(params: ModelParams, items: Sequence[TrainItem]) -> float:
     return hits / len(items)
 
 
-def _clip_grads(grads: dict[str, np.ndarray], clip_norm: float) -> None:
-    total = 0.0
-    for arr in grads.values():
-        total += float((arr * arr).sum())
-    norm = np.sqrt(total)
+def _clip_grads(flat: np.ndarray, clip_norm: float) -> None:
+    """Scale the flat gradient in place to an L2 norm of at most clip_norm."""
+    norm = np.sqrt(flat @ flat)
     if norm > clip_norm:
-        factor = clip_norm / norm
-        for arr in grads.values():
-            arr *= factor
+        flat *= clip_norm / norm
 
 
 def train(
@@ -567,11 +566,11 @@ def train(
             raise ValueError(f"label {item.label} outside 0..{params.C - 1}")
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
-    best_params = None
+    best_theta = None
     best_acc = -1.0
     stale = 0
     for epoch in range(config.epochs):
-        snapshot = params.copy()
+        snapshot = params.theta.copy()
         order = rng.permutation(len(items))
         total_loss = 0.0
         try:
@@ -579,16 +578,15 @@ def train(
                 batch = [items[i] for i in order[lo : lo + config.batch_size]]
                 loss, grads = loss_and_grads(params, batch)
                 if config.clip_norm is not None:
-                    _clip_grads(grads, config.clip_norm)
-                for name, arr in params.tensors().items():
-                    arr -= config.lr * grads[name]
+                    _clip_grads(grads.flat, config.clip_norm)
+                params.theta -= config.lr * grads.flat
                 total_loss += loss * len(batch)
         except NumericalError:
             blew_up = True
         else:
             blew_up = not params.all_finite()
         if blew_up:
-            params = snapshot
+            params.theta[...] = snapshot
             history.append(
                 {"epoch": epoch, "loss": None, "dev_accuracy": None, "aborted": "numerical"}
             )
@@ -600,7 +598,7 @@ def train(
             if config.patience is not None:
                 if acc > best_acc:
                     best_acc = acc
-                    best_params = params.copy()
+                    best_theta = params.theta.copy()
                     stale = 0
                 else:
                     stale += 1
@@ -608,8 +606,8 @@ def train(
                         history.append(entry)
                         break
         history.append(entry)
-    if best_params is not None:
-        params = best_params
+    if best_theta is not None:
+        params.theta[...] = best_theta
     return params, history
 
 
@@ -622,14 +620,7 @@ def save_model(params: ModelParams, path: str | os.PathLike) -> None:
     """
     meta = {
         "version": UNBOUND_CHECKPOINT_VERSION if params.rules is None else CHECKPOINT_VERSION,
-        "variant": params.variant,
-        "d": params.d,
-        "h": params.h,
-        "C": params.C,
-        "p": params.p,
-        "m_total": params.m_total,
-        "vocab": params.vocab,
-        "labels": params.labels,
+        **{key: getattr(params, key) for key in ("variant", *_SIZES, "vocab", "labels")},
     }
     if params.rules is not None:
         meta["rules"] = params.rules
@@ -643,19 +634,23 @@ def load_model(path: str | os.PathLike) -> ModelParams:
         meta = json.loads(data["meta"].item())
         if meta.get("version") not in (CHECKPOINT_VERSION, UNBOUND_CHECKPOINT_VERSION):
             raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
-        tensors = {name: np.array(data[name]) for name in _TENSOR_NAMES}
-    return ModelParams(
-        variant=meta["variant"],
-        vocab={word: int(idx) for word, idx in meta["vocab"].items()},
-        d=int(meta["d"]),
-        h=int(meta["h"]),
-        C=int(meta["C"]),
-        p=int(meta["p"]),
-        m_total=int(meta["m_total"]),
-        labels=meta.get("labels"),
-        rules=meta.get("rules"),
-        **tensors,
-    )
+        params = ModelParams(
+            variant=meta["variant"],
+            vocab={word: int(idx) for word, idx in meta["vocab"].items()},
+            **{key: int(meta[key]) for key in _SIZES},
+            labels=meta.get("labels"),
+            rules=meta.get("rules"),
+        )
+        for name, view in params.tensors().items():
+            if name not in data:
+                raise CheckpointError(f"tensor {name!r} is missing; meta gives shape {view.shape}")
+            stored = data[name]
+            if stored.shape != view.shape:
+                raise CheckpointError(
+                    f"tensor {name!r} has shape {stored.shape}; meta gives {view.shape}"
+                )
+            view[...] = stored
+    return params
 
 
 def load_pretrained_embeddings(params: ModelParams, path: str | os.PathLike) -> int:

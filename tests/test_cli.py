@@ -6,7 +6,7 @@ import pytest
 from rulefuse.cli import _apply_config_file, build_parser, main
 from rulefuse.data import load_dataset
 from rulefuse.encoding import encode_instance, encode_word_tags
-from rulefuse.errors import RulesMismatchError
+from rulefuse.errors import ConfigError, RulesMismatchError
 from rulefuse.experiment import compile_rules
 from rulefuse.matching import run_trace
 from rulefuse.model import load_model, save_model
@@ -307,3 +307,18 @@ def test_train_with_patience_and_no_clipping_from_config(corpus, tmp_path, capsy
         "--epochs", "3", "--emb-dim", "4", "--hidden", "4", "--config", str(config),
     ]) == 0
     assert "dev_accuracy=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--batch-size", "0"], ["--emb-dim", "0"], ["--hidden", "0"], ["--epochs", "0"],
+     ["--epochs", "-3"]],
+    ids=lambda flags: "".join(flags),
+)
+def test_train_rejects_impossible_settings(corpus, tmp_path, capsys, flags):
+    # these died with numpy/range errors or wrote an untrained checkpoint
+    ckpt = tmp_path / "model.npz"
+    with pytest.raises(ConfigError):
+        main(["train", "--train", str(corpus / "train.tsv"), "--out", str(ckpt), *flags])
+    assert not ckpt.exists()
+    assert capsys.readouterr().out == ""

@@ -5,6 +5,7 @@ from oracles import max_grad_relative_error, random_model_case
 from rulefuse.encoding import InstanceFeature, WordTagSeq
 from rulefuse.errors import (
     CheckpointError,
+    ConfigError,
     DimensionMismatchError,
     MissingFeaturesError,
     RulefuseError,
@@ -407,3 +408,146 @@ def test_pretrained_embedding_hook(tmp_path):
     bad.write_text("a 1 2\n")
     with pytest.raises(DimensionMismatchError):
         load_pretrained_embeddings(params, bad)
+
+
+def test_tensors_are_views_into_one_parameter_vector():
+    params = ModelParams.init(
+        "instance", _vocab("a", "b"), d=4, h=3, C=2, p=1, m_total=3, seed=6
+    )
+    tensors = params.tensors()
+    assert sum(arr.size for arr in tensors.values()) == params.theta.size
+    assert all(np.shares_memory(arr, params.theta) for arr in tensors.values())
+    params.mlp_b2 = [0.5, -0.5]  # assignment copies into the view
+    assert params.tensors()["mlp_b2"] is tensors["mlp_b2"]
+    assert params.theta[-2:].tolist() == [0.5, -0.5]
+    before = params.theta.copy()
+    with pytest.raises(DimensionMismatchError, match=r"mlp_b2.*\(3,\).*\(2,\)"):
+        params.mlp_b2 = np.zeros(3)
+    with pytest.raises(DimensionMismatchError):
+        params.emb = params.emb.T
+    assert params.theta.tobytes() == before.tobytes()
+    # each direction's LSTM tensors lie back to back: stacked, they are one view
+    stacked = params.views(params.theta)
+    for name in ("wx", "wh", "b"):
+        assert stacked[name][0].tobytes() == getattr(params, "fwd_" + name).tobytes()
+        assert stacked[name][1].tobytes() == getattr(params, "bwd_" + name).tobytes()
+        assert np.shares_memory(stacked[name], params.theta)
+
+
+def test_init_keeps_its_draw_order():
+    vocab = _vocab("a", "b", "c")
+    params = ModelParams.init("word", vocab, d=4, h=3, C=5, p=2, m_total=7, seed=8, scale=0.2)
+    rng = np.random.default_rng(8)
+    shapes = {"emb": (4, 4), "fwd_wx": (6, 12), "fwd_wh": (3, 12), "bwd_wx": (6, 12),
+              "bwd_wh": (3, 12), "att_w": (6, 6), "mlp_w1": (6, 6), "mlp_w2": (6, 5)}
+    for name, shape in shapes.items():
+        assert getattr(params, name).tobytes() == rng.uniform(-0.2, 0.2, size=shape).tobytes()
+    for name in ("fwd_b", "bwd_b", "mlp_b1", "mlp_b2"):
+        assert not getattr(params, name).any()
+
+
+def test_copy_owns_its_parameter_vector():
+    params = _nnsc_params(seed=3)
+    clone = params.copy()
+    assert clone.theta.tobytes() == params.theta.tobytes()
+    assert not np.shares_memory(clone.theta, params.theta)
+    clone.att_w[:] = 0.0
+    assert clone.theta.tobytes() != params.theta.tobytes()
+    assert params.att_w.any()
+    assert np.shares_memory(clone.att_w, clone.theta)
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_gradients_share_the_parameter_layout(variant):
+    params, batch = _mixed_length_case(variant, seed=12)
+    _, grads = loss_and_grads(params, batch)
+    assert list(grads) == list(params.tensors())
+    assert grads.flat.shape == params.theta.shape
+    for name, arr in params.tensors().items():
+        assert grads[name].shape == arr.shape
+        assert np.shares_memory(grads[name], grads.flat)
+    assert sum(g.size for g in grads.values()) == grads.flat.size
+
+
+def _resaved(tmp_path, name, change):
+    """An instance checkpoint whose tensor `name` is changed (None: dropped)."""
+    params = ModelParams.init(
+        "instance", _vocab("a", "b", "c"), d=4, h=3, C=3, p=2, m_total=5, seed=6
+    )
+    path = tmp_path / "model.npz"
+    save_model(params, path)
+    with np.load(path, allow_pickle=False) as data:
+        stored = {key: data[key] for key in data.files}
+    if change is None:
+        del stored[name]
+    else:
+        stored[name] = change(stored[name])
+    with open(path, "wb") as fh:
+        np.savez(fh, **stored)
+    return path, params.tensors()[name].shape, None if change is None else stored[name].shape
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        ("mlp_b2", lambda t: t[:1]),  # loaded silently and broadcast
+        ("emb", lambda t: np.vstack([t, t])),  # loaded silently
+        ("emb", lambda t: t[:3]),  # IndexError on the first unknown row
+        ("mlp_w1", lambda t: np.hstack([t, t])),  # numpy broadcasting error
+        ("att_w", None),  # KeyError
+    ],
+    ids=["mlp_b2-short", "emb-double", "emb-3-rows", "mlp_w1-wide", "att_w-missing"],
+)
+def test_malformed_checkpoint_tensor_is_a_checkpoint_error(tmp_path, name, change):
+    path, want, found = _resaved(tmp_path, name, change)
+    with pytest.raises(CheckpointError) as info:
+        load_model(path)
+    message = str(info.value)
+    assert repr(name) in message and str(want) in message
+    assert ("missing" if found is None else str(found)) in message
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [dict(d=0), dict(h=0), dict(C=0), dict(p=-1), dict(m_total=-1)],
+    ids=lambda sizes: ",".join(f"{k}={v}" for k, v in sizes.items()),
+)
+def test_impossible_model_sizes_are_config_errors(sizes):
+    kwargs = dict(d=4, h=3, C=2, p=1, m_total=3)
+    kwargs.update(sizes)
+    with pytest.raises(ConfigError, match=next(iter(sizes))):
+        ModelParams.init("instance", _vocab("a"), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        dict(epochs=0), dict(epochs=-3), dict(batch_size=0), dict(lr=-0.1),
+        dict(lr=float("nan")), dict(lr=float("inf")), dict(clip_norm=0.0),
+        dict(clip_norm=-1.0), dict(patience=-1),
+    ],
+    ids=lambda setting: ",".join(f"{k}={v}" for k, v in setting.items()),
+)
+def test_impossible_training_settings_are_config_errors(setting):
+    with pytest.raises(ConfigError, match=next(iter(setting))):
+        TrainConfig(**setting)
+    assert isinstance(ConfigError("x"), ValueError)
+
+
+def test_boundary_training_settings_stay_legal():
+    TrainConfig(epochs=1, batch_size=1, lr=0.0, clip_norm=None, patience=0)
+    TrainConfig(clip_norm=1e-9, patience=None)
+
+
+def test_per_rule_features_that_do_not_line_up_are_typed_errors():
+    params_w, items_w = _mixed_length_case("word", seed=13, lengths=(3,))
+    sentence = items_w[0].sentence
+    ragged = [WordTagSeq(1, np.zeros(3)), WordTagSeq(2, np.zeros(4))]
+    with pytest.raises(DimensionMismatchError):
+        forward(params_w, sentence, word_tags=ragged)
+    with pytest.raises(DimensionMismatchError):
+        forward(params_w, sentence, word_tags=ragged[:1])
+    params_i, items_i = _mixed_length_case("instance", seed=13, lengths=(3,))
+    scalar = [InstanceFeature(1, np.float64(1.0)), InstanceFeature(2, np.zeros(4))]
+    with pytest.raises(DimensionMismatchError):
+        forward(params_i, items_i[0].sentence, instance_feats=scalar)
