@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import CapacityExceededError
 from .rules import Alternation, AnyWord, Concat, Literal, Opt, Plus, RegexNode, Star
@@ -179,138 +179,75 @@ class Dfa:
         return self.other_id + 1
 
 
-def _eps_closure(nfa: Nfa, states: set[int]) -> frozenset[int]:
-    closure = set(states)
-    stack = list(states)
-    while stack:
-        s = stack.pop()
-        for t in nfa.eps[s]:
-            if t not in closure:
-                closure.add(t)
-                stack.append(t)
-    return frozenset(closure)
+def _bits(mask: int):
+    """Indices of the set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def determinize(nfa: Nfa, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
-    """Subset construction.  The empty subset acts as the dead sink, which
+    """Subset construction on bitsets: a set of NFA states is an int with
+    bit i set for state i.  The empty subset 0 acts as the dead sink, which
     keeps the transition function total.  Raises CapacityExceededError when
     more than `state_budget` subsets appear.
 
-    Each NFA state's epsilon-closure is computed once, and the closure of a
-    set is the union of its members' closures, memoized per distinct raw
-    target set.  For each subset one pass over its members' moves groups
-    the targets by symbol; a symbol no member moves on goes to the empty
-    subset.  New subsets are numbered in breadth-first order, taking
-    symbols in ascending id order.
+    Each NFA state's epsilon-closure mask is computed once, and so is, per
+    state with moves and per symbol it moves on, the OR of its targets'
+    closure masks.  A subset's successor on a symbol is then the OR of its
+    members' masks for that symbol.  A row depends only on the subset's
+    members that have moves, so subsets sharing them share one computed row.
+    New subsets are numbered in breadth-first order, taking symbols in
+    ascending id order.
     """
     n_symbols = nfa.other_id + 1
-    state_closures = [_eps_closure(nfa, {s}) for s in range(nfa.n_states)]
-    empty: frozenset[int] = frozenset()
-    closures: dict[frozenset[int], frozenset[int]] = {}
-    start_set = state_closures[nfa.start]
-    ids: dict[frozenset[int], int] = {start_set: 0}
-    order = [start_set]
+    closures = []
+    for s in range(nfa.n_states):
+        mask, stack = 1 << s, [s]
+        while stack:
+            for t in nfa.eps[stack.pop()]:
+                if not mask >> t & 1:
+                    mask |= 1 << t
+                    stack.append(t)
+        closures.append(mask)
+    succ = [
+        [(sid, reduce(or_, (closures[t] for t in dsts))) for sid, dsts in moves.items()]
+        for moves in nfa.moves
+    ]
+    movers = sum(1 << s for s, moves in enumerate(nfa.moves) if moves)
+    order = [closures[nfa.start]]
+    ids = {order[0]: 0}
+    rows: dict[int, list[int]] = {}  # members with moves -> row
     transitions: list[list[int]] = []
-    queue = deque([start_set])
-    while queue:
-        subset = queue.popleft()
-        moved: dict[int, set[int]] = {}
-        for s in subset:
-            for sid, dsts in nfa.moves[s].items():
-                targets = moved.get(sid)
-                if targets is None:
-                    moved[sid] = set(dsts)
-                else:
-                    targets.update(dsts)
-        row = []
-        for sid in range(n_symbols):
-            targets = moved.get(sid)
-            if targets is None:
-                target_set = empty
-            else:
-                key = frozenset(targets)
-                target_set = closures.get(key)
-                if target_set is None:
-                    target_set = empty.union(*(state_closures[t] for t in key))
-                    closures[key] = target_set
-            tid = ids.get(target_set)
-            if tid is None:
-                if len(ids) >= state_budget:
-                    raise CapacityExceededError(
-                        f"determinization exceeded {state_budget} states"
-                    )
-                tid = ids[target_set] = len(ids)
-                order.append(target_set)
-                queue.append(target_set)
-            row.append(tid)
-        transitions.append(row)
-    finals = {ids[s] for s in order if nfa.accept in s}
+    for subset in order:  # grows while iterated: breadth-first order
+        key = subset & movers
+        row = rows.get(key)
+        if row is None:
+            targets = [0] * n_symbols
+            for s in _bits(key):
+                for sid, mask in succ[s]:
+                    targets[sid] |= mask
+            row = rows[key] = []
+            for target in targets:
+                tid = ids.get(target)
+                if tid is None:
+                    if len(ids) >= state_budget:
+                        raise CapacityExceededError(
+                            f"determinization exceeded {state_budget} states"
+                        )
+                    tid = ids[target] = len(ids)
+                    order.append(target)
+                row.append(tid)
+        transitions.append(row.copy())
+    accept = 1 << nfa.accept
     return Dfa(
         symbols=nfa.symbols,
         other_id=nfa.other_id,
         transitions=transitions,
         start=0,
-        finals=finals,
+        finals={i for i, subset in enumerate(order) if subset & accept},
     )
-
-
-def _hopcroft_blocks(
-    n: int, n_symbols: int, transitions: list[list[int]], finals: set[int]
-) -> dict[int, frozenset[int]]:
-    """Coarsest partition of states into language-equivalence classes.
-
-    Returns a map state -> block (frozenset of states).
-    """
-    final_block = frozenset(s for s in range(n) if s in finals)
-    other_block = frozenset(s for s in range(n) if s not in finals)
-    partition = {b for b in (final_block, other_block) if b}
-    block_of = {}
-    for block in partition:
-        for s in block:
-            block_of[s] = block
-    if len(partition) <= 1:
-        return block_of
-
-    # predecessor lists per symbol
-    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n_symbols)]
-    for s in range(n):
-        row = transitions[s]
-        for sid in range(n_symbols):
-            pre[sid][row[sid]].append(s)
-
-    worklist = set(partition)
-    while worklist:
-        splitter = worklist.pop()
-        for sid in range(n_symbols):
-            pre_sid = pre[sid]
-            hits: set[int] = set()
-            for target in splitter:
-                hits.update(pre_sid[target])
-            if not hits:
-                continue
-            affected: dict[frozenset[int], set[int]] = {}
-            for s in hits:
-                affected.setdefault(block_of[s], set()).add(s)
-            for block, overlap in affected.items():
-                if len(overlap) == len(block):
-                    continue
-                part_in = frozenset(overlap)
-                part_out = block - part_in
-                partition.remove(block)
-                partition.add(part_in)
-                partition.add(part_out)
-                for s in part_in:
-                    block_of[s] = part_in
-                for s in part_out:
-                    block_of[s] = part_out
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.add(part_in)
-                    worklist.add(part_out)
-                else:
-                    # smaller half suffices to stay O(n log n)
-                    worklist.add(part_in if len(part_in) <= len(part_out) else part_out)
-    return block_of
 
 
 @dataclass(frozen=True)
@@ -370,36 +307,61 @@ class Mdfa:
 def minimize(dfa: Dfa) -> Mdfa:
     """Hopcroft minimization followed by canonical breadth-first renumbering.
 
-    Unreachable states (possible in hand-built inputs) are dropped; the
-    result is the unique minimal automaton of the reachable language.
+    Blocks of the partition are bitsets of DFA states, with a block index
+    per state and a predecessor mask per (symbol, state).  A splitter
+    examines only the blocks of the states it hits, and the smaller half of
+    a split block takes a new index and joins the worklist, so refinement
+    stays O(k n log n).  Unreachable states (possible in hand-built inputs)
+    are dropped; the result is the unique minimal automaton of the
+    reachable language.
     """
-    block_of = _hopcroft_blocks(dfa.n_states, dfa.n_symbols, dfa.transitions, dfa.finals)
+    n = dfa.n_states
+    everything = (1 << n) - 1
+    finals_mask = everything & sum(1 << s for s in dfa.finals)
+    blocks = [b for b in (finals_mask, everything ^ finals_mask) if b]
+    block_of = [0] * n
+    for s in _bits(blocks[-1]):
+        block_of[s] = len(blocks) - 1
+    if len(blocks) > 1:
+        pre = [[0] * dfa.n_symbols for _ in range(n)]  # [state][symbol] -> mask
+        for s, row in enumerate(dfa.transitions):
+            for sid, t in enumerate(row):
+                pre[t][sid] |= 1 << s
+        worklist = {0 if finals_mask.bit_count() <= n // 2 else 1}
+        while worklist:
+            hits_per_symbol = [0] * dfa.n_symbols
+            for t in _bits(blocks[worklist.pop()]):
+                hits_per_symbol = list(map(or_, hits_per_symbol, pre[t]))
+            for hits in hits_per_symbol:
+                while hits:  # one pass per block the splitter hits
+                    b = block_of[(hits & -hits).bit_length() - 1]
+                    part_in = blocks[b] & hits
+                    part_out = blocks[b] ^ part_in
+                    hits ^= part_in
+                    if not part_out:
+                        continue
+                    if part_in.bit_count() > part_out.bit_count():
+                        part_in, part_out = part_out, part_in
+                    blocks[b] = part_out
+                    worklist.add(len(blocks))
+                    for s in _bits(part_in):
+                        block_of[s] = len(blocks)
+                    blocks.append(part_in)
 
-    # canonical BFS over the quotient automaton
-    reps: list[int] = []  # representative original state per new index
-    index_of: dict[frozenset[int], int] = {}
-    start_block = block_of[dfa.start]
-    index_of[start_block] = 0
-    reps.append(next(iter(start_block)))
-    queue = deque([start_block])
-    while queue:
-        block = queue.popleft()
-        rep = next(iter(block))
-        for sid in range(dfa.n_symbols):
-            target_block = block_of[dfa.transitions[rep][sid]]
-            if target_block not in index_of:
-                index_of[target_block] = len(reps)
-                reps.append(next(iter(target_block)))
-                queue.append(target_block)
-
+    # canonical BFS over the quotient automaton, one representative per block
+    reps = [(b & -b).bit_length() - 1 for b in blocks]
+    index = [-1] * len(blocks)
+    index[block_of[dfa.start]] = 0
+    order = [block_of[dfa.start]]
+    for b in order:  # grows while iterated: breadth-first order
+        for t in dfa.transitions[reps[b]]:
+            if index[block_of[t]] < 0:
+                index[block_of[t]] = len(order)
+                order.append(block_of[t])
     transitions = tuple(
-        tuple(
-            index_of[block_of[dfa.transitions[rep][sid]]]
-            for sid in range(dfa.n_symbols)
-        )
-        for rep in reps
+        tuple(index[block_of[t]] for t in dfa.transitions[reps[b]]) for b in order
     )
-    finals = frozenset(i for i, rep in enumerate(reps) if rep in dfa.finals)
+    finals = frozenset(i for i, b in enumerate(order) if blocks[b] & finals_mask)
     dead = None
     for state, row in enumerate(transitions):
         if state not in finals and all(t == state for t in row):

@@ -23,10 +23,12 @@ from .data import (
     write_dataset,
 )
 from .encoding import RuleMatcher
+from .errors import RulefuseError
 from .experiment import (
     ExperimentConfig,
     FeatureCache,
     build_items,
+    check_variant,
     compile_rules,
     evaluate_accuracy,
     rows_to_csv,
@@ -134,6 +136,7 @@ def cmd_encode(args) -> int:
 def cmd_train(args) -> int:
     dataset = load_dataset(args.train)
     ruleset = _load_ruleset(args, set(dataset.label_names))
+    check_variant(args.variant, ruleset)
     mdfas = compile_rules(ruleset)
     cache = FeatureCache(ruleset, mdfas)
     items = build_items(dataset, args.variant, cache)
@@ -403,5 +406,15 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def run(argv: list[str] | None = None) -> int:
+    """The `rulefuse` console script: `main`, with a RulefuseError reported
+    as one `rulefuse: error: ...` line on stderr and exit code 2."""
+    try:
+        return main(argv)
+    except RulefuseError as exc:
+        print(f"rulefuse: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDatasetError, MalformedLineError
+from .errors import ConfigError, EmptyDatasetError, MalformedLineError
 from .matching import Sentence
 
 __all__ = [
@@ -59,7 +59,7 @@ def load_labels(path: str | os.PathLike) -> list[str]:
     seen = set()
     for label in labels:
         if label in seen:
-            raise ValueError(f"duplicate label {label!r}")
+            raise ConfigError(f"duplicate label {label!r} in {path}")
         seen.add(label)
     return labels
 
@@ -113,9 +113,9 @@ class FewShotConfig:
 
     def __post_init__(self):
         if self.q < 1:
-            raise ValueError("q must be >= 1")
+            raise ConfigError(f"q must be >= 1, got {self.q}")
         if not self.seeds:
-            raise ValueError("at least one sampling seed required")
+            raise ConfigError("at least one sampling seed required")
 
 
 def sample_fewshot(dataset: Dataset, config: FewShotConfig) -> list[Dataset]:

@@ -25,9 +25,10 @@ from .encoding import (
     RuleMatcher,
     encode_all,  # noqa: F401 - bench/tracer.py patches rulefuse.experiment.encode_all
 )
-from .errors import RulesMismatchError
+from .errors import ConfigError, RulesMismatchError
 from .matching import Sentence
 from .model import (
+    VARIANTS,
     ModelParams,
     TrainConfig,
     TrainItem,
@@ -48,6 +49,7 @@ __all__ = [
     "rule_baseline_accuracy",
     "build_items",
     "evaluate_accuracy",
+    "check_variant",
     "run_experiment",
     "CSV_HEADER",
 ]
@@ -252,6 +254,16 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def check_variant(variant: str, ruleset: RuleSet) -> None:
+    """Raise ConfigError for an unknown variant, or for a rule-feature
+    variant (`instance`, `word`) given no rules: with p = 0 it would
+    silently train the plain `nnsc` model."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    if variant != "nnsc" and not ruleset.rules:
+        raise ConfigError(f"variant {variant!r} needs at least one rule")
+
+
 def run_experiment(
     ruleset: RuleSet,
     mdfas: list[Mdfa],
@@ -272,8 +284,7 @@ def run_experiment(
         if fresh.fingerprint() != mdfas[0].fingerprint():
             raise RuntimeError("cached automaton differs from fresh compilation")
     for variant in config.variants:
-        if variant not in ("nnsc", "instance", "word"):
-            raise ValueError(f"unknown variant {variant!r}")
+        check_variant(variant, ruleset)
 
     cache = FeatureCache(ruleset, mdfas)
     test_items_by_variant = {

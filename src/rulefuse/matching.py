@@ -23,7 +23,7 @@ class Sentence:
     words: tuple[str, ...]
 
     def __post_init__(self):
-        if any(not w for w in self.words):
+        if "" in self.words:
             raise ValueError("sentences cannot contain empty words")
 
     @classmethod

@@ -6,6 +6,9 @@ Nothing here reuses the package's NFA/DFA pipeline:
 * `DerivativeDfa` builds a complete DFA by symbol derivatives of a
   normalized copy of the pattern, an entirely different construction.
 * `moore_minimal_count` is table-filling equivalence-class counting.
+* `oracle_determinize` and `oracle_minimize` are straightforward
+  frozenset versions of subset construction and Hopcroft refinement,
+  for table-for-table comparison with the package's bitset versions.
 """
 
 from __future__ import annotations
@@ -421,3 +424,113 @@ def oracle_determinize(nfa) -> tuple[list[list[int]], set[int], int]:
         transitions.append(row)
     finals = {ids[s] for s in order if nfa.accept in s}
     return transitions, finals, 0
+
+
+# ---------------------------------------------------------------------------
+# reference Hopcroft minimization (frozenset blocks)
+
+def _hopcroft_blocks(
+    n: int, n_symbols: int, transitions: list[list[int]], finals: set[int]
+) -> dict[int, frozenset[int]]:
+    """Coarsest partition of states into language-equivalence classes.
+
+    Returns a map state -> block (frozenset of states).
+    """
+    final_block = frozenset(s for s in range(n) if s in finals)
+    other_block = frozenset(s for s in range(n) if s not in finals)
+    partition = {b for b in (final_block, other_block) if b}
+    block_of = {}
+    for block in partition:
+        for s in block:
+            block_of[s] = block
+    if len(partition) <= 1:
+        return block_of
+
+    # predecessor lists per symbol
+    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n_symbols)]
+    for s in range(n):
+        row = transitions[s]
+        for sid in range(n_symbols):
+            pre[sid][row[sid]].append(s)
+
+    worklist = set(partition)
+    while worklist:
+        splitter = worklist.pop()
+        for sid in range(n_symbols):
+            pre_sid = pre[sid]
+            hits: set[int] = set()
+            for target in splitter:
+                hits.update(pre_sid[target])
+            if not hits:
+                continue
+            affected: dict[frozenset[int], set[int]] = {}
+            for s in hits:
+                affected.setdefault(block_of[s], set()).add(s)
+            for block, overlap in affected.items():
+                if len(overlap) == len(block):
+                    continue
+                part_in = frozenset(overlap)
+                part_out = block - part_in
+                partition.remove(block)
+                partition.add(part_in)
+                partition.add(part_out)
+                for s in part_in:
+                    block_of[s] = part_in
+                for s in part_out:
+                    block_of[s] = part_out
+                if block in worklist:
+                    worklist.remove(block)
+                    worklist.add(part_in)
+                    worklist.add(part_out)
+                else:
+                    # smaller half suffices to stay O(n log n)
+                    worklist.add(part_in if len(part_in) <= len(part_out) else part_out)
+    return block_of
+
+
+def oracle_minimize(dfa):
+    """The `Mdfa` of Hopcroft refinement over frozenset blocks, followed by
+    breadth-first renumbering from the start state (symbols in ascending id
+    order); unreachable states are dropped."""
+    from rulefuse.automata import Mdfa
+
+    block_of = _hopcroft_blocks(dfa.n_states, dfa.n_symbols, dfa.transitions, dfa.finals)
+
+    # canonical BFS over the quotient automaton
+    reps: list[int] = []  # representative original state per new index
+    index_of: dict[frozenset[int], int] = {}
+    start_block = block_of[dfa.start]
+    index_of[start_block] = 0
+    reps.append(next(iter(start_block)))
+    queue = deque([start_block])
+    while queue:
+        block = queue.popleft()
+        rep = next(iter(block))
+        for sid in range(dfa.n_symbols):
+            target_block = block_of[dfa.transitions[rep][sid]]
+            if target_block not in index_of:
+                index_of[target_block] = len(reps)
+                reps.append(next(iter(target_block)))
+                queue.append(target_block)
+
+    transitions = tuple(
+        tuple(
+            index_of[block_of[dfa.transitions[rep][sid]]]
+            for sid in range(dfa.n_symbols)
+        )
+        for rep in reps
+    )
+    finals = frozenset(i for i, rep in enumerate(reps) if rep in dfa.finals)
+    dead = None
+    for state, row in enumerate(transitions):
+        if state not in finals and all(t == state for t in row):
+            dead = state
+            break
+    return Mdfa(
+        symbols=dfa.symbols,
+        other_id=dfa.other_id,
+        transitions=transitions,
+        start=0,
+        finals=finals,
+        dead=dead,
+    )

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from oracles import (
     oracle_determinize,
     oracle_earlystop_accepts,
     oracle_full_match,
+    oracle_minimize,
     random_ast,
     sentences_up_to,
 )
@@ -22,7 +25,7 @@ from rulefuse.automata import (
 )
 from rulefuse.errors import CapacityExceededError
 from rulefuse.matching import Sentence, accepts
-from rulefuse.rules import AnyWord, Literal, Star, parse_regex
+from rulefuse.rules import AnyWord, Literal, Star, parse_regex, parse_rule_lines
 
 
 def test_single_literal_tables():
@@ -138,6 +141,70 @@ def test_determinize_budget_matches_reference_state_count():
                     determinize(nfa, state_budget=budget)
             else:
                 assert determinize(nfa, state_budget=budget).n_states == n_states
+
+
+def _reference_dfa(nfa):
+    transitions, finals, start = oracle_determinize(nfa)
+    return Dfa(nfa.symbols, nfa.other_id, transitions, start, finals)
+
+
+def test_minimize_matches_reference_hopcroft():
+    for ast in _reference_cases():
+        dfa = determinize(nfa_from_ast(ast))
+        mdfa = minimize(dfa)
+        expected = oracle_minimize(dfa)
+        assert mdfa == expected, ast
+        assert mdfa.fingerprint() == expected.fingerprint()
+
+
+def test_minimize_matches_reference_on_hand_built_dfas():
+    # state 3 is unreachable, and states 1 and 2 are equivalent finals
+    unreachable = Dfa(("a",), 1, [[1, 2], [2, 0], [1, 0], [3, 3]], 0, {1, 2, 3})
+    all_final = Dfa(("a", "b"), 2, [[1, 2, 0], [1, 1, 2], [0, 2, 1]], 0, {0, 1, 2})
+    no_final = Dfa(("a",), 1, [[1, 0], [2, 2], [0, 1]], 0, set())
+    single = Dfa((), 0, [[0]], 0, set())
+    for dfa in (unreachable, all_final, no_final, single):
+        assert minimize(dfa) == oracle_minimize(dfa), dfa
+    assert minimize(unreachable).transitions == ((1, 1), (1, 0))
+    assert minimize(all_final).finals == frozenset({0})
+    assert minimize(all_final).dead is None
+    assert minimize(no_final).dead == 0
+    assert minimize(no_final).state_count == 1
+
+    # random complete DFAs, many with unreachable or equivalent states
+    rng = random.Random(424242)
+    for _ in range(300):
+        n, n_symbols = rng.randint(1, 14), rng.randint(1, 4)
+        transitions = [[rng.randrange(n) for _ in range(n_symbols)] for _ in range(n)]
+        finals = {s for s in range(n) if rng.random() < rng.choice((0.0, 0.3, 0.7, 1.0))}
+        symbols = tuple("abc"[: n_symbols - 1])
+        dfa = Dfa(symbols, n_symbols - 1, transitions, rng.randrange(n), finals)
+        assert minimize(dfa) == oracle_minimize(dfa), dfa
+
+
+def _atis_gen():
+    """bench/atis_gen.py: the seeded 54-rule ATIS-shaped rules."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "atis_gen.py"
+    spec = importlib.util.spec_from_file_location("atis_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compile_matches_reference_pipeline_on_atis_rules():
+    atis_gen = _atis_gen()
+    n_rules = 0
+    for seed in range(3):
+        ruleset = parse_rule_lines(
+            atis_gen.generate_rules(seed), known_labels=set(atis_gen.LABELS)
+        )
+        for rule in ruleset.rules:
+            mdfa = compile(rule.ast)
+            expected = oracle_minimize(_reference_dfa(nfa_from_ast(rule.ast)))
+            assert mdfa == expected, rule
+            assert mdfa.fingerprint() == expected.fingerprint()
+            n_rules += 1
+    assert n_rules == 162
 
 
 def test_nfa_stages_preserve_language():

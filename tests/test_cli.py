@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rulefuse.cli import _apply_config_file, build_parser, main
+from rulefuse.cli import _apply_config_file, build_parser, main, run
 from rulefuse.data import load_dataset
 from rulefuse.encoding import encode_instance, encode_word_tags
 from rulefuse.errors import ConfigError, RulesMismatchError
@@ -322,3 +322,52 @@ def test_train_rejects_impossible_settings(corpus, tmp_path, capsys, flags):
         main(["train", "--train", str(corpus / "train.tsv"), "--out", str(ckpt), *flags])
     assert not ckpt.exists()
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+@pytest.mark.parametrize("variant", ["instance", "word"])
+def test_rule_feature_variants_require_rules(corpus, tmp_path, capsys, command, variant):
+    # without --rules these trained and wrote a plain nnsc model (p = 0)
+    out = tmp_path / "out"
+    argv = [command, "--train", str(corpus / "train.tsv"), "--variant", variant,
+            "--epochs", "1", "--emb-dim", "4", "--hidden", "4", "--out", str(out)]
+    if command == "experiment":
+        argv += ["--test", str(corpus / "test.tsv"), "--q", "1", "--seeds", "0",
+                 "--train-seeds", "0"]
+    with pytest.raises(ConfigError, match="needs at least one rule"):
+        main(argv)
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def _config_error_argv(corpus, tmp_path, case):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("alpha_beta\nbeta_alpha\nalpha_beta\n")
+    train = ["--train", str(corpus / "train.tsv")]
+    grid = ["experiment", *train, "--test", str(corpus / "test.tsv"), "--epochs", "1",
+            "--train-seeds", "0"]
+    fewshot = ["fewshot", *train, "--out", str(tmp_path / "fewshot")]
+    return {
+        "variant": [*grid, "--variant", "bogus"],
+        "q0": [*fewshot, "--q", "0"],
+        "seeds": [*fewshot, "--seeds", ""],
+        "experiment-q0": [*grid, "--variant", "nnsc", "--q", "0"],
+        "labels": ["compile", "--rules", str(corpus / "rules.tsv"), "--labels", str(labels)],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["variant", "q0", "seeds", "experiment-q0", "labels"])
+def test_bad_settings_raise_config_error(corpus, tmp_path, case):
+    # each of these raised a bare ValueError
+    with pytest.raises(ConfigError):
+        main(_config_error_argv(corpus, tmp_path, case))
+
+
+def test_run_reports_errors_in_one_line(corpus, tmp_path, capsys):
+    argv = _config_error_argv(corpus, tmp_path, "variant")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rulefuse: error: unknown variant 'bogus'\n"
+    assert run(["compile", "--rules", str(corpus / "rules.tsv")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6

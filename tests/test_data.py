@@ -11,7 +11,7 @@ from rulefuse.data import (
     synthetic_rule_lines,
     write_dataset,
 )
-from rulefuse.errors import EmptyDatasetError, MalformedLineError
+from rulefuse.errors import ConfigError, EmptyDatasetError, MalformedLineError
 from rulefuse.experiment import compile_rules, rule_baseline_accuracy
 from rulefuse.matching import Sentence
 from rulefuse.rules import parse_rule_lines
@@ -72,6 +72,13 @@ def test_load_labels(tmp_path):
     dup = tmp_path / "dup.txt"
     dup.write_text("a\na\n")
     with pytest.raises(ValueError):
+        load_labels(dup)
+
+
+def test_duplicate_label_is_config_error(tmp_path):
+    dup = tmp_path / "dup.txt"
+    dup.write_text("a\nb\nA\n")
+    with pytest.raises(ConfigError, match="duplicate label 'a'"):
         load_labels(dup)
 
 
@@ -142,6 +149,12 @@ def test_fewshot_validation():
         FewShotConfig(q=0, seeds=(1,))
     with pytest.raises(ValueError):
         FewShotConfig(q=1, seeds=())
+
+
+@pytest.mark.parametrize("q, seeds", [(0, (1,)), (-2, (1,)), (1, ())])
+def test_fewshot_settings_are_config_errors(q, seeds):
+    with pytest.raises(ConfigError):
+        FewShotConfig(q=q, seeds=seeds)
 
 
 def test_synthetic_shapes_and_balance():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rulefuse.data import Dataset, SyntheticSpec, generate_synthetic
+from rulefuse.errors import ConfigError
 from rulefuse.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -19,7 +20,7 @@ from rulefuse.experiment import (
 )
 from rulefuse.matching import Sentence
 from rulefuse.model import ModelParams, build_vocab
-from rulefuse.rules import parse_rule_lines
+from rulefuse.rules import RuleSet, parse_rule_lines
 
 
 def _ruleset():
@@ -235,6 +236,22 @@ def test_run_experiment_rejects_unknown_variant():
     config = ExperimentConfig(variants=("bogus",))
     with pytest.raises(ValueError):
         run_experiment(ruleset, mdfas, train, test, config)
+
+
+def test_run_experiment_unknown_variant_is_config_error():
+    ruleset, mdfas, train, test = _tiny_experiment_setup()
+    with pytest.raises(ConfigError, match="unknown variant 'bogus'"):
+        run_experiment(ruleset, mdfas, train, test, ExperimentConfig(variants=("bogus",)))
+
+
+@pytest.mark.parametrize("variant", ["instance", "word"])
+def test_run_experiment_rule_feature_variant_without_rules(tmp_path, variant):
+    _, _, train, test = _tiny_experiment_setup()
+    config = ExperimentConfig(variants=("nnsc", variant), q_values=(1,), epochs=1)
+    out = tmp_path / "rows.csv"
+    with pytest.raises(ConfigError, match="needs at least one rule"):
+        run_experiment(RuleSet(()), [], train, test, config, out)
+    assert not out.exists()
 
 
 def test_run_experiment_detects_stale_cache():
