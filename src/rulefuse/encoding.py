@@ -12,10 +12,14 @@ Two encodings per (sentence, rule) pair:
 
 `RuleMatcher` computes both for a whole rule set at once: it stacks every
 rule's automaton into one transition table and advances all of them
-together, one array lookup per word, for one sentence (`encode`) or a
-whole padded dataset (`encode_batch`).  `run_trace` with
-`encode_instance` and `encode_word_tags` is the one-rule path both must
-agree with.
+together, one array lookup per word.  `encode` gives one sentence's
+per-rule `InstanceFeature`/`WordTagSeq` objects: views into one fresh
+state indicator, a fresh tag array for each accepting rule, and for each
+rejecting rule a `WordTagSeq` shared by all sentences of that length,
+whose tags are a read-only zero array.  `encode_batch` gives a whole
+padded dataset's features as the arrays the model reads.  `run_trace`
+with `encode_instance` and `encode_word_tags` is the one-rule path both
+must agree with.
 """
 
 from __future__ import annotations
@@ -124,6 +128,13 @@ class RuleMatcher:
         self.start = np.array(
             [base + m.start for m, base in zip(mdfas, self.bounds)], dtype=np.intp
         )
+        # `run` keeps state s as its row offset s * width in the flattened
+        # table, so one 1-D lookup advances every rule
+        self.offsets = (self.table * self.table.shape[1]).ravel()
+        self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
+        # sentence length n -> every rule's tags on rejection, all sharing
+        # one read-only zeros(n)
+        self._rejected: dict[int, list[WordTagSeq]] = {}
 
     def run(
         self, sentence: Sentence, full_match: bool = False
@@ -143,13 +154,15 @@ class RuleMatcher:
             )
         gids = [self.word_ids.get(word, self.other) for word in sentence.words]
         syms = self.symbols[gids]
-        table = self.table
+        width = self.table.shape[1]
+        offsets = self.offsets
         states = np.empty(syms.shape, dtype=np.intp)
-        state = self.start
+        state = self.start * width
         for i, row in enumerate(syms):
-            state = states[i] = table[state, row]
+            state = states[i] = offsets[state + row]
+        states //= width
         if full_match:
-            return states, np.full(len(state), n, dtype=np.int64), self.final[state]
+            return states, np.full(len(state), n, dtype=np.int64), self.final[states[-1]]
         hit = self.final[states]
         accepted = hit.any(axis=0)
         consumed = np.where(accepted, hit.argmax(axis=0) + 1, n)
@@ -161,21 +174,33 @@ class RuleMatcher:
         """Both feature kinds for every rule, in rule order.
 
         Equal, bit for bit, to `run_trace` followed by `encode_instance`
-        and `encode_word_tags` per rule; the returned features are views
-        into one `(m_total,)` indicator and one `(p, n)` tag matrix.
+        and `encode_word_tags` per rule.  The instance features are views
+        into one fresh `(m_total,)` indicator.  An accepting rule gets a
+        fresh writeable tag array; every rejecting rule's `WordTagSeq` is
+        shared with other sentences of the same length, and its tags are
+        one read-only zero array.
         """
         states, consumed, accepted = self.run(sentence, full_match=full_match)
-        visited = np.arange(sentence.n)[:, None] < consumed
+        n = sentence.n
+        visited = np.arange(n)[:, None] < consumed
         if gate_instance:
             visited &= accepted
         indicator = np.zeros(self.m_total, dtype=np.float64)
         indicator[states[visited]] = 1.0
-        tags = (visited & accepted).T.astype(np.float64, order="C")
         instances = [
-            InstanceFeature(rule_id, indicator[lo:hi])
-            for rule_id, lo, hi in zip(self.rule_ids, self.bounds, self.bounds[1:])
+            InstanceFeature(rule_id, indicator[part])
+            for rule_id, part in zip(self.rule_ids, self.slices)
         ]
-        tag_seqs = [WordTagSeq(rule_id, row) for rule_id, row in zip(self.rule_ids, tags)]
+        rejected = self._rejected.get(n)
+        if rejected is None:
+            zeros = np.zeros(n, dtype=np.float64)
+            zeros.flags.writeable = False
+            rejected = self._rejected[n] = [WordTagSeq(r, zeros) for r in self.rule_ids]
+        tag_seqs = rejected.copy()
+        for k in accepted.nonzero()[0].tolist():
+            tags = np.zeros(n, dtype=np.float64)
+            tags[: consumed[k]] = 1.0
+            tag_seqs[k] = WordTagSeq(self.rule_ids[k], tags)
         return instances, tag_seqs
 
     def run_batch(
@@ -256,10 +281,7 @@ class RuleMatcher:
             {
                 "text": sentence.text(),
                 "label": label,
-                "instance": [
-                    row[lo:hi].astype(np.int64).tolist()
-                    for lo, hi in zip(self.bounds, self.bounds[1:])
-                ],
+                "instance": [row[part].astype(np.int64).tolist() for part in self.slices],
                 "tags": tagmat.T.astype(np.int64).tolist(),
             }
             for sentence, label, row, tagmat in zip(sentences, labels, indicator, tags)

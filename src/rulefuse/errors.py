@@ -70,5 +70,5 @@ class MalformedLineError(RulefuseError):
         super().__init__(f"{message} (line {line})")
 
 
-class EmptyDatasetError(RulefuseError):
-    """A dataset file contained no usable samples."""
+class EmptyDatasetError(RulefuseError, ValueError):
+    """A dataset file or a training set contained no usable samples."""

@@ -30,6 +30,7 @@ from .errors import (
     CheckpointError,
     ConfigError,
     DimensionMismatchError,
+    EmptyDatasetError,
     MissingFeaturesError,
     NumericalError,
 )
@@ -557,13 +558,14 @@ def train(
     params are returned.  A numerical blow-up aborts with the last params
     that were still finite and ends the history with a record
     `{"epoch": k, "loss": None, "dev_accuracy": None, "aborted": "numerical"}`
-    for the epoch it abandoned.
+    for the epoch it abandoned.  An empty training set raises
+    `EmptyDatasetError`, a label outside `0..C-1` raises `ConfigError`.
     """
     if not items:
-        raise ValueError("empty training set")
+        raise EmptyDatasetError("empty training set")
     for item in items:
         if not 0 <= item.label < params.C:
-            raise ValueError(f"label {item.label} outside 0..{params.C - 1}")
+            raise ConfigError(f"label {item.label} outside 0..{params.C - 1}")
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
     best_theta = None

@@ -15,7 +15,7 @@ from rulefuse.encoding import (
     encode_word_tags,
     feature_record,
 )
-from rulefuse.experiment import compile_rules
+from rulefuse.experiment import FeatureCache, compile_rules
 from rulefuse.matching import Sentence, Trace, run_trace
 from rulefuse.rules import Rule, RuleSet, parse_regex, parse_rule_lines, unparse
 
@@ -112,6 +112,57 @@ def test_encode_all_wrong_mdfa_count():
     ruleset, mdfas = _tiny_rules()
     with pytest.raises(ValueError):
         encode_all(ruleset, mdfas[:1], Sentence.from_text("a"))
+
+
+def test_rejecting_rule_tags_are_read_only():
+    ruleset, mdfas = _tiny_rules()
+    _, tags = RuleMatcher(ruleset, mdfas).encode(Sentence.from_text("a b c"))
+    assert not tags[1].tags.flags.writeable
+    with pytest.raises(ValueError):
+        tags[1].tags[0] = 1.0
+    assert tags[1].tags.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_accepting_rule_tags_are_fresh_writeable_arrays():
+    ruleset, mdfas = _tiny_rules()
+    matcher = RuleMatcher(ruleset, mdfas)
+    sentence = Sentence.from_text("a b c")
+    _, first = matcher.encode(sentence)
+    _, second = matcher.encode(sentence)
+    assert first[0].tags.flags.writeable and first[0].tags.flags.owndata
+    assert first[0].tags is not second[0].tags
+    first[0].tags[:] = 5.0
+    assert second[0].tags.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_same_length_rejections_share_one_tag_sequence():
+    ruleset, mdfas = _tiny_rules()
+    matcher = RuleMatcher(ruleset, mdfas)
+    _, tags_a = matcher.encode(Sentence.from_text("a b c"))
+    _, tags_b = matcher.encode(Sentence.from_text("b c b"))
+    assert tags_b[1] is tags_a[1]  # rule 2 rejects both
+    assert tags_b[0] is not tags_a[0]  # rule 1 accepts only "a b c"
+    assert tags_b[0].tags is tags_b[1].tags  # rejecting rules share one array
+    _, shorter = matcher.encode(Sentence.from_text("b c"))
+    assert shorter[1].tags.shape == (2,) and shorter[1] is not tags_a[1]
+
+
+def test_changing_returned_features_leaves_later_results_unchanged():
+    ruleset, mdfas = _tiny_rules()
+    cache = FeatureCache(ruleset, mdfas)
+    _, tags = cache.features(Sentence.from_text("a b c"))
+    tags[0].tags[:] = 7.0
+    tags[1] = tags[0]
+    tags.append(tags[0])
+    for text in ("a c c", "c c c", "a b c d"):
+        sentence = Sentence.from_text(text)
+        got_inst, got_tags = cache.features(sentence)
+        want_inst, want_tags = RuleMatcher(ruleset, mdfas).encode(sentence)
+        assert [t.rule_id for t in got_tags] == [1, 2]
+        for got, want in zip(got_tags, want_tags):
+            assert got.tags.tobytes() == want.tags.tobytes()
+        for got, want in zip(got_inst, want_inst):
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_feature_record_is_json_ints():

@@ -7,6 +7,7 @@ from rulefuse.errors import (
     CheckpointError,
     ConfigError,
     DimensionMismatchError,
+    EmptyDatasetError,
     MissingFeaturesError,
     RulefuseError,
 )
@@ -532,6 +533,23 @@ def test_impossible_training_settings_are_config_errors(setting):
     with pytest.raises(ConfigError, match=next(iter(setting))):
         TrainConfig(**setting)
     assert isinstance(ConfigError("x"), ValueError)
+
+
+def test_empty_training_set_is_empty_dataset_error():
+    params = _nnsc_params(C=2)
+    with pytest.raises(EmptyDatasetError, match="empty training set") as info:
+        train(params, [], TrainConfig(epochs=1))
+    assert isinstance(info.value, ValueError)  # callers catching ValueError still work
+
+
+@pytest.mark.parametrize("label", [-1, 2, 7])
+def test_label_out_of_range_is_config_error(label):
+    params = _nnsc_params(C=2)
+    items = _toy_items()[:3] + [TrainItem(Sentence.from_text("a b"), label)]
+    before = params.theta.copy()
+    with pytest.raises(ConfigError, match=f"label {label} outside 0..1"):
+        train(params, items, TrainConfig(epochs=1))
+    assert params.theta.tobytes() == before.tobytes()
 
 
 def test_boundary_training_settings_stay_legal():
