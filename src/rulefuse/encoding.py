@@ -13,13 +13,15 @@ Two encodings per (sentence, rule) pair:
 `RuleMatcher` computes both for a whole rule set at once: it stacks every
 rule's automaton into one transition table and advances all of them
 together, one array lookup per word.  `encode` gives one sentence's
-per-rule `InstanceFeature`/`WordTagSeq` objects: views into one fresh
-state indicator, a fresh tag array for each accepting rule, and for each
-rejecting rule a `WordTagSeq` shared by all sentences of that length,
-whose tags are a read-only zero array.  `encode_batch` gives a whole
-padded dataset's features as the arrays the model reads.  `run_trace`
-with `encode_instance` and `encode_word_tags` is the one-rule path both
-must agree with.
+per-rule `InstanceFeature`/`WordTagSeq` objects.  Each matcher interns
+instance features: every distinct set of states a rule visits gets one
+`InstanceFeature` with read-only values, shared by all sentences that
+visit it.  Each accepting rule gets a fresh tag array, and each rejecting
+rule a `WordTagSeq` shared by all sentences of that length, whose tags
+are a read-only zero array.  `encode_batch` gives a whole padded
+dataset's features as the arrays the model reads.  `run_trace` with
+`encode_instance` and `encode_word_tags` is the one-rule path both must
+agree with.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .automata import Mdfa
+from .errors import DimensionMismatchError
 from .matching import (
     Sentence,
     Trace,
@@ -90,6 +93,22 @@ def encode_word_tags(trace: Trace, n: int) -> WordTagSeq:
     return WordTagSeq(trace.rule_id, tags)
 
 
+class _InstanceMemo(dict):
+    """One rule's visited-state sets, keyed by the bytes of its 0/1 uint8
+    indicator, each mapped to one `InstanceFeature` with read-only values.
+    A missing key builds and stores its feature on lookup."""
+
+    def __init__(self, rule_id: int):
+        super().__init__()
+        self.rule_id = rule_id
+
+    def __missing__(self, key: bytes) -> InstanceFeature:
+        values = np.frombuffer(key, dtype=np.uint8).astype(np.float64)
+        values.flags.writeable = False
+        feature = self[key] = InstanceFeature(self.rule_id, values)
+        return feature
+
+
 class RuleMatcher:
     """Every rule's automaton in one table, stepped together.
 
@@ -105,7 +124,7 @@ class RuleMatcher:
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
         if len(mdfas) != ruleset.p:
-            raise ValueError(f"expected {ruleset.p} automata, got {len(mdfas)}")
+            raise DimensionMismatchError(f"expected {ruleset.p} automata, got {len(mdfas)}")
         self.rule_ids = [rule.rule_id for rule in ruleset.rules]
         self.bounds = [0, *itertools.accumulate(m.state_count for m in mdfas)]
         self.m_total = self.bounds[-1]
@@ -135,6 +154,8 @@ class RuleMatcher:
         # sentence length n -> every rule's tags on rejection, all sharing
         # one read-only zeros(n)
         self._rejected: dict[int, list[WordTagSeq]] = {}
+        # per rule: visited-state set -> its one shared InstanceFeature
+        self._instances = [_InstanceMemo(rule_id) for rule_id in self.rule_ids]
 
     def run(
         self, sentence: Sentence, full_match: bool = False
@@ -174,23 +195,24 @@ class RuleMatcher:
         """Both feature kinds for every rule, in rule order.
 
         Equal, bit for bit, to `run_trace` followed by `encode_instance`
-        and `encode_word_tags` per rule.  The instance features are views
-        into one fresh `(m_total,)` indicator.  An accepting rule gets a
+        and `encode_word_tags` per rule.  Each rule's `InstanceFeature` is
+        shared by every sentence that visits the same states of that rule,
+        and its values are a read-only array.  An accepting rule gets a
         fresh writeable tag array; every rejecting rule's `WordTagSeq` is
         shared with other sentences of the same length, and its tags are
-        one read-only zero array.
+        one read-only zero array.  The two lists are fresh on every call.
         """
         states, consumed, accepted = self.run(sentence, full_match=full_match)
         n = sentence.n
         visited = np.arange(n)[:, None] < consumed
         if gate_instance:
             visited &= accepted
-        indicator = np.zeros(self.m_total, dtype=np.float64)
-        indicator[states[visited]] = 1.0
-        instances = [
-            InstanceFeature(rule_id, indicator[part])
-            for rule_id, part in zip(self.rule_ids, self.slices)
-        ]
+        indicator = np.zeros(self.m_total, dtype=np.uint8)
+        indicator[states[visited]] = 1
+        # one lookup per rule by its slice of the indicator's bytes; only a
+        # visited set not seen before builds a feature (`__missing__`)
+        keys = map(indicator.tobytes().__getitem__, self.slices)
+        instances = list(map(dict.__getitem__, self._instances, keys))
         rejected = self._rejected.get(n)
         if rejected is None:
             zeros = np.zeros(n, dtype=np.float64)

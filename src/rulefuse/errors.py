@@ -54,7 +54,7 @@ class MissingFeaturesError(RulefuseError):
     """A model variant was called without the rule features it requires."""
 
 
-class DimensionMismatchError(RulefuseError):
+class DimensionMismatchError(RulefuseError, ValueError):
     """Tensor or feature shapes do not agree with the model configuration."""
 
 

@@ -1,14 +1,17 @@
-"""The benchmark's rules_atis workload, run end to end at its tiny sizes.
+"""The benchmark's workloads, run end to end at their tiny sizes.
 
-`bench/workloads.py` reads the per-sentence features that
-`FeatureCache.features` returns.  If their shape changes, the benchmark
-only reports failed ops; this runs one full corpus pass of the workload
+`bench/workloads.py` drives rulefuse through its public functions: the
+per-sentence features of `FeatureCache.features`, `run_experiment`, and
+the `synth-gen`/`fewshot`/`train`/`eval` commands.  If one of them
+changes, the benchmark only reports failed ops; these run every workload
 the way `bench/run.py` does, so such a break fails the test suite too.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +40,20 @@ def test_rules_atis_full_pass_reports_no_errors(tmp_path, monkeypatch):
     assert workload.finish(results) == {}
     assert 0.0 < workload.accuracy(results) <= 1.0
     assert len(workload.detail(results)["compile_s"]) == workload.min_ops
+
+
+@pytest.mark.parametrize("name", ["grid_synth", "eval_bulk"])
+def test_workload_full_pass_reports_no_errors(name, tmp_path, monkeypatch):
+    _load("atis_gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.WORKLOADS[name](0, tmp_path, ROOT, workloads.TINY)
+    workload.setup()
+    workload.expect()
+    results = []
+    for i in range(workload.min_ops):
+        kept = workload.keep(i, workload.op(i))
+        assert workload.check(i, kept) == [], i
+        results.append(kept)
+    assert workload.finish(results) == {}
+    assert 0.0 <= workload.accuracy(results) <= 1.0
+    assert set(workload.detail(results)) == {f"acc.{v}" for v in workloads.VARIANTS}

@@ -15,6 +15,7 @@ from rulefuse.encoding import (
     encode_word_tags,
     feature_record,
 )
+from rulefuse.errors import DimensionMismatchError
 from rulefuse.experiment import FeatureCache, compile_rules
 from rulefuse.matching import Sentence, Trace, run_trace
 from rulefuse.rules import Rule, RuleSet, parse_regex, parse_rule_lines, unparse
@@ -112,6 +113,87 @@ def test_encode_all_wrong_mdfa_count():
     ruleset, mdfas = _tiny_rules()
     with pytest.raises(ValueError):
         encode_all(ruleset, mdfas[:1], Sentence.from_text("a"))
+
+
+def test_feature_cache_wrong_mdfa_count_is_a_dimension_mismatch():
+    ruleset, mdfas = _tiny_rules()
+    with pytest.raises(DimensionMismatchError, match="expected 2 automata, got 1"):
+        FeatureCache(ruleset, mdfas[:1])
+    with pytest.raises(ValueError):
+        FeatureCache(ruleset, mdfas + mdfas[:1])
+
+
+def test_instance_values_are_read_only():
+    ruleset, mdfas = _tiny_rules()
+    instances, _ = RuleMatcher(ruleset, mdfas).encode(Sentence.from_text("a b c"))
+    for feature in instances:
+        assert feature.values.dtype == np.float64
+        assert not feature.values.flags.writeable
+        with pytest.raises(ValueError):
+            feature.values[0] = 5.0
+    assert set(instances[0].values.tolist()) == {0.0, 1.0}
+
+
+def test_same_visited_states_share_one_instance_feature():
+    ruleset, mdfas = _tiny_rules()
+    matcher = RuleMatcher(ruleset, mdfas)
+    # rule 1 stops early after "a" in all three; rule 2 falls into its sink
+    # on the first word and stays there
+    first, _ = matcher.encode(Sentence.from_text("a b c"))
+    other_words, _ = matcher.encode(Sentence.from_text("a c a"))
+    shorter, _ = matcher.encode(Sentence.from_text("a"))
+    assert other_words[0] is first[0] and shorter[0] is first[0]
+    assert other_words[1] is first[1] and shorter[1] is first[1]
+    # a different visited set gets its own feature
+    more, _ = matcher.encode(Sentence.from_text("q q"))
+    assert more[1] is not first[1] and more[1].values.sum() > first[1].values.sum()
+    # the list is fresh on every call even when every entry is shared
+    again, _ = matcher.encode(Sentence.from_text("a b c"))
+    assert again is not first and all(a is b for a, b in zip(again, first, strict=True))
+
+
+def test_gated_off_rules_share_one_zero_feature():
+    ruleset, mdfas = _tiny_rules()
+    matcher = RuleMatcher(ruleset, mdfas)
+    texts = ("a b c", "b", "q q", "c a b c", "")
+    encoded = [matcher.encode(Sentence.from_text(t), gate_instance=True)[0] for t in texts]
+    assert [f.values.any() for f in encoded[0]] == [True, False]  # rule 2 rejects
+    zero_2 = encoded[0][1]
+    assert not zero_2.values.any() and zero_2.values.shape == (mdfas[1].state_count,)
+    assert all(inst[1] is zero_2 for inst in encoded)
+    zero_1 = encoded[1][0]  # rule 1 rejects "b": no leading "a"
+    assert not zero_1.values.any() and zero_1.rule_id == 1
+    assert all(inst[0] is zero_1 for inst in encoded[1:])
+    # an ungated rejecting trace keeps its visited states
+    ungated, _ = matcher.encode(Sentence.from_text("b"))
+    assert ungated[0].values.any() and ungated[0] is not zero_1
+
+
+def test_changing_returned_instance_lists_leaves_later_results_unchanged():
+    ruleset, mdfas = _tiny_rules()
+    matcher = RuleMatcher(ruleset, mdfas)
+    cache = FeatureCache(ruleset, mdfas)
+    for instances, tags in (
+        matcher.encode(Sentence.from_text("a b c")),
+        cache.features(Sentence.from_text("a b")),
+    ):
+        instances[0], instances[1] = instances[1], instances[0]
+        instances.append(instances[0])
+        tags.reverse()
+    # every later sentence visits states the changed lists' features stand for
+    for text in ("a b c", "a b", "a c c", "c c c", "a b c d", ""):
+        sentence = Sentence.from_text(text)
+        want_inst, want_tags = RuleMatcher(ruleset, mdfas).encode(sentence)
+        results = [matcher.encode(sentence)]
+        if text != "a b":  # the cache hands back the list it stored for "a b"
+            results.append(cache.features(sentence))
+        for got_inst, got_tags in results:
+            assert [f.rule_id for f in got_inst] == [1, 2]
+            assert [t.rule_id for t in got_tags] == [1, 2]
+            for got, want in zip(got_inst, want_inst):
+                assert got.values.tobytes() == want.values.tobytes()
+            for got, want in zip(got_tags, want_tags):
+                assert got.tags.tobytes() == want.tags.tobytes()
 
 
 def test_rejecting_rule_tags_are_read_only():
@@ -314,3 +396,30 @@ def test_batch_encoder_equals_per_sentence_encode_on_atis_rules():
     sentences = [Sentence.from_text(text) for _, text, _ in corpus]
     sentences += [Sentence(()), Sentence((OOV, "zzz")), Sentence(("flights",))]
     _assert_batch_equals_encode(matcher, sentences)
+
+
+def test_interned_encode_equals_batch_split_at_bounds_on_atis_rules():
+    atis_gen = _atis_gen()
+    lines = atis_gen.generate_rules(0)
+    ruleset = parse_rule_lines(lines, known_labels=set(atis_gen.LABELS))
+    corpus = atis_gen.generate_corpus(0, lines, 300)
+    sentences = [Sentence.from_text(text) for _, text, _ in corpus] + [Sentence(())]
+    matcher = RuleMatcher(ruleset, compile_rules(ruleset))
+    parts = list(zip(matcher.bounds, matcher.bounds[1:]))
+    for gate in (False, True):
+        for full in (False, True):
+            indicator, tags = matcher.encode_batch(sentences, gate_instance=gate, full_match=full)
+            features = set()
+            for i, sentence in enumerate(sentences):
+                instances, tag_seqs = matcher.encode(sentence, gate_instance=gate, full_match=full)
+                assert [f.rule_id for f in instances] == matcher.rule_ids
+                for feature, (lo, hi) in zip(instances, parts):
+                    assert feature.values.dtype == np.float64
+                    assert feature.values.shape == (hi - lo,)
+                    assert feature.values.tobytes() == indicator[i, lo:hi].tobytes()
+                    assert not feature.values.flags.writeable
+                    features.add(id(feature))
+                for k, seq in enumerate(tag_seqs):
+                    assert seq.tags.tobytes() == tags[i][:, k].tobytes()
+            # a few visited sets per rule, not one feature per (sentence, rule)
+            assert len(features) < len(sentences) * ruleset.p // 10
