@@ -27,24 +27,23 @@ from .errors import RulefuseError
 from .experiment import (
     ExperimentConfig,
     FeatureCache,
-    build_items,
+    build_items,  # noqa: F401 - bench/tracer.py patches rulefuse.cli.build_items
     check_variant,
     compile_rules,
     evaluate_accuracy,
+    fit_run,
+    init_model,
     rows_to_csv,
     rule_baseline_accuracy,
-    rule_binding,
     run_experiment,
 )
 from .matching import Sentence, run_trace
 from .model import (
-    ModelParams,
     TrainConfig,
-    build_vocab,
     load_model,
     load_pretrained_embeddings,
     save_model,
-    train,
+    train,  # noqa: F401 - bench/tracer.py patches rulefuse.cli.train
 )
 from .rules import RuleSet, load_rules
 
@@ -137,26 +136,10 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.train)
     ruleset = _load_ruleset(args, set(dataset.label_names))
     check_variant(args.variant, ruleset)
-    mdfas = compile_rules(ruleset)
-    cache = FeatureCache(ruleset, mdfas)
-    items = build_items(dataset, args.variant, cache)
-    dev_items = None
-    if args.dev:
-        dev = load_dataset(args.dev, label_names=dataset.label_names)
-        dev_items = build_items(dev, args.variant, cache)
-    vocab = build_vocab(s for s, _ in dataset.samples)
-    params = ModelParams.init(
-        args.variant,
-        vocab,
-        d=args.emb_dim,
-        h=args.hidden,
-        C=dataset.C,
-        p=ruleset.p,
-        m_total=cache.m_total,
-        seed=args.seed,
-        labels=dataset.label_names,
-        rules=rule_binding(ruleset, mdfas),
-    )
+    dev = load_dataset(args.dev, label_names=dataset.label_names) if args.dev else None
+    test = load_dataset(args.test, label_names=dataset.label_names) if args.test else None
+    cache = FeatureCache(ruleset, compile_rules(ruleset))
+    params = init_model(args.variant, cache, dataset, args.emb_dim, args.hidden, args.seed)
     if args.embeddings:
         loaded = load_pretrained_embeddings(params, args.embeddings)
         print(f"loaded {loaded} pretrained embedding rows")
@@ -168,7 +151,7 @@ def cmd_train(args) -> int:
         patience=args.patience,
         clip_norm=args.clip_norm,
     )
-    params, history = train(params, items, config, dev_items=dev_items)
+    history, acc = fit_run(params, cache, dataset, config, dev, test)
     completed = [entry for entry in history if "aborted" not in entry]
     if completed:
         last = completed[-1]
@@ -183,9 +166,7 @@ def cmd_train(args) -> int:
             f"training aborted ({history[-1]['aborted']}) in epoch {history[-1]['epoch'] + 1}; "
             "kept the parameters of the last finite epoch"
         )
-    if args.test:
-        test = load_dataset(args.test, label_names=dataset.label_names)
-        acc = evaluate_accuracy(params, ruleset, mdfas, test)
+    if acc is not None:
         print(f"test_accuracy={acc:.4f}")
     if args.out:
         save_model(params, args.out)

@@ -6,7 +6,10 @@ combination and appends the rows to a CSV with header
 rows, one aggregate row per (variant, q) carries the mean accuracy and the
 95% confidence half-width (normal approximation) in the accuracy column as
 ``mean±halfwidth``, with ``all`` in both seed columns.  Everything except
-the wall_secs column is reproducible bit-for-bit for fixed seeds.
+the wall_secs column is reproducible bit-for-bit for fixed seeds.  A
+run's wall_secs covers its `init_model` + `fit_run` call: vocabulary and
+weights, train and test items from the shared feature cache (encoding only
+sentences not seen before), training, and scoring.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import DEFAULT_STATE_BUDGET, Mdfa, compile as compile_ast
+from .automata import Mdfa, compile as compile_ast
 from .data import Dataset, FewShotConfig, sample_fewshot
 from .encoding import (
     RuleMatcher,
@@ -49,6 +52,8 @@ __all__ = [
     "rule_baseline_accuracy",
     "build_items",
     "evaluate_accuracy",
+    "init_model",
+    "fit_run",
     "check_variant",
     "run_experiment",
     "CSV_HEADER",
@@ -57,9 +62,9 @@ __all__ = [
 CSV_HEADER = ("variant", "q", "sample_seed", "train_seed", "accuracy", "wall_secs")
 
 
-def compile_rules(ruleset: RuleSet, state_budget: int = DEFAULT_STATE_BUDGET) -> list[Mdfa]:
+def compile_rules(ruleset: RuleSet) -> list[Mdfa]:
     """Compile every rule's AST; order matches the rule order."""
-    return [compile_ast(rule.ast, state_budget=state_budget) for rule in ruleset.rules]
+    return [compile_ast(rule.ast) for rule in ruleset.rules]
 
 
 def rule_only_classify(
@@ -130,10 +135,14 @@ class FeatureCache:
 
     `features` gives one sentence's per-rule feature objects; `arrays`
     gives many sentences' `(m_total,)` indicator and `(n, p)` tag matrix,
-    encoding the ones not yet cached in one batched matcher call.
+    encoding the ones not yet cached in one batched matcher call.  The
+    rules and automata it encodes with stay readable as `ruleset` and
+    `mdfas`, so a model built on the cache can record them.
     """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
+        self.ruleset = ruleset
+        self.mdfas = mdfas
         self.matcher = RuleMatcher(ruleset, mdfas)
         self.m_total = self.matcher.m_total
         self._store: dict[tuple[str, ...], tuple] = {}
@@ -198,24 +207,53 @@ class ExperimentConfig:
     clip_norm: float | None = 5.0
     d: int = 16
     h: int = 16
-    state_budget: int = DEFAULT_STATE_BUDGET
+
+
+def init_model(
+    variant: str, cache: FeatureCache, train_set: Dataset, d: int, h: int, seed: int
+) -> ModelParams:
+    """Seeded initial weights for one run on `train_set`, with its vocabulary,
+    its label names and the rule binding of the cache's rules."""
+    return ModelParams.init(
+        variant,
+        build_vocab(sentence for sentence, _ in train_set.samples),
+        d=d,
+        h=h,
+        C=train_set.C,
+        p=cache.ruleset.p,
+        m_total=cache.m_total,
+        seed=seed,
+        labels=train_set.label_names,
+        rules=rule_binding(cache.ruleset, cache.mdfas),
+    )
+
+
+def fit_run(
+    params: ModelParams,
+    cache: FeatureCache,
+    train_set: Dataset,
+    config: TrainConfig,
+    dev_set: Dataset | None = None,
+    test_set: Dataset | None = None,
+) -> tuple[list[dict], float | None]:
+    """Train `params` in place, with items built from `cache`; returns the
+    history (see `train`) and the test accuracy, or None without a test set."""
+    items = build_items(train_set, params.variant, cache)
+    dev_items = None if dev_set is None else build_items(dev_set, params.variant, cache)
+    # config stays the third positional argument: bench/tracer.py reads args[2]
+    params, history = train(params, items, config, dev_items)
+    if test_set is None:
+        return history, None
+    return history, evaluate_items(params, build_items(test_set, params.variant, cache))
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:
-    grouped: dict[tuple[str, int], list[float]] = {}
-    walls: dict[tuple[str, int], list[float]] = {}
-    order: list[tuple[str, int]] = []
+    grouped: dict[tuple[str, int], list[dict]] = {}
     for row in rows:
-        key = (row["variant"], row["q"])
-        if key not in grouped:
-            grouped[key] = []
-            walls[key] = []
-            order.append(key)
-        grouped[key].append(row["accuracy"])
-        walls[key].append(row["wall_secs"])
+        grouped.setdefault((row["variant"], row["q"]), []).append(row)
     aggregates = []
-    for key in order:
-        accs = np.array(grouped[key])
+    for key, group in grouped.items():
+        accs = np.array([row["accuracy"] for row in group])
         mean = float(accs.mean())
         if len(accs) > 1:
             half = 1.96 * float(accs.std(ddof=1)) / np.sqrt(len(accs))
@@ -228,7 +266,7 @@ def _aggregate(rows: list[dict]) -> list[dict]:
                 "sample_seed": "all",
                 "train_seed": "all",
                 "accuracy": f"{mean:.6f}±{half:.6f}",
-                "wall_secs": float(np.mean(walls[key])),
+                "wall_secs": float(np.mean([row["wall_secs"] for row in group])),
             }
         )
     return aggregates
@@ -275,22 +313,19 @@ def run_experiment(
     """Run the seeded grid; returns data rows followed by aggregate rows.
 
     Automata are compiled once by the caller and shared; a fingerprint
-    spot-check verifies the cached tables match a fresh compilation.  On
-    failure, the rows finished so far are flushed with an error row
-    appended.
+    spot-check verifies the cached tables match a fresh compilation.
+    Every run goes through `init_model` and `fit_run` on one shared
+    feature cache.  The CSV is written once, however the grid ends: on
+    failure it holds the rows finished so far with an error row appended.
     """
     if mdfas and ruleset.rules:
-        fresh = compile_ast(ruleset.rules[0].ast, state_budget=config.state_budget)
+        fresh = compile_ast(ruleset.rules[0].ast)
         if fresh.fingerprint() != mdfas[0].fingerprint():
             raise RuntimeError("cached automaton differs from fresh compilation")
     for variant in config.variants:
         check_variant(variant, ruleset)
 
     cache = FeatureCache(ruleset, mdfas)
-    test_items_by_variant = {
-        variant: build_items(test_dataset, variant, cache)
-        for variant in config.variants
-    }
     rows: list[dict] = []
     try:
         for variant in config.variants:
@@ -300,38 +335,21 @@ def run_experiment(
                 )
                 subsets = sample_fewshot(train_dataset, fewshot)
                 for sample_seed, subset in zip(config.sample_seeds, subsets):
-                    train_items = build_items(subset, variant, cache)
-                    # coherence: the items carry only the variant's features
-                    assert all(
-                        (it.instance_feats is None) == (variant != "instance")
-                        and (it.word_tags is None) == (variant != "word")
-                        for it in train_items
-                    )
-                    vocab = build_vocab(s for s, _ in subset.samples)
                     for train_seed in config.train_seeds:
                         t0 = time.perf_counter()
-                        params = ModelParams.init(
-                            variant,
-                            vocab,
-                            d=config.d,
-                            h=config.h,
-                            C=train_dataset.C,
-                            p=ruleset.p,
-                            m_total=cache.m_total,
+                        params = init_model(
+                            variant, cache, subset, config.d, config.h, train_seed
+                        )
+                        train_config = TrainConfig(
+                            epochs=config.epochs,
+                            batch_size=config.batch_size,
+                            lr=config.lr,
                             seed=train_seed,
+                            clip_norm=config.clip_norm,
                         )
-                        params, _ = train(
-                            params,
-                            train_items,
-                            TrainConfig(
-                                epochs=config.epochs,
-                                batch_size=config.batch_size,
-                                lr=config.lr,
-                                seed=train_seed,
-                                clip_norm=config.clip_norm,
-                            ),
+                        _, accuracy = fit_run(
+                            params, cache, subset, train_config, test_set=test_dataset
                         )
-                        accuracy = evaluate_items(params, test_items_by_variant[variant])
                         rows.append(
                             {
                                 "variant": variant,
@@ -353,12 +371,11 @@ def run_experiment(
                 "wall_secs": 0.0,
             }
         )
+        raise
+    else:
+        rows.extend(_aggregate(rows))
+    finally:
         if out_path is not None:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(rows_to_csv(rows))
-        raise
-    rows.extend(_aggregate(rows))
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(rows_to_csv(rows))
     return rows

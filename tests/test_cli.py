@@ -371,3 +371,55 @@ def test_run_reports_errors_in_one_line(corpus, tmp_path, capsys):
     assert captured.err == "rulefuse: error: unknown variant 'bogus'\n"
     assert run(["compile", "--rules", str(corpus / "rules.tsv")]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_train_embeddings_are_loaded_into_the_checkpoint(corpus, tmp_path, capsys):
+    # with lr 0 the loaded rows reach the checkpoint unchanged
+    train = load_dataset(corpus / "train.tsv")
+    words = sorted({word for sentence, _ in train.samples for word in sentence.words})[:5]
+    rows = {word: [0.125 * (k + 1), -0.5, 0.25 * k, 1.0 / (k + 3)] for k, word in enumerate(words)}
+    emb = tmp_path / "emb.txt"
+    emb.write_text(
+        "".join(f"{word} {' '.join(repr(v) for v in vals)}\n" for word, vals in rows.items())
+        + "no_such_word 1.0 2.0 3.0 4.0\n\n"
+    )
+    ckpt = tmp_path / "model.npz"
+    assert main([
+        "train", "--rules", str(corpus / "rules.tsv"), "--train", str(corpus / "train.tsv"),
+        "--variant", "word", "--epochs", "1", "--lr", "0", "--emb-dim", "4", "--hidden", "4",
+        "--embeddings", str(emb), "--out", str(ckpt),
+    ]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"loaded {len(rows)} pretrained embedding rows"
+    assert out[1].startswith("epochs=1 ")
+    params = load_model(ckpt)
+    for word, vals in rows.items():
+        assert params.emb[params.vocab[word]].tolist() == vals
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_train_test_accuracy_equals_eval_of_its_checkpoint(corpus, tmp_path, capsys, variant):
+    ckpt = tmp_path / "model.npz"
+    rules, test = str(corpus / "rules.tsv"), str(corpus / "test.tsv")
+    assert main([
+        "train", "--rules", rules, "--train", str(corpus / "train.tsv"), "--test", test,
+        "--variant", variant, "--epochs", "3", "--lr", "0.3", "--emb-dim", "4",
+        "--hidden", "4", "--out", str(ckpt),
+    ]) == 0
+    trained = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("test_accuracy=")]
+    assert main(["eval", "--rules", rules, "--test", test, "--model", str(ckpt)]) == 0
+    evaluated = capsys.readouterr().out.splitlines()
+    assert len(trained) == 1
+    assert evaluated == [trained[0].replace("test_accuracy=", "accuracy=")]
+
+
+def test_train_with_a_missing_test_file_fails_before_training(corpus, tmp_path, capsys):
+    ckpt = tmp_path / "model.npz"
+    with pytest.raises(FileNotFoundError):
+        main([
+            "train", "--train", str(corpus / "train.tsv"), "--test", str(tmp_path / "none.tsv"),
+            "--epochs", "1", "--emb-dim", "4", "--hidden", "4", "--out", str(ckpt),
+        ])
+    assert capsys.readouterr().out == ""
+    assert not ckpt.exists()

@@ -13,13 +13,16 @@ from rulefuse.experiment import (
     build_items,
     compile_rules,
     evaluate_accuracy,
+    fit_run,
+    init_model,
     rows_to_csv,
     rule_baseline_accuracy,
+    rule_binding,
     rule_only_classify,
     run_experiment,
 )
 from rulefuse.matching import Sentence
-from rulefuse.model import ModelParams, build_vocab
+from rulefuse.model import ModelParams, TrainConfig, build_vocab
 from rulefuse.rules import RuleSet, parse_rule_lines
 
 
@@ -263,3 +266,34 @@ def test_run_experiment_detects_stale_cache():
     config = ExperimentConfig(variants=("nnsc",), q_values=(1,), epochs=1)
     with pytest.raises(RuntimeError):
         run_experiment(ruleset, wrong, train, test, config)
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_init_model_equals_model_params_init(variant):
+    ruleset, mdfas, train, _ = _tiny_experiment_setup()
+    cache = FeatureCache(ruleset, mdfas)
+    params = init_model(variant, cache, train, d=4, h=3, seed=7)
+    expected = ModelParams.init(
+        variant, build_vocab(s for s, _ in train.samples), d=4, h=3, C=train.C,
+        p=ruleset.p, m_total=cache.m_total, seed=7,
+    )
+    assert params.vocab == expected.vocab
+    assert params.theta.tobytes() == expected.theta.tobytes()
+    assert params.labels == list(train.label_names)
+    assert params.rules == rule_binding(ruleset, mdfas)
+
+
+def test_fit_run_trains_in_place_and_scores_the_test_set():
+    ruleset, mdfas, train, test = _tiny_experiment_setup()
+    # shifted gold labels, so scoring the training set instead shows
+    test = Dataset([(s, (label + 1) % test.C) for s, label in test.samples], test.label_names)
+    cache = FeatureCache(ruleset, mdfas)
+    params = init_model("instance", cache, train, d=4, h=4, seed=0)
+    before = params.theta.copy()
+    history, accuracy = fit_run(params, cache, train, TrainConfig(epochs=2, seed=0),
+                                dev_set=test, test_set=test)
+    assert not np.array_equal(params.theta, before)
+    assert [entry["epoch"] for entry in history] == [0, 1]
+    assert history[-1]["dev_accuracy"] == accuracy
+    assert accuracy == evaluate_accuracy(params, ruleset, mdfas, test)
+    assert fit_run(params, cache, train, TrainConfig(epochs=1))[1] is None
