@@ -44,7 +44,6 @@ from .experiment import (
     compile_rules,
     evaluate_accuracy,
     rule_baseline_accuracy,
-    rule_only_classify,
     run_experiment,
 )
 from .matching import Sentence, Trace, accepts, run_trace

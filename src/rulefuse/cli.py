@@ -388,11 +388,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """The `rulefuse` console script: `main`, with a RulefuseError reported
-    as one `rulefuse: error: ...` line on stderr and exit code 2."""
+    """The `rulefuse` console script: `main`, with a RulefuseError or OSError
+    reported as one `rulefuse: error: ...` line on stderr and exit code 2."""
     try:
         return main(argv)
-    except RulefuseError as exc:
+    except (RulefuseError, OSError) as exc:
         print(f"rulefuse: error: {exc}", file=sys.stderr)
         return 2
 

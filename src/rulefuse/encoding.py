@@ -48,7 +48,6 @@ __all__ = [
     "encode_instance",
     "encode_word_tags",
     "encode_all",
-    "feature_record",
 ]
 
 
@@ -322,16 +321,3 @@ def encode_all(
         sentence, gate_instance=gate_instance, full_match=full_match
     )
 
-
-def feature_record(
-    ruleset: RuleSet,
-    mdfas: list[Mdfa],
-    sentence: Sentence,
-    label: str,
-    gate_instance: bool = False,
-    full_match: bool = False,
-) -> dict:
-    """JSON-serializable record of a sentence's features (0/1 as ints)."""
-    return RuleMatcher(ruleset, mdfas).records(
-        [sentence], [label], gate_instance=gate_instance, full_match=full_match
-    )[0]

@@ -63,7 +63,7 @@ class NumericalError(RulefuseError):
 
 
 class MalformedLineError(RulefuseError):
-    """A dataset line does not follow the label<TAB>text format."""
+    """A line of a dataset or embeddings file cannot be parsed."""
 
     def __init__(self, message: str, line: int):
         self.line = line

@@ -48,7 +48,6 @@ __all__ = [
     "compile_rules",
     "rule_binding",
     "check_rule_binding",
-    "rule_only_classify",
     "rule_baseline_accuracy",
     "build_items",
     "evaluate_accuracy",
@@ -65,21 +64,6 @@ CSV_HEADER = ("variant", "q", "sample_seed", "train_seed", "accuracy", "wall_sec
 def compile_rules(ruleset: RuleSet) -> list[Mdfa]:
     """Compile every rule's AST; order matches the rule order."""
     return [compile_ast(rule.ast) for rule in ruleset.rules]
-
-
-def rule_only_classify(
-    ruleset: RuleSet,
-    mdfas: list[Mdfa],
-    sentence: Sentence,
-    label_index: dict[str, int],
-) -> int | None:
-    """Label index of the first rule (file order) accepting the sentence."""
-    from .matching import accepts
-
-    for rule, mdfa in zip(ruleset.rules, mdfas):
-        if accepts(mdfa, sentence):
-            return label_index[rule.label]
-    return None
 
 
 def rule_baseline_accuracy(ruleset: RuleSet, mdfas: list[Mdfa], dataset: Dataset) -> float:
@@ -169,16 +153,9 @@ def build_items(dataset: Dataset, variant: str, cache: FeatureCache | None) -> l
     `instance`, the `(n, p)` tag matrix for `word`."""
     if variant not in ("instance", "word"):
         return [TrainItem(sentence, label) for sentence, label in dataset.samples]
-    feats = cache.arrays([sentence for sentence, _ in dataset.samples])
-    if variant == "instance":
-        return [
-            TrainItem(sentence, label, instance_feats=indicator)
-            for (sentence, label), (indicator, _) in zip(dataset.samples, feats)
-        ]
-    return [
-        TrainItem(sentence, label, word_tags=tags)
-        for (sentence, label), (_, tags) in zip(dataset.samples, feats)
-    ]
+    k = 0 if variant == "instance" else 1
+    pairs = cache.arrays([sentence for sentence, _ in dataset.samples])
+    return [TrainItem(s, label, pair[k]) for (s, label), pair in zip(dataset.samples, pairs)]
 
 
 def evaluate_accuracy(

@@ -20,19 +20,21 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import InstanceFeature, WordTagSeq
 from .errors import (
     CheckpointError,
     ConfigError,
     DimensionMismatchError,
     EmptyDatasetError,
+    MalformedLineError,
     MissingFeaturesError,
     NumericalError,
+    RulefuseError,
 )
 from .matching import Sentence
 
@@ -235,14 +237,14 @@ class ActivationRecord:
 class TrainItem:
     """A labelled sentence with the rule features its variant reads.
 
-    Features are the `(m_total,)` state indicator or the `(n, p)` tag
-    matrix, as `build_items` gives them, or per-rule feature objects.
+    `feats` is the `(m_total,)` state indicator for `instance` or the
+    `(n, p)` tag matrix for `word`, as `build_items` gives them; `nnsc`
+    reads none.
     """
 
     sentence: Sentence
     label: int
-    instance_feats: np.ndarray | Sequence[InstanceFeature] | None = None
-    word_tags: np.ndarray | Sequence[WordTagSeq] | None = None
+    feats: np.ndarray | None = None
 
 
 @dataclass
@@ -344,45 +346,28 @@ def _lstm_backward(dhs, cache):
     return dZ @ wx.swapaxes(1, 2)[:, None], dwx, dwh, flat_dz.sum(axis=1)
 
 
-def _gather_features(params, sentence, instance_feats, word_tags):
+def _gather_features(params, sentence, feats):
     """The rule features the variant reads, after one shape check: an
     `(n, p)` tag matrix for `word`, an `(m_total,)` state indicator for
-    `instance`, None for `nnsc`.
-
-    Per-rule `WordTagSeq`/`InstanceFeature` sequences are first stacked
-    into that array.
-    """
+    `instance`, None for `nnsc`.  At p = 0 missing features read as
+    zero-width."""
     if params.variant == "nnsc":
         return None
     word = params.variant == "word"
-    feats = word_tags if word else instance_feats
     what = "tag matrix" if word else "state indicator"
     if feats is None:
         if params.p:
             raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
-        feats = ()
-    if not isinstance(feats, np.ndarray):
-        parts = [np.asarray(f.tags if word else f.values, dtype=np.float64) for f in feats]
-        if not parts:
-            feats = np.zeros((sentence.n, 0) if word else 0)
-        else:
-            try:
-                feats = np.stack(parts, axis=1) if word else np.concatenate(parts)
-            except ValueError as exc:  # per-rule parts that do not line up
-                raise DimensionMismatchError(f"{what}: {exc}") from None
+        feats = np.zeros((sentence.n, 0) if word else 0)
     shape = (sentence.n, params.p) if word else (params.m_total,)
-    if feats.shape != shape:
-        raise DimensionMismatchError(f"{what} has shape {feats.shape}, expected {shape}")
+    got = getattr(feats, "shape", type(feats).__name__)
+    if got != shape:
+        raise DimensionMismatchError(f"{what} is {got}, expected an array of shape {shape}")
     return feats
 
 
-def _rows(items: Sequence[TrainItem]) -> list[tuple]:
-    """The (sentence, instance_feats, word_tags) rows `_forward_batch` reads."""
-    return [(it.sentence, it.instance_feats, it.word_tags) for it in items]
-
-
 def _forward_batch(params, rows, cache=None):
-    """Forward pass over (sentence, instance_feats, word_tags) rows at once.
+    """Forward pass over (sentence, feats) rows at once.
 
     Sentences are zero-padded to the longest, padding after the real words.
     The backward direction reads each sentence reversed within its own
@@ -390,13 +375,13 @@ def _forward_batch(params, rows, cache=None):
     sentence's length are -inf.  Returns (H, alpha, f, logits, y) with a
     leading batch axis; a `cache` dict receives what `_backward` reads.
     """
-    lengths = np.array([sentence.n for sentence, _, _ in rows])
+    lengths = np.array([sentence.n for sentence, _ in rows])
     if lengths.min() < 1:
         raise ValueError("forward requires a non-empty sentence")
     feats = [_gather_features(params, *row) for row in rows]
     B, T = len(rows), int(lengths.max())
     mask = np.arange(T) < lengths[:, None]
-    ids = np.array([params.vocab.get(w, 0) for sentence, _, _ in rows for w in sentence.words])
+    ids = np.array([params.vocab.get(w, 0) for sentence, _ in rows for w in sentence.words])
     X = np.zeros((B, T, params.input_width))
     X[mask, : params.d] = params.emb[ids]
     if params.variant == "word":
@@ -430,14 +415,11 @@ def _forward_batch(params, rows, cache=None):
 
 
 def forward(
-    params: ModelParams,
-    sentence: Sentence,
-    instance_feats: Sequence[InstanceFeature] | None = None,
-    word_tags: Sequence[WordTagSeq] | None = None,
+    params: ModelParams, sentence: Sentence, feats: np.ndarray | None = None
 ) -> ActivationRecord:
-    """Run the classifier on one sentence (a batch of one); features as the
-    variant requires."""
-    H, alpha, f, logits, y = _forward_batch(params, [(sentence, instance_feats, word_tags)])
+    """Run the classifier on one sentence (a batch of one) with the feature
+    array its variant reads, as in `TrainItem`."""
+    H, alpha, f, logits, y = _forward_batch(params, [(sentence, feats)])
     return ActivationRecord(H=H[0], alpha=alpha[0], f=f[0], logits=logits[0], y=y[0])
 
 
@@ -498,7 +480,7 @@ def loss_and_grads(
     if not batch:
         raise ValueError("empty batch")
     cache: dict = {}
-    y = _forward_batch(params, _rows(batch), cache)[-1]
+    y = _forward_batch(params, [(it.sentence, it.feats) for it in batch], cache)[-1]
     labels = np.array([item.label for item in batch])
     probs = y[np.arange(len(batch)), labels]
     if not (np.isfinite(probs).all() and (probs > 0.0).all()):
@@ -509,15 +491,10 @@ def loss_and_grads(
     return loss, _backward(params, cache, labels)
 
 
-def predict(
-    params: ModelParams,
-    sentence: Sentence,
-    instance_feats: Sequence[InstanceFeature] | None = None,
-    word_tags: Sequence[WordTagSeq] | None = None,
-) -> int:
-    """Most probable class; ties break toward the lowest class index."""
-    record = forward(params, sentence, instance_feats, word_tags)
-    return int(np.argmax(record.y))
+def predict(params: ModelParams, sentence: Sentence, feats: np.ndarray | None = None) -> int:
+    """Most probable class for `sentence` with the feature array its variant
+    reads (see `forward`); ties break toward the lowest class index."""
+    return int(np.argmax(forward(params, sentence, feats).y))
 
 
 def evaluate_items(params: ModelParams, items: Sequence[TrainItem]) -> float:
@@ -532,7 +509,7 @@ def evaluate_items(params: ModelParams, items: Sequence[TrainItem]) -> float:
     hits = 0
     for lo in range(0, len(items), INFER_CHUNK):
         chunk = items[lo : lo + INFER_CHUNK]
-        y = _forward_batch(params, _rows(chunk))[-1]
+        y = _forward_batch(params, [(it.sentence, it.feats) for it in chunk])[-1]
         hits += int((y.argmax(axis=1) == [it.label for it in chunk]).sum())
     return hits / len(items)
 
@@ -631,38 +608,44 @@ def save_model(params: ModelParams, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> ModelParams:
-    """Read a `rulefuse-v2` or `rulefuse-v1` checkpoint (v1 has no rule binding)."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(data["meta"].item())
-        if meta.get("version") not in (CHECKPOINT_VERSION, UNBOUND_CHECKPOINT_VERSION):
-            raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
-        params = ModelParams(
-            variant=meta["variant"],
-            vocab={word: int(idx) for word, idx in meta["vocab"].items()},
-            **{key: int(meta[key]) for key in _SIZES},
-            labels=meta.get("labels"),
-            rules=meta.get("rules"),
-        )
-        for name, view in params.tensors().items():
-            if name not in data:
-                raise CheckpointError(f"tensor {name!r} is missing; meta gives shape {view.shape}")
-            stored = data[name]
-            if stored.shape != view.shape:
-                raise CheckpointError(
-                    f"tensor {name!r} has shape {stored.shape}; meta gives {view.shape}"
-                )
-            view[...] = stored
+    """Read a `rulefuse-v2` or `rulefuse-v1` checkpoint (v1 has no rule binding).
+
+    A file that exists but is not a readable rulefuse checkpoint raises
+    `CheckpointError` naming the path; a missing one, `FileNotFoundError`.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(data["meta"].item())
+            if meta.get("version") not in (CHECKPOINT_VERSION, UNBOUND_CHECKPOINT_VERSION):
+                raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
+            params = ModelParams(
+                variant=meta["variant"],
+                vocab={word: int(idx) for word, idx in meta["vocab"].items()},
+                **{key: int(meta[key]) for key in _SIZES},
+                labels=meta.get("labels"),
+                rules=meta.get("rules"),
+            )
+            for name, view in params.tensors().items():
+                stored = data[name] if name in data else None
+                if stored is None or stored.shape != view.shape:
+                    found = "is missing" if stored is None else f"has shape {stored.shape}"
+                    raise CheckpointError(f"tensor {name!r} {found}; meta gives {view.shape}")
+                view[...] = stored
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
+        why = str(exc) if isinstance(exc, RulefuseError) else f"{type(exc).__name__}: {exc}"
+        raise CheckpointError(f"cannot read checkpoint {os.fspath(path)}: {why}") from exc
     return params
 
 
 def load_pretrained_embeddings(params: ModelParams, path: str | os.PathLike) -> int:
     """Overwrite embedding rows from a `word v1 .. vd` text file.
 
-    Unknown words are skipped; returns the number of rows loaded.
+    Unknown words are skipped; returns the number of rows loaded.  A value
+    that is not a number raises `MalformedLineError` with its line number.
     """
     loaded = 0
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
@@ -670,10 +653,14 @@ def load_pretrained_embeddings(params: ModelParams, path: str | os.PathLike) -> 
             idx = params.vocab.get(word)
             if idx is None:
                 continue
-            if len(vals) != params.d:
+            try:
+                row = np.array([float(v) for v in vals])
+            except ValueError:
+                raise MalformedLineError(f"non-number in {word!r}'s embedding", line_no) from None
+            if len(row) != params.d:
                 raise DimensionMismatchError(
-                    f"embedding for {word!r} has {len(vals)} dims, expected {params.d}"
+                    f"embedding for {word!r} has {len(row)} dims, expected {params.d}"
                 )
-            params.emb[idx] = np.array([float(v) for v in vals])
+            params.emb[idx] = row
             loaded += 1
     return loaded

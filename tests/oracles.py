@@ -308,7 +308,7 @@ def batch_loss(params, batch) -> float:
 
     total = 0.0
     for item in batch:
-        record = forward(params, item.sentence, item.instance_feats, item.word_tags)
+        record = forward(params, item.sentence, item.feats)
         total += -float(np.log(record.y[item.label]))
     return total / len(batch)
 
@@ -342,7 +342,6 @@ def max_grad_relative_error(params, batch, eps: float = 1e-5) -> float:
 
 def random_model_case(seed: int, variant: str):
     """Small random (params, batch) pair for gradient checking."""
-    from rulefuse.encoding import InstanceFeature, WordTagSeq
     from rulefuse.matching import Sentence
     from rulefuse.model import ModelParams, TrainItem, UNK
 
@@ -364,19 +363,16 @@ def random_model_case(seed: int, variant: str):
             tuple(rng.choice(words + ["oovword"]) for _ in range(n))
         )
         label = int(rng.integers(0, C))
-        instance_feats = None
-        word_tags = None
+        feats = None
         if variant == "instance":
-            instance_feats = [
-                InstanceFeature(k + 1, rng.integers(0, 2, size=m_sizes[k]).astype(float))
-                for k in range(p)
-            ]
+            feats = np.concatenate(
+                [rng.integers(0, 2, size=m_sizes[k]).astype(float) for k in range(p)]
+            )
         elif variant == "word":
-            word_tags = [
-                WordTagSeq(k + 1, rng.integers(0, 2, size=n).astype(float))
-                for k in range(p)
-            ]
-        batch.append(TrainItem(sentence, label, instance_feats, word_tags))
+            feats = np.stack(
+                [rng.integers(0, 2, size=n).astype(float) for _ in range(p)], axis=1
+            )
+        batch.append(TrainItem(sentence, label, feats))
     return params, batch
 
 

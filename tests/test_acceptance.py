@@ -234,14 +234,11 @@ def test_criterion_6_variant_reduction():
             params = ModelParams.init(
                 variant, vocab, d=6, h=5, C=4, p=0, m_total=0, seed=seed
             )
-            feats = [] if variant == "instance" else None
-            tags = [] if variant == "word" else None
-            rec = forward(
-                params,
-                Sentence.from_text("one three two two"),
-                instance_feats=feats,
-                word_tags=tags,
-            )
+            sentence = Sentence.from_text("one three two two")
+            feats = {
+                "nnsc": None, "instance": np.zeros(0), "word": np.zeros((sentence.n, 0))
+            }[variant]
+            rec = forward(params, sentence, feats)
             outs.append(rec.y)
         worst = max(
             worst,

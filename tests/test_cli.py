@@ -373,6 +373,19 @@ def test_run_reports_errors_in_one_line(corpus, tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 6
 
 
+@pytest.mark.parametrize("flag", ["--train", "--rules"])
+def test_run_reports_a_missing_input_file_in_one_line(corpus, tmp_path, capsys, flag):
+    missing = str(tmp_path / "none.tsv")
+    argv = ["train", "--rules", str(corpus / "rules.tsv"), "--train", str(corpus / "train.tsv"),
+            "--epochs", "1", "--out", str(tmp_path / "model.npz")]
+    argv[argv.index(flag) + 1] = missing
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rulefuse: error: ") and missing in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_train_embeddings_are_loaded_into_the_checkpoint(corpus, tmp_path, capsys):
     # with lr 0 the loaded rows reach the checkpoint unchanged
     train = load_dataset(corpus / "train.tsv")

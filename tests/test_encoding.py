@@ -13,7 +13,6 @@ from rulefuse.encoding import (
     encode_all,
     encode_instance,
     encode_word_tags,
-    feature_record,
 )
 from rulefuse.errors import DimensionMismatchError
 from rulefuse.experiment import FeatureCache, compile_rules
@@ -249,7 +248,7 @@ def test_changing_returned_features_leaves_later_results_unchanged():
 
 def test_feature_record_is_json_ints():
     ruleset, mdfas = _tiny_rules()
-    record = feature_record(ruleset, mdfas, Sentence.from_text("a b"), "hit")
+    [record] = RuleMatcher(ruleset, mdfas).records([Sentence.from_text("a b")], ["hit"])
     blob = json.loads(json.dumps(record))
     assert blob["text"] == "a b"
     assert blob["label"] == "hit"

@@ -18,7 +18,6 @@ from rulefuse.experiment import (
     rows_to_csv,
     rule_baseline_accuracy,
     rule_binding,
-    rule_only_classify,
     run_experiment,
 )
 from rulefuse.matching import Sentence
@@ -38,9 +37,8 @@ def _ruleset():
 
 def test_rule_only_single_match():
     ruleset, mdfas = _ruleset()
-    index = {"flight": 0, "airline": 1}
-    got = rule_only_classify(ruleset, mdfas, Sentence.from_text("which airline"), index)
-    assert got == 1
+    ds = Dataset([(Sentence.from_text("which airline"), 1)], ["flight", "airline"])
+    assert rule_baseline_accuracy(ruleset, mdfas, ds) == 1.0
 
 
 def test_rule_only_first_match_wins():
@@ -48,16 +46,17 @@ def test_rule_only_first_match_wins():
     ruleset = parse_rule_lines(lines, known_labels={"a", "b"})
     mdfas = compile_rules(ruleset)
     # both rules accept "x y ..." but rule 1 comes first in file order
-    got = rule_only_classify(ruleset, mdfas, Sentence.from_text("x y z"), {"a": 0, "b": 1})
-    assert got == 0
+    first = Dataset([(Sentence.from_text("x y z"), 0)], ["a", "b"])
+    second = Dataset([(Sentence.from_text("x y z"), 1)], ["a", "b"])
+    assert rule_baseline_accuracy(ruleset, mdfas, first) == 1.0
+    assert rule_baseline_accuracy(ruleset, mdfas, second) == 0.0
 
 
 def test_rule_only_no_match_is_none_and_counts_wrong():
     ruleset, mdfas = _ruleset()
-    index = {"flight": 0, "airline": 1}
-    assert rule_only_classify(ruleset, mdfas, Sentence.from_text("hello"), index) is None
-    ds = Dataset([(Sentence.from_text("hello"), 0)], ["flight", "airline"])
-    assert rule_baseline_accuracy(ruleset, mdfas, ds) == 0.0
+    for label in (0, 1):  # no rule accepts "hello", so neither gold label is hit
+        ds = Dataset([(Sentence.from_text("hello"), label)], ["flight", "airline"])
+        assert rule_baseline_accuracy(ruleset, mdfas, ds) == 0.0
 
 
 def test_feature_cache_reuses_entries():
@@ -76,9 +75,10 @@ def test_build_items_feature_coherence():
     nnsc = build_items(ds, "nnsc", cache)[0]
     inst = build_items(ds, "instance", cache)[0]
     word = build_items(ds, "word", cache)[0]
-    assert nnsc.instance_feats is None and nnsc.word_tags is None
-    assert inst.instance_feats is not None and inst.word_tags is None
-    assert word.instance_feats is None and word.word_tags is not None
+    indicator, tags = cache.arrays([ds.samples[0][0]])[0]
+    assert nnsc.feats is None
+    assert inst.feats is indicator and inst.feats.shape == (cache.m_total,)
+    assert word.feats is tags and word.feats.shape == (3, ruleset.p)
 
 
 def test_constant_predictor_scores_one_over_C():
@@ -214,8 +214,8 @@ def test_trained_instance_model_recovers_rule_identity():
     # class 3's keywords with unseen filler words around them
     first, second = train_set.label_names[3].split("_")
     sentence = Sentence.from_text(f"brandnew {first} unseen fillers {second} tail")
-    feats = cache.features(sentence)[0]
-    assert predict(params, sentence, instance_feats=feats) == 3
+    indicator, _ = cache.arrays([sentence])[0]
+    assert predict(params, sentence, indicator) == 3
 
 
 def test_run_experiment_flushes_error_row(tmp_path):

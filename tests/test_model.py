@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import max_grad_relative_error, random_model_case
-from rulefuse.encoding import InstanceFeature, WordTagSeq
 from rulefuse.errors import (
     CheckpointError,
     ConfigError,
     DimensionMismatchError,
     EmptyDatasetError,
+    MalformedLineError,
     MissingFeaturesError,
     RulefuseError,
 )
@@ -85,9 +87,11 @@ def test_variant_feature_requirements():
     with pytest.raises(MissingFeaturesError):
         forward(word, s)
     with pytest.raises(DimensionMismatchError):
-        forward(inst, s, instance_feats=[InstanceFeature(1, np.zeros(2))])
+        forward(inst, s, np.zeros(2))
     with pytest.raises(DimensionMismatchError):
-        forward(word, s, word_tags=[WordTagSeq(1, np.zeros(3))])
+        forward(word, s, np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatchError):  # features come as arrays only
+        forward(inst, s, [0.0, 1.0, 0.0])
 
 
 def test_instance_with_zero_block_matches_nnsc():
@@ -103,10 +107,7 @@ def test_instance_with_zero_block_matches_nnsc():
         setattr(inst, name, getattr(nnsc, name).copy())
     inst.mlp_w1 = np.vstack([nnsc.mlp_w1, np.zeros((m_total, nnsc.mlp_w1.shape[1]))])
     s = Sentence.from_text("a b a")
-    feats = [InstanceFeature(1, np.zeros(m_total))]
-    assert np.allclose(
-        forward(inst, s, instance_feats=feats).y, forward(nnsc, s).y
-    )
+    assert np.allclose(forward(inst, s, np.zeros(m_total)).y, forward(nnsc, s).y)
 
 
 def test_variant_reduction_at_p_zero():
@@ -115,9 +116,8 @@ def test_variant_reduction_at_p_zero():
     outs = []
     for variant in ("nnsc", "instance", "word"):
         params = ModelParams.init(variant, vocab, d=5, h=4, C=3, p=0, m_total=0, seed=11)
-        feats = [] if variant == "instance" else None
-        tags = [] if variant == "word" else None
-        outs.append(forward(params, s, instance_feats=feats, word_tags=tags).y)
+        feats = {"nnsc": None, "instance": np.zeros(0), "word": np.zeros((s.n, 0))}[variant]
+        outs.append(forward(params, s, feats).y)
     assert np.max(np.abs(outs[0] - outs[1])) == 0.0
     assert np.max(np.abs(outs[0] - outs[2])) == 0.0
 
@@ -148,14 +148,14 @@ def _mixed_length_case(variant, seed=0, lengths=MIXED_LENGTHS):
     batch = []
     for n in lengths:
         sentence = Sentence(tuple(rng.choice(words + ["oovword"]) for _ in range(n)))
-        feats = tags = None
+        feats = None
         if variant == "instance":
-            feats = [InstanceFeature(k + 1, rng.integers(0, 2, size=m).astype(float))
-                     for k, m in enumerate(m_sizes)]
+            feats = np.concatenate([rng.integers(0, 2, size=m).astype(float) for m in m_sizes])
         elif variant == "word":
-            tags = [WordTagSeq(k + 1, rng.integers(0, 2, size=n).astype(float))
-                    for k in range(len(m_sizes))]
-        batch.append(TrainItem(sentence, int(rng.integers(0, 3)), feats, tags))
+            feats = np.stack(
+                [rng.integers(0, 2, size=n).astype(float) for _ in m_sizes], axis=1
+            )
+        batch.append(TrainItem(sentence, int(rng.integers(0, 3)), feats))
     return params, batch
 
 
@@ -168,11 +168,10 @@ def test_mixed_length_batch_gradients_match_finite_differences(variant):
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
 def test_padding_leaves_each_sentence_unchanged(variant):
     params, batch = _mixed_length_case(variant, seed=8)
-    rows = [(it.sentence, it.instance_feats, it.word_tags) for it in batch]
-    H, alpha, f, _, y = _forward_batch(params, rows)
+    H, alpha, f, _, y = _forward_batch(params, [(it.sentence, it.feats) for it in batch])
     for b, item in enumerate(batch):
         n = item.sentence.n
-        alone = forward(params, item.sentence, item.instance_feats, item.word_tags)
+        alone = forward(params, item.sentence, item.feats)
         assert np.max(np.abs(y[b] - alone.y)) < 1e-12
         assert np.max(np.abs(H[b, :n] - alone.H)) < 1e-12
         assert np.max(np.abs(f[b] - alone.f)) < 1e-12
@@ -184,61 +183,29 @@ def test_batched_evaluation_equals_per_item_predict(variant):
     # more items than one inference chunk, so the chunk boundary is crossed
     lengths = [1 + (i * 5) % 12 for i in range(INFER_CHUNK + 37)]
     params, items = _mixed_length_case(variant, seed=9, lengths=lengths)
-    predicted = [
-        predict(params, it.sentence, it.instance_feats, it.word_tags) for it in items
-    ]
-    agree = [TrainItem(it.sentence, c, it.instance_feats, it.word_tags)
-             for it, c in zip(items, predicted)]
-    differ = [TrainItem(it.sentence, (c + 1) % 3, it.instance_feats, it.word_tags)
-              for it, c in zip(items, predicted)]
+    predicted = [predict(params, it.sentence, it.feats) for it in items]
+    agree = [TrainItem(it.sentence, c, it.feats) for it, c in zip(items, predicted)]
+    differ = [TrainItem(it.sentence, (c + 1) % 3, it.feats) for it, c in zip(items, predicted)]
     assert evaluate_items(params, agree) == 1.0
     assert evaluate_items(params, differ) == 0.0
-
-
-def _as_arrays(item):
-    """The item with its per-rule feature objects stacked as `build_items` gives them."""
-    feats = tags = None
-    if item.instance_feats is not None:
-        feats = np.concatenate([f.values for f in item.instance_feats])
-    if item.word_tags is not None:
-        tags = np.stack([seq.tags for seq in item.word_tags], axis=1)
-    return TrainItem(item.sentence, item.label, feats, tags)
-
-
-@pytest.mark.parametrize("variant", ["instance", "word"])
-def test_array_features_give_identical_bits(variant):
-    lengths = [1 + (i * 5) % 12 for i in range(INFER_CHUNK + 9)]
-    params, items = _mixed_length_case(variant, seed=10, lengths=lengths)
-    arrays = [_as_arrays(it) for it in items]
-    loss, grads = loss_and_grads(params, items[:16])
-    array_loss, array_grads = loss_and_grads(params, arrays[:16])
-    assert array_loss == loss
-    for name, grad in grads.items():
-        assert array_grads[name].tobytes() == grad.tobytes()
-    y = _forward_batch(params, [(it.sentence, it.instance_feats, it.word_tags) for it in items])[-1]
-    array_y = _forward_batch(
-        params, [(it.sentence, it.instance_feats, it.word_tags) for it in arrays]
-    )[-1]
-    assert array_y.tobytes() == y.tobytes()
-    assert evaluate_items(params, arrays) == evaluate_items(params, items)
 
 
 def test_wrong_shape_feature_arrays_raise():
     params_i, items_i = _mixed_length_case("instance", seed=11, lengths=(3, 5))
     params_w, items_w = _mixed_length_case("word", seed=11, lengths=(3, 5))
     item = items_w[0]  # 3 words, 2 rules
-    tags = _as_arrays(item).word_tags
+    tags = item.feats
     for bad in (tags.T, tags[:, :1], tags[:2], tags.ravel(), np.zeros((3, 2, 1))):
         with pytest.raises(DimensionMismatchError):
-            forward(params_w, item.sentence, word_tags=bad)
+            forward(params_w, item.sentence, bad)
         with pytest.raises(DimensionMismatchError):
-            loss_and_grads(params_w, [TrainItem(item.sentence, 0, word_tags=bad)])
-    u = _as_arrays(items_i[0]).instance_feats  # m_total = 6
+            loss_and_grads(params_w, [TrainItem(item.sentence, 0, bad)])
+    u = items_i[0].feats  # m_total = 6
     for bad in (u[:-1], np.append(u, 1.0), u[None, :], np.zeros(0)):
         with pytest.raises(DimensionMismatchError):
-            forward(params_i, items_i[0].sentence, instance_feats=bad)
+            forward(params_i, items_i[0].sentence, bad)
         with pytest.raises(DimensionMismatchError):
-            evaluate_items(params_i, [TrainItem(items_i[0].sentence, 0, instance_feats=bad)])
+            evaluate_items(params_i, [TrainItem(items_i[0].sentence, 0, bad)])
 
 
 def test_uniform_logits_loss_is_log_C():
@@ -411,6 +378,16 @@ def test_pretrained_embedding_hook(tmp_path):
         load_pretrained_embeddings(params, bad)
 
 
+@pytest.mark.parametrize("line", ["a 0.1 zz", "b 1 2 zz 4", "a 1 2 3 four"])
+def test_non_numeric_embedding_value_is_a_malformed_line(tmp_path, line):
+    params = _nnsc_params()
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"a 1 2 3 4\n\n{line}\n")
+    with pytest.raises(MalformedLineError, match="line 3") as info:
+        load_pretrained_embeddings(params, path)
+    assert info.value.line == 3
+
+
 def test_tensors_are_views_into_one_parameter_vector():
     params = ModelParams.init(
         "instance", _vocab("a", "b"), d=4, h=3, C=2, p=1, m_total=3, seed=6
@@ -508,6 +485,43 @@ def test_malformed_checkpoint_tensor_is_a_checkpoint_error(tmp_path, name, chang
     assert ("missing" if found is None else str(found)) in message
 
 
+def _write_unreadable(path, case):
+    """A file at `path` that is not a readable rulefuse checkpoint."""
+    import json
+
+    params = _nnsc_params()
+    if case in ("text", "empty"):
+        path.write_text("not a checkpoint\n" if case == "text" else "")
+        return
+    if case == "truncated":
+        save_model(params, path)
+        path.write_bytes(path.read_bytes()[:200])
+        return
+    no_variant = {"version": "rulefuse-v1", "d": 4, "h": 3, "C": 3, "p": 0, "m_total": 0,
+                  "vocab": params.vocab, "labels": None}
+    meta = {"no-meta": {}, "meta-not-json": {"meta": np.array("{not json")},
+            "meta-not-object": {"meta": np.array("[1]")},
+            "meta-without-variant": {"meta": np.array(json.dumps(no_variant))}}[case]
+    with open(path, "wb") as fh:
+        np.savez(fh, **meta, **params.tensors())
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["text", "no-meta", "meta-not-json", "meta-without-variant", "truncated", "empty",
+     "meta-not-object"],
+)
+def test_unreadable_checkpoint_is_a_checkpoint_error(tmp_path, case):
+    # each of these escaped untyped: ValueError, KeyError, JSONDecodeError,
+    # KeyError, BadZipFile, EOFError and AttributeError
+    path = tmp_path / "model.npz"
+    _write_unreadable(path, case)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_model(path)
+    with pytest.raises(FileNotFoundError):
+        load_model(tmp_path / "none.npz")
+
+
 @pytest.mark.parametrize(
     "sizes",
     [dict(d=0), dict(h=0), dict(C=0), dict(p=-1), dict(m_total=-1)],
@@ -555,17 +569,3 @@ def test_label_out_of_range_is_config_error(label):
 def test_boundary_training_settings_stay_legal():
     TrainConfig(epochs=1, batch_size=1, lr=0.0, clip_norm=None, patience=0)
     TrainConfig(clip_norm=1e-9, patience=None)
-
-
-def test_per_rule_features_that_do_not_line_up_are_typed_errors():
-    params_w, items_w = _mixed_length_case("word", seed=13, lengths=(3,))
-    sentence = items_w[0].sentence
-    ragged = [WordTagSeq(1, np.zeros(3)), WordTagSeq(2, np.zeros(4))]
-    with pytest.raises(DimensionMismatchError):
-        forward(params_w, sentence, word_tags=ragged)
-    with pytest.raises(DimensionMismatchError):
-        forward(params_w, sentence, word_tags=ragged[:1])
-    params_i, items_i = _mixed_length_case("instance", seed=13, lengths=(3,))
-    scalar = [InstanceFeature(1, np.float64(1.0)), InstanceFeature(2, np.zeros(4))]
-    with pytest.raises(DimensionMismatchError):
-        forward(params_i, items_i[0].sentence, instance_feats=scalar)
