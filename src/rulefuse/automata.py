@@ -1,9 +1,12 @@
 """Compile word-pattern ASTs into minimal complete DFAs over a word alphabet.
 
-Pipeline: AST -> epsilon-NFA (Thompson construction) -> complete DFA
-(subset construction) -> minimal DFA (Hopcroft partition refinement) ->
-canonical renumbering (breadth-first from the start state, taking symbols
-in ascending id order).
+Pipeline: AST -> position automaton (Glushkov construction: one NFA state
+per word occurrence plus the start, linked by follow sets, no epsilon
+moves) -> complete DFA (subset construction keyed on the follow set of
+the positions just read and whether one of them ends a match) -> minimal
+DFA (Hopcroft partition refinement) -> canonical renumbering
+(breadth-first from the start state, taking symbols in ascending id
+order).  The state budget counts follow-set DFA states.
 
 The symbol alphabet is the set of literal words in the pattern plus one
 reserved OTHER symbol that stands for every out-of-vocabulary word, so the
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 
@@ -56,108 +59,86 @@ def collect_literals(ast: RegexNode) -> list[str]:
     return sorted(words)
 
 
+def _bits(mask: int):
+    """Indices of the set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass
 class Nfa:
-    """Thompson-style epsilon-NFA with one accept state.
+    """Position (Glushkov) automaton, as int bitsets over positions.
 
-    Symbol ids 0..len(symbols)-1 are the sorted literal words; other_id
-    (== len(symbols)) is the reserved OTHER symbol.
+    Position 0 is the start; positions 1.. are the `Literal`/`AnyWord`
+    occurrences of the pattern, left to right.  Reading a word moves to a
+    position that reads it, so a position's state is entered only on its
+    own symbol and no epsilon moves exist.  `labels[p]` is position p's
+    symbol id, or None for `.` (any word; also None for the start, which
+    reads nothing).  `follow[p]` has bit q set when position q can be read
+    right after p; `follow[0]` is the pattern's first set.  `last` has bit
+    p set when a match can end at p, bit 0 included when the pattern is
+    nullable.  Symbol ids 0..len(symbols)-1 are the sorted literal words;
+    other_id (== len(symbols)) is the reserved OTHER symbol.
     """
 
     symbols: tuple[str, ...]
     other_id: int
-    start: int
-    accept: int
-    eps: list[set[int]] = field(default_factory=list)
-    moves: list[dict[int, set[int]]] = field(default_factory=list)
+    labels: list[int | None]
+    follow: list[int]
+    last: int
 
     @property
     def n_states(self) -> int:
-        return len(self.eps)
-
-
-class _NfaBuilder:
-    def __init__(self, symbols: tuple[str, ...]):
-        self.symbols = symbols
-        self.symbol_ids = {word: sid for sid, word in enumerate(symbols)}
-        self.other_id = len(symbols)
-        self.eps: list[set[int]] = []
-        self.moves: list[dict[int, set[int]]] = []
-
-    def new_state(self) -> int:
-        self.eps.append(set())
-        self.moves.append({})
-        return len(self.eps) - 1
-
-    def add_eps(self, src: int, dst: int) -> None:
-        self.eps[src].add(dst)
-
-    def add_move(self, src: int, symbol_id: int, dst: int) -> None:
-        self.moves[src].setdefault(symbol_id, set()).add(dst)
-
-    def fragment(self, node: RegexNode) -> tuple[int, int]:
-        if isinstance(node, Literal):
-            start, accept = self.new_state(), self.new_state()
-            self.add_move(start, self.symbol_ids[node.word], accept)
-            return start, accept
-        if isinstance(node, AnyWord):
-            start, accept = self.new_state(), self.new_state()
-            for sid in range(self.other_id + 1):
-                self.add_move(start, sid, accept)
-            return start, accept
-        if isinstance(node, Concat):
-            start, accept = self.fragment(node.children[0])
-            for child in node.children[1:]:
-                c_start, c_accept = self.fragment(child)
-                self.add_eps(accept, c_start)
-                accept = c_accept
-            return start, accept
-        if isinstance(node, Alternation):
-            start, accept = self.new_state(), self.new_state()
-            for child in node.children:
-                c_start, c_accept = self.fragment(child)
-                self.add_eps(start, c_start)
-                self.add_eps(c_accept, accept)
-            return start, accept
-        if isinstance(node, Star):
-            start, accept = self.new_state(), self.new_state()
-            c_start, c_accept = self.fragment(node.child)
-            self.add_eps(start, c_start)
-            self.add_eps(c_accept, accept)
-            self.add_eps(start, accept)
-            self.add_eps(c_accept, c_start)
-            return start, accept
-        if isinstance(node, Plus):
-            start, accept = self.new_state(), self.new_state()
-            c_start, c_accept = self.fragment(node.child)
-            self.add_eps(start, c_start)
-            self.add_eps(c_accept, accept)
-            self.add_eps(c_accept, c_start)
-            return start, accept
-        if isinstance(node, Opt):
-            start, accept = self.new_state(), self.new_state()
-            c_start, c_accept = self.fragment(node.child)
-            self.add_eps(start, c_start)
-            self.add_eps(c_accept, accept)
-            self.add_eps(start, accept)
-            return start, accept
-        raise TypeError(f"unknown AST node: {node!r}")
+        return len(self.follow)
 
 
 def nfa_from_ast(ast: RegexNode, symbols: tuple[str, ...] | None = None) -> Nfa:
-    """Build a Thompson epsilon-NFA for the AST."""
+    """Build the position automaton of the AST."""
     if symbols is None:
         symbols = tuple(collect_literals(ast))
-    builder = _NfaBuilder(symbols)
-    start, accept = builder.fragment(ast)
-    return Nfa(
-        symbols=symbols,
-        other_id=builder.other_id,
-        start=start,
-        accept=accept,
-        eps=builder.eps,
-        moves=builder.moves,
-    )
+    symbol_ids = {word: sid for sid, word in enumerate(symbols)}
+    labels: list[int | None] = [None]
+    follow = [0]
+
+    def link(lasts: int, firsts: int) -> None:
+        for p in _bits(lasts):
+            follow[p] |= firsts
+
+    def walk(node: RegexNode) -> tuple[bool, int, int]:
+        """(nullable, first mask, last mask) of a subpattern."""
+        if isinstance(node, (Literal, AnyWord)):
+            bit = 1 << len(labels)
+            labels.append(symbol_ids[node.word] if isinstance(node, Literal) else None)
+            follow.append(0)
+            return False, bit, bit
+        if isinstance(node, Concat):
+            nullable, first, last = walk(node.children[0])
+            for child in node.children[1:]:
+                c_nullable, c_first, c_last = walk(child)
+                link(last, c_first)
+                if nullable:
+                    first |= c_first
+                last = last | c_last if c_nullable else c_last
+                nullable = nullable and c_nullable
+            return nullable, first, last
+        if isinstance(node, Alternation):
+            parts = [walk(child) for child in node.children]
+            return (
+                any(part[0] for part in parts),
+                reduce(or_, (part[1] for part in parts)),
+                reduce(or_, (part[2] for part in parts)),
+            )
+        if isinstance(node, (Star, Plus, Opt)):
+            nullable, first, last = walk(node.child)
+            if not isinstance(node, Opt):
+                link(last, first)
+            return nullable or not isinstance(node, Plus), first, last
+        raise TypeError(f"unknown AST node: {node!r}")
+
+    nullable, follow[0], last = walk(ast)
+    return Nfa(symbols, len(symbols), labels, follow, last | int(nullable))
 
 
 @dataclass
@@ -179,57 +160,43 @@ class Dfa:
         return self.other_id + 1
 
 
-def _bits(mask: int):
-    """Indices of the set bits of a non-negative int, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def determinize(nfa: Nfa, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
-    """Subset construction on bitsets: a set of NFA states is an int with
-    bit i set for state i.  The empty subset 0 acts as the dead sink, which
-    keeps the transition function total.  Raises CapacityExceededError when
-    more than `state_budget` subsets appear.
+    """Follow-set subset construction on the position automaton.
 
-    Each NFA state's epsilon-closure mask is computed once, and so is, per
-    state with moves and per symbol it moves on, the OR of its targets'
-    closure masks.  A subset's successor on a symbol is then the OR of its
-    members' masks for that symbol.  A row depends only on the subset's
-    members that have moves, so subsets sharing them share one computed row.
-    New subsets are numbered in breadth-first order, taking symbols in
-    ascending id order.
+    After reading a word the automaton sits on a set of positions, and the
+    future depends only on what it can read next (the OR of their follow
+    masks) and whether one of them ends a match (is in `last`).  So a DFA
+    state is keyed on the int `follow << 1 | final`; key 0, nothing left
+    to read and not final, is the dead sink, which keeps the transition
+    function total.  The start state is position 0's key.  Raises
+    CapacityExceededError when more than `state_budget` keys appear.
+
+    A row depends only on the follow mask, so keys that share it (one
+    final, one not) share one computed row.  On a symbol the successor key
+    is the OR of the keys of the positions in the mask that read it, `.`
+    positions reading every symbol.  New keys are numbered in breadth-first
+    order, taking symbols in ascending id order.
     """
     n_symbols = nfa.other_id + 1
-    closures = []
-    for s in range(nfa.n_states):
-        mask, stack = 1 << s, [s]
-        while stack:
-            for t in nfa.eps[stack.pop()]:
-                if not mask >> t & 1:
-                    mask |= 1 << t
-                    stack.append(t)
-        closures.append(mask)
-    succ = [
-        [(sid, reduce(or_, (closures[t] for t in dsts))) for sid, dsts in moves.items()]
-        for moves in nfa.moves
-    ]
-    movers = sum(1 << s for s, moves in enumerate(nfa.moves) if moves)
-    order = [closures[nfa.start]]
+    keys = [f << 1 | (nfa.last >> p & 1) for p, f in enumerate(nfa.follow)]
+    order = [keys[0]]
     ids = {order[0]: 0}
-    rows: dict[int, list[int]] = {}  # members with moves -> row
+    rows: dict[int, list[int]] = {}  # follow mask -> row
     transitions: list[list[int]] = []
-    for subset in order:  # grows while iterated: breadth-first order
-        key = subset & movers
-        row = rows.get(key)
+    for key in order:  # grows while iterated: breadth-first order
+        row = rows.get(key >> 1)
         if row is None:
             targets = [0] * n_symbols
-            for s in _bits(key):
-                for sid, mask in succ[s]:
-                    targets[sid] |= mask
-            row = rows[key] = []
+            anywhere = 0
+            for p in _bits(key >> 1):
+                sid = nfa.labels[p]
+                if sid is None:
+                    anywhere |= keys[p]
+                else:
+                    targets[sid] |= keys[p]
+            row = rows[key >> 1] = []
             for target in targets:
+                target |= anywhere
                 tid = ids.get(target)
                 if tid is None:
                     if len(ids) >= state_budget:
@@ -240,13 +207,12 @@ def determinize(nfa: Nfa, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
                     order.append(target)
                 row.append(tid)
         transitions.append(row.copy())
-    accept = 1 << nfa.accept
     return Dfa(
         symbols=nfa.symbols,
         other_id=nfa.other_id,
         transitions=transitions,
         start=0,
-        finals={i for i, subset in enumerate(order) if subset & accept},
+        finals={i for i, key in enumerate(order) if key & 1},
     )
 
 

@@ -23,7 +23,7 @@ from .data import (
     write_dataset,
 )
 from .encoding import RuleMatcher
-from .errors import RulefuseError
+from .errors import NumericalError, RulefuseError
 from .experiment import (
     ExperimentConfig,
     FeatureCache,
@@ -153,14 +153,16 @@ def cmd_train(args) -> int:
     )
     history, acc = fit_run(params, cache, dataset, config, dev, test)
     completed = [entry for entry in history if "aborted" not in entry]
-    if completed:
-        last = completed[-1]
-        dev_part = (
-            f" dev_accuracy={last['dev_accuracy']:.4f}"
-            if last["dev_accuracy"] is not None
-            else ""
+    if not completed:
+        raise NumericalError(
+            f"training aborted ({history[-1]['aborted']}) in epoch 1, before any "
+            "epoch completed; nothing written"
         )
-        print(f"epochs={len(completed)} loss={last['loss']:.4f}{dev_part}")
+    last = completed[-1]
+    dev_part = (
+        f" dev_accuracy={last['dev_accuracy']:.4f}" if last["dev_accuracy"] is not None else ""
+    )
+    print(f"epochs={len(completed)} loss={last['loss']:.4f}{dev_part}")
     if len(completed) < len(history):
         print(
             f"training aborted ({history[-1]['aborted']}) in epoch {history[-1]['epoch'] + 1}; "
@@ -306,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rules_flag = argparse.ArgumentParser(add_help=False)
     rules_flag.add_argument("--rules", help="rules file (label<TAB>pattern)")
+    rules_required = argparse.ArgumentParser(add_help=False)
+    rules_required.add_argument("--rules", required=True, help="rules file (label<TAB>pattern)")
 
     model_flags = argparse.ArgumentParser(add_help=False)
     model_flags.add_argument("--epochs", type=int, default=30)
@@ -316,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags.add_argument("--clip-norm", type=_optional_float, default=5.0,
                              help="gradient-norm clip; none turns clipping off")
 
-    p = sub.add_parser("compile", parents=[common, rules_flag], help="compile rules to automata")
+    p = sub.add_parser("compile", parents=[common, rules_required], help="compile rules to automata")
     p.add_argument("--labels", help="optional label file for validation")
     p.add_argument("--dot", action="store_true", help="emit GraphViz DOT")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("trace", parents=[common, rules_flag], help="trace a sentence through every rule")
+    p = sub.add_parser("trace", parents=[common, rules_required], help="trace a sentence through every rule")
     p.add_argument("--sentence", required=True)
     p.add_argument("--full-match", action="store_true", help="disable the early stop")
     p.set_defaults(func=cmd_trace)

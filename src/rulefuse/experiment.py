@@ -294,7 +294,12 @@ def run_experiment(
     Every run goes through `init_model` and `fit_run` on one shared
     feature cache.  The CSV is written once, however the grid ends: on
     failure it holds the rows finished so far with an error row appended.
+    An empty axis (no variant, q value, sampling seed or training seed)
+    raises ConfigError before anything is written.
     """
+    for axis in ("variants", "q_values", "sample_seeds", "train_seeds"):
+        if not getattr(config, axis):
+            raise ConfigError(f"the experiment grid has an empty {axis} axis")
     if mdfas and ruleset.rules:
         fresh = compile_ast(ruleset.rules[0].ast)
         if fresh.fingerprint() != mdfas[0].fingerprint():

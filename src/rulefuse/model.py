@@ -536,10 +536,13 @@ def train(
     that were still finite and ends the history with a record
     `{"epoch": k, "loss": None, "dev_accuracy": None, "aborted": "numerical"}`
     for the epoch it abandoned.  An empty training set raises
-    `EmptyDatasetError`, a label outside `0..C-1` raises `ConfigError`.
+    `EmptyDatasetError`, a label outside `0..C-1` raises `ConfigError`,
+    and non-finite initial weights raise `NumericalError`.
     """
     if not items:
         raise EmptyDatasetError("empty training set")
+    if not params.all_finite():
+        raise NumericalError("initial weights are not finite")
     for item in items:
         if not 0 <= item.label < params.C:
             raise ConfigError(f"label {item.label} outside 0..{params.C - 1}")
@@ -595,8 +598,11 @@ def save_model(params: ModelParams, path: str | os.PathLike) -> None:
 
     A checkpoint that records the rules it was trained with is
     `rulefuse-v2`; one without a rule binding keeps the `rulefuse-v1`
-    layout.
+    layout.  Weights with a NaN or infinity raise `NumericalError` and
+    nothing is written.
     """
+    if not params.all_finite():
+        raise NumericalError(f"refusing to save non-finite weights to {os.fspath(path)}")
     meta = {
         "version": UNBOUND_CHECKPOINT_VERSION if params.rules is None else CHECKPOINT_VERSION,
         **{key: getattr(params, key) for key in ("variant", *_SIZES, "vocab", "labels")},
@@ -610,8 +616,9 @@ def save_model(params: ModelParams, path: str | os.PathLike) -> None:
 def load_model(path: str | os.PathLike) -> ModelParams:
     """Read a `rulefuse-v2` or `rulefuse-v1` checkpoint (v1 has no rule binding).
 
-    A file that exists but is not a readable rulefuse checkpoint raises
-    `CheckpointError` naming the path; a missing one, `FileNotFoundError`.
+    A file that exists but is not a readable rulefuse checkpoint, or holds
+    a NaN or infinite weight, raises `CheckpointError` naming the path; a
+    missing one, `FileNotFoundError`.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -630,6 +637,8 @@ def load_model(path: str | os.PathLike) -> ModelParams:
                 if stored is None or stored.shape != view.shape:
                     found = "is missing" if stored is None else f"has shape {stored.shape}"
                     raise CheckpointError(f"tensor {name!r} {found}; meta gives {view.shape}")
+                if not np.isfinite(stored).all():
+                    raise CheckpointError(f"tensor {name!r} holds non-finite values")
                 view[...] = stored
     except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         why = str(exc) if isinstance(exc, RulefuseError) else f"{type(exc).__name__}: {exc}"
@@ -641,7 +650,8 @@ def load_pretrained_embeddings(params: ModelParams, path: str | os.PathLike) -> 
     """Overwrite embedding rows from a `word v1 .. vd` text file.
 
     Unknown words are skipped; returns the number of rows loaded.  A value
-    that is not a number raises `MalformedLineError` with its line number.
+    that is not a finite number (`nan` and `inf` included) raises
+    `MalformedLineError` with its line number.
     """
     loaded = 0
     with open(path, encoding="utf-8") as fh:
@@ -657,6 +667,8 @@ def load_pretrained_embeddings(params: ModelParams, path: str | os.PathLike) -> 
                 row = np.array([float(v) for v in vals])
             except ValueError:
                 raise MalformedLineError(f"non-number in {word!r}'s embedding", line_no) from None
+            if not np.isfinite(row).all():
+                raise MalformedLineError(f"non-finite value in {word!r}'s embedding", line_no)
             if len(row) != params.d:
                 raise DimensionMismatchError(
                     f"embedding for {word!r} has {len(row)} dims, expected {params.d}"

@@ -6,9 +6,15 @@ Nothing here reuses the package's NFA/DFA pipeline:
 * `DerivativeDfa` builds a complete DFA by symbol derivatives of a
   normalized copy of the pattern, an entirely different construction.
 * `moore_minimal_count` is table-filling equivalence-class counting.
-* `oracle_determinize` and `oracle_minimize` are straightforward
-  frozenset versions of subset construction and Hopcroft refinement,
-  for table-for-table comparison with the package's bitset versions.
+* `oracle_follow_determinize` computes positions, first, last and follow
+  sets of the pattern as frozensets and runs the follow-set subset
+  construction on them, for table-for-table comparison with the
+  package's bitset `nfa_from_ast` + `determinize`.
+* `oracle_thompson` + `oracle_determinize` are the Thompson epsilon-NFA
+  and full-subset construction that `compile` used before the position
+  automaton; with `oracle_minimize` (frozenset Hopcroft refinement) they
+  form an independent reference pipeline whose `Mdfa` must equal
+  `compile`'s byte for byte.
 """
 
 from __future__ import annotations
@@ -374,6 +380,206 @@ def random_model_case(seed: int, variant: str):
             )
         batch.append(TrainItem(sentence, label, feats))
     return params, batch
+
+
+# ---------------------------------------------------------------------------
+# reference follow-set construction (positions as frozensets)
+
+def oracle_follow_determinize(ast: RegexNode) -> tuple[list[list[int]], set[int], int]:
+    """(transitions, finals, start) of the breadth-first follow-set subset
+    construction on the pattern's position automaton.
+
+    Positions are the `Literal`/`AnyWord` leaves, numbered from 1 in
+    left-to-right order.  follow(p) is built from the textbook definition:
+    within a concatenation, a last position of child i is followed by the
+    first positions of child j > i when every child between them is
+    nullable; under `*` and `+` a last position of the child is followed
+    by the child's first positions.  A DFA state is (positions that can be
+    read next, whether the positions just read include a last one); the
+    start state is (first, nullable) and (empty, False) is the dead sink.
+    States are numbered in discovery order, taking symbols in ascending id
+    order (sorted literal words, then OTHER).  There is no state budget.
+    """
+    label: dict[int, str | None] = {}  # position -> word, None for `.`
+    follow: dict[int, set[int]] = {}
+
+    def info(node) -> tuple[bool, frozenset[int], frozenset[int]]:
+        if isinstance(node, (Literal, AnyWord)):
+            pos = len(label) + 1
+            label[pos] = node.word if isinstance(node, Literal) else None
+            follow[pos] = set()
+            return False, frozenset([pos]), frozenset([pos])
+        if isinstance(node, Concat):
+            parts = [info(child) for child in node.children]
+            for i, (_, _, last_i) in enumerate(parts):
+                for j in range(i + 1, len(parts)):
+                    for p in last_i:
+                        follow[p].update(parts[j][1])
+                    if not parts[j][0]:
+                        break
+            first: set[int] = set()
+            for nullable, first_k, _ in parts:
+                first |= first_k
+                if not nullable:
+                    break
+            last: set[int] = set()
+            for nullable, _, last_k in reversed(parts):
+                last |= last_k
+                if not nullable:
+                    break
+            return all(part[0] for part in parts), frozenset(first), frozenset(last)
+        if isinstance(node, Alternation):
+            parts = [info(child) for child in node.children]
+            return (
+                any(part[0] for part in parts),
+                frozenset().union(*(part[1] for part in parts)),
+                frozenset().union(*(part[2] for part in parts)),
+            )
+        if isinstance(node, (Star, Plus)):
+            nullable, first, last = info(node.child)
+            for p in last:
+                follow[p].update(first)
+            return isinstance(node, Star) or nullable, first, last
+        if isinstance(node, Opt):
+            _, first, last = info(node.child)
+            return True, first, last
+        raise TypeError(node)
+
+    nullable, first, last = info(ast)
+    words = sorted({word for word in label.values() if word is not None})
+    start_state = (first, nullable)
+    ids = {start_state: 0}
+    transitions = []
+    queue = deque([start_state])
+    finals = set()
+    while queue:
+        state = queue.popleft()
+        if state[1]:
+            finals.add(ids[state])
+        row = []
+        for word in [*words, None]:  # None: OTHER, read only by `.`
+            read = {p for p in state[0] if label[p] is None or label[p] == word}
+            target = (
+                frozenset().union(*(follow[p] for p in read)),
+                any(p in last for p in read),
+            )
+            if target not in ids:
+                ids[target] = len(ids)
+                queue.append(target)
+            row.append(ids[target])
+        transitions.append(row)
+    return transitions, finals, 0
+
+
+# ---------------------------------------------------------------------------
+# reference Thompson construction (the epsilon-NFA `compile` used to build)
+
+class ThompsonNfa:
+    """Thompson-style epsilon-NFA with one accept state.
+
+    Symbol ids 0..len(symbols)-1 are the sorted literal words; other_id
+    (== len(symbols)) is the reserved OTHER symbol.  A plain class, not a
+    dataclass: `bench/workloads.py` loads this file without registering
+    it as a module, which `dataclass` needs.
+    """
+
+    def __init__(self, symbols, other_id, start, accept, eps, moves):
+        self.symbols: tuple[str, ...] = symbols
+        self.other_id: int = other_id
+        self.start: int = start
+        self.accept: int = accept
+        self.eps: list[set[int]] = eps
+        self.moves: list[dict[int, set[int]]] = moves
+
+    @property
+    def n_states(self) -> int:
+        return len(self.eps)
+
+
+class _NfaBuilder:
+    def __init__(self, symbols: tuple[str, ...]):
+        self.symbols = symbols
+        self.symbol_ids = {word: sid for sid, word in enumerate(symbols)}
+        self.other_id = len(symbols)
+        self.eps: list[set[int]] = []
+        self.moves: list[dict[int, set[int]]] = []
+
+    def new_state(self) -> int:
+        self.eps.append(set())
+        self.moves.append({})
+        return len(self.eps) - 1
+
+    def add_eps(self, src: int, dst: int) -> None:
+        self.eps[src].add(dst)
+
+    def add_move(self, src: int, symbol_id: int, dst: int) -> None:
+        self.moves[src].setdefault(symbol_id, set()).add(dst)
+
+    def fragment(self, node: RegexNode) -> tuple[int, int]:
+        if isinstance(node, Literal):
+            start, accept = self.new_state(), self.new_state()
+            self.add_move(start, self.symbol_ids[node.word], accept)
+            return start, accept
+        if isinstance(node, AnyWord):
+            start, accept = self.new_state(), self.new_state()
+            for sid in range(self.other_id + 1):
+                self.add_move(start, sid, accept)
+            return start, accept
+        if isinstance(node, Concat):
+            start, accept = self.fragment(node.children[0])
+            for child in node.children[1:]:
+                c_start, c_accept = self.fragment(child)
+                self.add_eps(accept, c_start)
+                accept = c_accept
+            return start, accept
+        if isinstance(node, Alternation):
+            start, accept = self.new_state(), self.new_state()
+            for child in node.children:
+                c_start, c_accept = self.fragment(child)
+                self.add_eps(start, c_start)
+                self.add_eps(c_accept, accept)
+            return start, accept
+        if isinstance(node, Star):
+            start, accept = self.new_state(), self.new_state()
+            c_start, c_accept = self.fragment(node.child)
+            self.add_eps(start, c_start)
+            self.add_eps(c_accept, accept)
+            self.add_eps(start, accept)
+            self.add_eps(c_accept, c_start)
+            return start, accept
+        if isinstance(node, Plus):
+            start, accept = self.new_state(), self.new_state()
+            c_start, c_accept = self.fragment(node.child)
+            self.add_eps(start, c_start)
+            self.add_eps(c_accept, accept)
+            self.add_eps(c_accept, c_start)
+            return start, accept
+        if isinstance(node, Opt):
+            start, accept = self.new_state(), self.new_state()
+            c_start, c_accept = self.fragment(node.child)
+            self.add_eps(start, c_start)
+            self.add_eps(c_accept, accept)
+            self.add_eps(start, accept)
+            return start, accept
+        raise TypeError(f"unknown AST node: {node!r}")
+
+
+def oracle_thompson(ast: RegexNode, symbols: tuple[str, ...] | None = None) -> ThompsonNfa:
+    """Build a Thompson epsilon-NFA for the AST."""
+    from rulefuse.automata import collect_literals
+
+    if symbols is None:
+        symbols = tuple(collect_literals(ast))
+    builder = _NfaBuilder(symbols)
+    start, accept = builder.fragment(ast)
+    return ThompsonNfa(
+        symbols=symbols,
+        other_id=builder.other_id,
+        start=start,
+        accept=accept,
+        eps=builder.eps,
+        moves=builder.moves,
+    )
 
 
 # ---------------------------------------------------------------------------

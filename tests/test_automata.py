@@ -9,8 +9,10 @@ from oracles import (
     minimal_state_count,
     oracle_determinize,
     oracle_earlystop_accepts,
+    oracle_follow_determinize,
     oracle_full_match,
     oracle_minimize,
+    oracle_thompson,
     random_ast,
     sentences_up_to,
 )
@@ -120,21 +122,41 @@ def _reference_cases():
     return asts + [parse_regex(src) for src in ATIS_SHAPED]
 
 
+def test_position_automaton_tables():
+    # positions: 0 start, 1 `a`, 2 `b`, 3 `.`; symbols a = 0, b = 1, OTHER = 2
+    nfa = nfa_from_ast(parse_regex("a b* | ."))
+    assert (nfa.symbols, nfa.other_id, nfa.n_states) == (("a", "b"), 2, 4)
+    assert nfa.labels == [None, 0, 1, None]
+    assert nfa.follow == [0b1010, 0b0100, 0b0100, 0]
+    assert nfa.last == 0b1110
+    # nullable: the start position itself is in `last`
+    assert nfa_from_ast(parse_regex("( a )?")).last == 0b11
+    # `a` (read by positions 1 and 3) and `a b*` share a key; key 0, the
+    # dead sink, is first reached from that state on `a`
+    dfa = determinize(nfa)
+    assert dfa.transitions == [[1, 2, 2], [3, 1, 3], [3, 3, 3], [3, 3, 3]]
+    assert dfa.finals == {1, 2}
+
+
+def _check_determinize(ast):
+    nfa = nfa_from_ast(ast)
+    transitions, finals, start = oracle_follow_determinize(ast)
+    dfa = determinize(nfa)
+    assert dfa.transitions == transitions, ast
+    assert dfa.finals == finals, ast
+    assert dfa.start == start
+    assert (dfa.symbols, dfa.other_id) == (nfa.symbols, nfa.other_id)
+
+
 def test_determinize_matches_reference_subset_construction():
     for ast in _reference_cases():
-        nfa = nfa_from_ast(ast)
-        transitions, finals, start = oracle_determinize(nfa)
-        dfa = determinize(nfa)
-        assert dfa.transitions == transitions, ast
-        assert dfa.finals == finals, ast
-        assert dfa.start == start
-        assert (dfa.symbols, dfa.other_id) == (nfa.symbols, nfa.other_id)
+        _check_determinize(ast)
 
 
 def test_determinize_budget_matches_reference_state_count():
     for ast in _reference_cases()[::4] + [parse_regex(src) for src in ATIS_SHAPED]:
         nfa = nfa_from_ast(ast)
-        n_states = len(oracle_determinize(nfa)[0])
+        n_states = len(oracle_follow_determinize(ast)[0])
         for budget in range(1, 7):
             if n_states > budget:
                 with pytest.raises(CapacityExceededError):
@@ -148,13 +170,35 @@ def _reference_dfa(nfa):
     return Dfa(nfa.symbols, nfa.other_id, transitions, start, finals)
 
 
+def _check_compile(ast):
+    """compile's Mdfa equals the Thompson + full-subset + Hopcroft reference."""
+    mdfa = compile(ast)
+    expected = oracle_minimize(_reference_dfa(oracle_thompson(ast)))
+    assert mdfa == expected, ast
+    assert mdfa.fingerprint() == expected.fingerprint()
+
+
+def test_compile_matches_thompson_reference_pipeline():
+    for ast in _reference_cases():
+        _check_compile(ast)
+
+
+def test_random_asts_match_both_reference_constructions():
+    rng = random.Random(1961)
+    for _ in range(1000):
+        ast = random_ast(rng, depth=rng.choice((1, 2, 3, 4, 5)))
+        _check_determinize(ast)
+        _check_compile(ast)
+
+
 def test_minimize_matches_reference_hopcroft():
     for ast in _reference_cases():
-        dfa = determinize(nfa_from_ast(ast))
-        mdfa = minimize(dfa)
-        expected = oracle_minimize(dfa)
-        assert mdfa == expected, ast
-        assert mdfa.fingerprint() == expected.fingerprint()
+        # the follow-set DFA, and the larger Thompson subset DFA with more to merge
+        for dfa in (determinize(nfa_from_ast(ast)), _reference_dfa(oracle_thompson(ast))):
+            mdfa = minimize(dfa)
+            expected = oracle_minimize(dfa)
+            assert mdfa == expected, ast
+            assert mdfa.fingerprint() == expected.fingerprint()
 
 
 def test_minimize_matches_reference_on_hand_built_dfas():
@@ -199,12 +243,22 @@ def test_compile_matches_reference_pipeline_on_atis_rules():
             atis_gen.generate_rules(seed), known_labels=set(atis_gen.LABELS)
         )
         for rule in ruleset.rules:
-            mdfa = compile(rule.ast)
-            expected = oracle_minimize(_reference_dfa(nfa_from_ast(rule.ast)))
-            assert mdfa == expected, rule
-            assert mdfa.fingerprint() == expected.fingerprint()
+            _check_compile(rule.ast)
             n_rules += 1
     assert n_rules == 162
+
+
+def test_atis_rule_state_counts():
+    """The 54 seed-0 ATIS-shaped rules: positions, follow-set DFA states and
+    minimal states, summed over the rules."""
+    atis_gen = _atis_gen()
+    ruleset = parse_rule_lines(atis_gen.generate_rules(0), known_labels=set(atis_gen.LABELS))
+    assert len(ruleset.rules) == 54
+    nfas = [nfa_from_ast(rule.ast) for rule in ruleset.rules]
+    dfas = [determinize(nfa) for nfa in nfas]
+    assert sum(nfa.n_states for nfa in nfas) == 648
+    assert sum(dfa.n_states for dfa in dfas) == 684
+    assert sum(minimize(dfa).state_count for dfa in dfas) == 432
 
 
 def test_nfa_stages_preserve_language():

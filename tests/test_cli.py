@@ -6,7 +6,7 @@ import pytest
 from rulefuse.cli import _apply_config_file, build_parser, main, run
 from rulefuse.data import load_dataset
 from rulefuse.encoding import encode_instance, encode_word_tags
-from rulefuse.errors import ConfigError, RulesMismatchError
+from rulefuse.errors import ConfigError, NumericalError, RulesMismatchError
 from rulefuse.experiment import compile_rules
 from rulefuse.matching import run_trace
 from rulefuse.model import load_model, save_model
@@ -287,15 +287,96 @@ def test_config_rejects_bad_choice(corpus, tmp_path):
         )
 
 
-def test_train_reports_a_numerical_abort(corpus, capsys):
-    # this learning rate overflows in the first epoch, so no epoch completes
-    assert main([
+def test_train_reports_a_numerical_abort(corpus, tmp_path, capsys):
+    # this learning rate overflows in the first epoch, so no epoch completes:
+    # there is no trained model, so nothing is written and the run fails
+    ckpt = tmp_path / "model.npz"
+    argv = [
         "train", "--train", str(corpus / "train.tsv"), "--epochs", "20",
         "--lr", "1e12", "--clip-norm", "none", "--emb-dim", "4", "--hidden", "3",
-    ]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "training aborted (numerical) in epoch 1; kept the parameters of the last finite epoch"
+        "--test", str(corpus / "test.tsv"), "--out", str(ckpt),
     ]
+    with pytest.raises(NumericalError, match="training aborted \\(numerical\\) in epoch 1"):
+        main(argv)
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rulefuse: error: training aborted (numerical) in epoch 1")
+    assert captured.err.count("\n") == 1
+    assert not ckpt.exists()
+
+
+def test_train_abort_after_a_finished_epoch_keeps_that_epoch(corpus, tmp_path, capsys, monkeypatch):
+    import rulefuse.model
+
+    real = rulefuse.model.loss_and_grads
+    calls = []
+
+    def blow_up_in_epoch_two(params, batch):
+        calls.append(len(batch))
+        if sum(calls) > 120:  # the training set has 120 sentences
+            raise NumericalError("non-finite loss nan")
+        return real(params, batch)
+
+    monkeypatch.setattr(rulefuse.model, "loss_and_grads", blow_up_in_epoch_two)
+    ckpt = tmp_path / "model.npz"
+    assert main([
+        "train", "--train", str(corpus / "train.tsv"), "--epochs", "3",
+        "--emb-dim", "4", "--hidden", "3", "--out", str(ckpt),
+    ]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("epochs=1 loss=")
+    assert out[1:] == [
+        "training aborted (numerical) in epoch 2; kept the parameters of the last finite epoch",
+        f"checkpoint written to {ckpt}",
+    ]
+    assert load_model(ckpt).all_finite()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_with_a_non_finite_embedding_fails_and_writes_nothing(
+    corpus, tmp_path, capsys, value
+):
+    # a NaN row used to train silently into a non-finite checkpoint
+    word = load_dataset(corpus / "train.tsv").samples[0][0].words[0]
+    emb = tmp_path / "emb.txt"
+    emb.write_text(f"{word} 0.5 0 0 0\n{word} {value} 0 0 0\n")
+    ckpt = tmp_path / "model.npz"
+    assert run([
+        "train", "--train", str(corpus / "train.tsv"), "--epochs", "1", "--emb-dim", "4",
+        "--hidden", "3", "--embeddings", str(emb), "--out", str(ckpt),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rulefuse: error: ") and "(line 2)" in captured.err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", [["compile"], ["compile", "--dot"],
+                                     ["trace", "--sentence", "w01 alpha"]])
+def test_compile_and_trace_require_rules(capsys, command):
+    # both printed nothing and exited 0 without rules
+    with pytest.raises(SystemExit) as info:
+        main(command)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--rules" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--variant", "--q", "--seeds", "--train-seeds"])
+def test_experiment_with_an_empty_axis_fails_and_writes_nothing(corpus, tmp_path, capsys, flag):
+    out = tmp_path / "results.csv"
+    assert run([
+        "experiment", "--rules", str(corpus / "rules.tsv"), "--train", str(corpus / "train.tsv"),
+        "--test", str(corpus / "test.tsv"), "--epochs", "1", "--emb-dim", "4", "--hidden", "3",
+        flag, "", "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rulefuse: error: ") and "empty" in captured.err
+    assert not out.exists()
 
 
 def test_train_with_patience_and_no_clipping_from_config(corpus, tmp_path, capsys):

@@ -234,6 +234,21 @@ def test_run_experiment_flushes_error_row(tmp_path):
     assert "error" in text
 
 
+@pytest.mark.parametrize("axis", ["variants", "q_values", "sample_seeds", "train_seeds"])
+def test_run_experiment_empty_axis_is_config_error_before_any_csv(tmp_path, axis):
+    # an empty variant, q or training-seed axis wrote a header-only CSV
+    ruleset, mdfas, train, test = _tiny_experiment_setup()
+    config = ExperimentConfig(
+        variants=("nnsc",), q_values=(20,), sample_seeds=(0,), train_seeds=(0,),
+        epochs=1, d=4, h=4,
+    )
+    setattr(config, axis, ())
+    out = tmp_path / "results.csv"
+    with pytest.raises(ConfigError, match=axis):
+        run_experiment(ruleset, mdfas, train, test, config, out)
+    assert not out.exists()
+
+
 def test_run_experiment_rejects_unknown_variant():
     ruleset, mdfas, train, test = _tiny_experiment_setup()
     config = ExperimentConfig(variants=("bogus",))

@@ -11,6 +11,7 @@ from rulefuse.errors import (
     EmptyDatasetError,
     MalformedLineError,
     MissingFeaturesError,
+    NumericalError,
     RulefuseError,
 )
 from rulefuse.matching import Sentence
@@ -386,6 +387,49 @@ def test_non_numeric_embedding_value_is_a_malformed_line(tmp_path, line):
     with pytest.raises(MalformedLineError, match="line 3") as info:
         load_pretrained_embeddings(params, path)
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_non_finite_embedding_value_is_a_malformed_line(tmp_path, value):
+    params = _nnsc_params()
+    before = params.theta.copy()
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"missing nan nan nan nan\n\nb 1 2 {value} 4\n")
+    with pytest.raises(MalformedLineError, match="line 3") as info:
+        load_pretrained_embeddings(params, path)
+    assert info.value.line == 3
+    assert params.theta.tobytes() == before.tobytes()
+
+
+def test_train_refuses_non_finite_initial_weights():
+    params = _nnsc_params()
+    params.emb[1, 0] = np.nan
+    items = [TrainItem(Sentence.from_text("a b"), 0)]
+    with pytest.raises(NumericalError, match="initial weights"):
+        train(params, items, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_model_refuses_non_finite_weights(tmp_path, value):
+    params = _nnsc_params()
+    params.mlp_b2[1] = value
+    path = tmp_path / "model.npz"
+    with pytest.raises(NumericalError, match=re.escape(str(path))):
+        save_model(params, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["emb", "fwd_b", "mlp_b2"])
+def test_non_finite_checkpoint_tensor_is_a_checkpoint_error(tmp_path, name):
+    def poison(t):
+        t = t.copy()
+        t.reshape(-1)[-1] = np.nan
+        return t
+
+    path, _, _ = _resaved(tmp_path, name, poison)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))) as info:
+        load_model(path)
+    assert repr(name) in str(info.value) and "non-finite" in str(info.value)
 
 
 def test_tensors_are_views_into_one_parameter_vector():
