@@ -94,10 +94,9 @@ class Nfa:
         return len(self.follow)
 
 
-def nfa_from_ast(ast: RegexNode, symbols: tuple[str, ...] | None = None) -> Nfa:
-    """Build the position automaton of the AST."""
-    if symbols is None:
-        symbols = tuple(collect_literals(ast))
+def nfa_from_ast(ast: RegexNode) -> Nfa:
+    """Build the position automaton of the AST, over its sorted literals."""
+    symbols = tuple(collect_literals(ast))
     symbol_ids = {word: sid for sid, word in enumerate(symbols)}
     labels: list[int | None] = [None]
     follow = [0]

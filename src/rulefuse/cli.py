@@ -8,6 +8,7 @@ flag of the same name.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -39,6 +40,7 @@ from .experiment import (
 )
 from .matching import Sentence, run_trace
 from .model import (
+    VARIANTS,
     TrainConfig,
     load_model,
     load_pretrained_embeddings,
@@ -56,14 +58,14 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _optional_int(text: str) -> int | None:
-    """An int, or None for `none` (the flag's feature switched off)."""
-    return None if text.strip().lower() == "none" else int(text)
+def _or_none(convert):
+    """`convert`, or None for `none` (the flag's feature switched off)."""
 
+    def parse(text: str):
+        return None if text.strip().lower() == "none" else convert(text)
 
-def _optional_float(text: str) -> float | None:
-    """A float, or None for `none` (the flag's feature switched off)."""
-    return None if text.strip().lower() == "none" else float(text)
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
 
 
 def _load_ruleset(args, known_labels: set[str] | None = None) -> RuleSet:
@@ -72,18 +74,21 @@ def _load_ruleset(args, known_labels: set[str] | None = None) -> RuleSet:
     return load_rules(args.rules, known_labels)
 
 
-def _out_handle(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at `path`, opened for writing and closed on exit, or stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def cmd_compile(args) -> int:
     known = set(load_labels(args.labels)) if args.labels else None
     ruleset = _load_ruleset(args, known)
     mdfas = compile_rules(ruleset)
-    fh = _out_handle(args)
-    try:
+    with _output(args.out) as fh:
         for rule, mdfa in zip(ruleset.rules, mdfas):
             if args.dot:
                 fh.write(to_dot(mdfa, name=f"rule_{rule.rule_id}") + "\n")
@@ -92,9 +97,6 @@ def cmd_compile(args) -> int:
                     f"{rule.rule_id}\t{rule.label}\tstates={mdfa.state_count}\t"
                     f"finals={sorted(mdfa.finals)}\tdead={mdfa.dead}\n"
                 )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -103,7 +105,7 @@ def cmd_trace(args) -> int:
     mdfas = compile_rules(ruleset)
     sentence = Sentence.from_text(args.sentence)
     for rule, mdfa in zip(ruleset.rules, mdfas):
-        trace = run_trace(mdfa, sentence, rule_id=rule.rule_id, full_match=args.full_match)
+        trace = run_trace(mdfa, sentence, full_match=args.full_match)
         visited = ",".join(str(s) for s in trace.visited)
         print(
             f"{rule.rule_id}\t{rule.label}\taccepted={trace.accepted}\t"
@@ -122,13 +124,9 @@ def cmd_encode(args) -> int:
         gate_instance=args.gate_instance,
         full_match=args.full_match,
     )
-    fh = _out_handle(args)
-    try:
+    with _output(args.out) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -177,32 +175,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.rule_only:
-        dataset = load_dataset(args.test)
-        ruleset = _load_ruleset(args, set(dataset.label_names))
-        mdfas = compile_rules(ruleset)
-        acc = rule_baseline_accuracy(ruleset, mdfas, dataset)
-        print(f"rule_only_accuracy={acc:.4f}")
-        return 0
-    if not args.model:
-        print("eval needs --model or --rule-only", file=sys.stderr)
-        return 2
-    params = load_model(args.model)
-    dataset = load_dataset(args.test, label_names=params.labels)
+    params = None if args.rule_only else load_model(args.model)
+    dataset = load_dataset(args.test, label_names=params.labels if params else None)
     ruleset = _load_ruleset(args, set(dataset.label_names))
     mdfas = compile_rules(ruleset)
-    acc = evaluate_accuracy(params, ruleset, mdfas, dataset)
-    print(f"accuracy={acc:.4f}")
+    if params is None:
+        print(f"rule_only_accuracy={rule_baseline_accuracy(ruleset, mdfas, dataset):.4f}")
+    else:
+        print(f"accuracy={evaluate_accuracy(params, ruleset, mdfas, dataset):.4f}")
     return 0
 
 
 def cmd_fewshot(args) -> int:
     dataset = load_dataset(args.train)
+    configs = [FewShotConfig(q, args.seeds, args.augment_top3) for q in args.q]
     os.makedirs(args.out, exist_ok=True)
-    for q in args.q:
-        config = FewShotConfig(q=q, seeds=args.seeds, augment_top3=args.augment_top3)
-        for seed, subset in zip(args.seeds, sample_fewshot(dataset, config)):
-            path = os.path.join(args.out, f"fewshot_q{q}_seed{seed}.tsv")
+    for config in configs:
+        for seed, subset in zip(config.seeds, sample_fewshot(dataset, config)):
+            path = os.path.join(args.out, f"fewshot_q{config.q}_seed{seed}.tsv")
             write_dataset(subset, path)
             print(f"{path}\t{len(subset)} samples")
     return 0
@@ -260,19 +250,20 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> argparse action of every flag the subcommand accepts."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest: action for action in sub.choices[command]._actions}
+_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")  # on/off config values
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Flat key=value file; values override parsed flags.
 
     Each value is converted as its flag's argparse `type` would convert it
-    on the command line; on/off flags take 1/true/yes/on or anything else.
+    on the command line; on/off flags take 1/true/yes/on or 0/false/no/off.
+    A value that does not convert is a parser error naming its key.  So is
+    a file that leaves eval's --model/--rule-only both set or neither.
     """
-    actions = _subcommand_actions(parser, args.command)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices[args.command]
+    actions = {action.dest: action for action in command._actions}
     with open(args.config, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -284,7 +275,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             if action is None or key in ("help", "config"):
                 parser.error(f"unknown config key {key!r}")
             if action.nargs == 0:
-                setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
+                if value.lower() not in _ON + _OFF:
+                    parser.error(f"config key {key!r}: {value!r} is not an on/off value")
+                setattr(args, key, value.lower() in _ON)
                 continue
             try:
                 parsed = action.type(value) if action.type else value
@@ -293,6 +286,11 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             if action.choices is not None and parsed not in action.choices:
                 parser.error(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
             setattr(args, key, parsed)
+    for group in command._mutually_exclusive_groups:
+        flags = " ".join(a.option_strings[0] for a in group._group_actions)
+        given = sum(getattr(args, a.dest) != a.default for a in group._group_actions)
+        if given > 1 or (group.required and not given):
+            parser.error(f"config: give exactly one of {flags}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags.add_argument("--batch-size", type=int, default=8)
     model_flags.add_argument("--emb-dim", type=int, default=16)
     model_flags.add_argument("--hidden", type=int, default=16)
-    model_flags.add_argument("--clip-norm", type=_optional_float, default=5.0,
+    model_flags.add_argument("--clip-norm", type=_or_none(float), default=5.0,
                              help="gradient-norm clip; none turns clipping off")
 
     p = sub.add_parser("compile", parents=[common, rules_required], help="compile rules to automata")
@@ -341,23 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test")
     p.add_argument("--dev", help="dev set for early stopping")
-    p.add_argument("--variant", default="nnsc", choices=("nnsc", "instance", "word"))
+    p.add_argument("--variant", default="nnsc", choices=VARIANTS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patience", type=_optional_int, default=None)
+    p.add_argument("--patience", type=_or_none(int), default=None)
     p.add_argument("--embeddings", help="pretrained embedding text file")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common, rules_flag], help="evaluate a checkpoint or the rule baseline")
     p.add_argument("--test", required=True)
-    p.add_argument("--model", help="checkpoint path")
-    p.add_argument("--rule-only", action="store_true", help="first-match rule classifier")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--model", help="checkpoint path")
+    which.add_argument("--rule-only", action="store_true", help="first-match rule classifier")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("fewshot", parents=[common], help="write few-shot subsets")
     p.add_argument("--train", required=True)
     p.add_argument("--q", type=_int_list, default=(5,))
     p.add_argument("--seeds", type=_int_list, default=(0, 1, 2))
-    p.add_argument("--augment-top3", type=_optional_int, default=None)
+    p.add_argument("--augment-top3", type=_or_none(int), default=None)
     p.set_defaults(func=cmd_fewshot)
 
     p = sub.add_parser("synth-gen", parents=[common], help="generate the synthetic corpus")
@@ -377,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_int_list, default=(0, 1, 2),
                    help="sampling seeds")
     p.add_argument("--train-seeds", type=_int_list, default=(0, 1, 2, 3, 4))
-    p.add_argument("--augment-top3", type=_optional_int, default=None)
+    p.add_argument("--augment-top3", type=_or_none(int), default=None)
     p.set_defaults(func=cmd_experiment)
 
     return parser

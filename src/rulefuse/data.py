@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDatasetError, MalformedLineError
+from .errors import ConfigError, EmptyDatasetError, MalformedLineError, require
 from .matching import Sentence
 
 __all__ = [
@@ -112,10 +112,11 @@ class FewShotConfig:
     augment_top3: int | None = None  # extra samples per top-3-frequency class
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ConfigError(f"q must be >= 1, got {self.q}")
-        if not self.seeds:
-            raise ConfigError("at least one sampling seed required")
+        require(self.q >= 1, f"q must be >= 1, got {self.q}")
+        require(bool(self.seeds), "at least one sampling seed required")
+        require(min(self.seeds) >= 0, f"sampling seeds must be >= 0, got {min(self.seeds)}")
+        top3 = self.augment_top3
+        require(top3 is None or top3 >= 0, f"augment_top3 must be None or >= 0, got {top3}")
 
 
 def sample_fewshot(dataset: Dataset, config: FewShotConfig) -> list[Dataset]:
@@ -162,6 +163,9 @@ def sample_fewshot(dataset: Dataset, config: FewShotConfig) -> list[Dataset]:
 
 
 _KEYWORDS = ("alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "theta")
+_MAX_CLASSES = len(_KEYWORDS) * (len(_KEYWORDS) - 1)  # one ordered keyword pair each
+_FILLERS = tuple(f"w{i:02d}" for i in range(40))
+_MAX_GAP = 3  # filler words per gap: 1.._MAX_GAP
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,14 @@ class SyntheticSpec:
     test_size: int = 300
     noise: float = 0.1
     seed: int = 0
-    filler_vocab: int = 40
-    max_gap: int = 3  # filler words per gap: 1..max_gap
+
+    def __post_init__(self):
+        classes, most = self.classes, _MAX_CLASSES
+        require(2 <= classes <= most, f"classes must be in 2..{most}, got {classes}")
+        require(self.train_size >= 1, f"train_size must be >= 1, got {self.train_size}")
+        require(self.test_size >= 1, f"test_size must be >= 1, got {self.test_size}")
+        require(0.0 <= self.noise <= 1.0, f"noise must be in [0, 1], got {self.noise}")
+        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
 
 
 def _keyword_pairs(classes: int) -> list[tuple[str, str]]:
@@ -195,12 +205,11 @@ def generate_synthetic(spec: SyntheticSpec = SyntheticSpec()) -> tuple[Dataset, 
     """Build (train, test, rule lines) for a rule-governed corpus.
 
     Class k's sentences contain its two keywords in order, surrounded by
-    1..max_gap filler words per gap.  With probability `noise` a sample is
+    1.._MAX_GAP filler words per gap.  With probability `noise` a sample is
     labeled with a uniformly chosen *other* class.
     """
     pairs = _keyword_pairs(spec.classes)
     label_names = [f"{a}_{b}" for a, b in pairs]
-    fillers = [f"w{i:02d}" for i in range(spec.filler_vocab)]
     rng = np.random.default_rng(spec.seed)
 
     def make_split(size: int) -> Dataset:
@@ -210,8 +219,8 @@ def generate_synthetic(spec: SyntheticSpec = SyntheticSpec()) -> tuple[Dataset, 
             first, second = pairs[c]
             words: list[str] = []
             for piece in (first, second, None):
-                gap = int(rng.integers(1, spec.max_gap + 1))
-                words.extend(fillers[j] for j in rng.integers(0, len(fillers), size=gap))
+                gap = int(rng.integers(1, _MAX_GAP + 1))
+                words.extend(_FILLERS[j] for j in rng.integers(0, len(_FILLERS), size=gap))
                 if piece is not None:
                     words.append(piece)
             label = c

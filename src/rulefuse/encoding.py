@@ -13,12 +13,13 @@ Two encodings per (sentence, rule) pair:
 `RuleMatcher` computes both for a whole rule set at once: it stacks every
 rule's automaton into one transition table and advances all of them
 together, one array lookup per word.  `encode` gives one sentence's
-per-rule `InstanceFeature`/`WordTagSeq` objects.  Each matcher interns
-instance features: every distinct set of states a rule visits gets one
-`InstanceFeature` with read-only values, shared by all sentences that
-visit it.  Each accepting rule gets a fresh tag array, and each rejecting
-rule a `WordTagSeq` shared by all sentences of that length, whose tags
-are a read-only zero array.  `encode_batch` gives a whole padded
+per-rule `InstanceFeature`/`WordTagSeq` objects.  Feature lists are in
+rule order, so entry k belongs to `ruleset.rules[k]`.  Each matcher
+interns instance features: every distinct set of states a rule visits
+gets one `InstanceFeature` with read-only values, shared by all sentences
+that visit it.  Each accepting rule gets a fresh tag array, and every
+rejecting rule one `WordTagSeq` shared by all sentences of that length,
+whose tags are a read-only zero array.  `encode_batch` gives a whole padded
 dataset's features as the arrays the model reads.  `run_trace` with
 `encode_instance` and `encode_word_tags` is the one-rule path both must
 agree with.
@@ -53,13 +54,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InstanceFeature:
-    rule_id: int
     values: np.ndarray  # float64, shape (m_k,), entries 0.0 or 1.0
 
 
 @dataclass(frozen=True)
 class WordTagSeq:
-    rule_id: int
     tags: np.ndarray  # float64, shape (n,), entries 0.0 or 1.0
 
 
@@ -77,7 +76,7 @@ def encode_instance(trace: Trace, m_k: int, gate: bool = False) -> InstanceFeatu
                     f"visited state {state} outside automaton with {m_k} states"
                 )
             values[state] = 1.0
-    return InstanceFeature(trace.rule_id, values)
+    return InstanceFeature(values)
 
 
 def encode_word_tags(trace: Trace, n: int) -> WordTagSeq:
@@ -89,7 +88,7 @@ def encode_word_tags(trace: Trace, n: int) -> WordTagSeq:
     tags = np.zeros(n, dtype=np.float64)
     if trace.accepted:
         tags[: trace.consumed] = 1.0
-    return WordTagSeq(trace.rule_id, tags)
+    return WordTagSeq(tags)
 
 
 class _InstanceMemo(dict):
@@ -97,14 +96,10 @@ class _InstanceMemo(dict):
     indicator, each mapped to one `InstanceFeature` with read-only values.
     A missing key builds and stores its feature on lookup."""
 
-    def __init__(self, rule_id: int):
-        super().__init__()
-        self.rule_id = rule_id
-
     def __missing__(self, key: bytes) -> InstanceFeature:
         values = np.frombuffer(key, dtype=np.uint8).astype(np.float64)
         values.flags.writeable = False
-        feature = self[key] = InstanceFeature(self.rule_id, values)
+        feature = self[key] = InstanceFeature(values)
         return feature
 
 
@@ -124,7 +119,6 @@ class RuleMatcher:
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
         if len(mdfas) != ruleset.p:
             raise DimensionMismatchError(f"expected {ruleset.p} automata, got {len(mdfas)}")
-        self.rule_ids = [rule.rule_id for rule in ruleset.rules]
         self.bounds = [0, *itertools.accumulate(m.state_count for m in mdfas)]
         self.m_total = self.bounds[-1]
         words = sorted({word for m in mdfas for word in m.symbols})
@@ -150,11 +144,11 @@ class RuleMatcher:
         # table, so one 1-D lookup advances every rule
         self.offsets = (self.table * self.table.shape[1]).ravel()
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
-        # sentence length n -> every rule's tags on rejection, all sharing
-        # one read-only zeros(n)
+        # sentence length n -> every rule's tags on rejection: one shared
+        # WordTagSeq of a read-only zeros(n)
         self._rejected: dict[int, list[WordTagSeq]] = {}
         # per rule: visited-state set -> its one shared InstanceFeature
-        self._instances = [_InstanceMemo(rule_id) for rule_id in self.rule_ids]
+        self._instances = [_InstanceMemo() for _ in mdfas]
 
     def run(
         self, sentence: Sentence, full_match: bool = False
@@ -197,9 +191,9 @@ class RuleMatcher:
         and `encode_word_tags` per rule.  Each rule's `InstanceFeature` is
         shared by every sentence that visits the same states of that rule,
         and its values are a read-only array.  An accepting rule gets a
-        fresh writeable tag array; every rejecting rule's `WordTagSeq` is
-        shared with other sentences of the same length, and its tags are
-        one read-only zero array.  The two lists are fresh on every call.
+        fresh writeable tag array; every rejecting rule gets the one
+        `WordTagSeq` shared by all sentences of the same length, whose tags
+        are a read-only zero array.  The two lists are fresh on every call.
         """
         states, consumed, accepted = self.run(sentence, full_match=full_match)
         n = sentence.n
@@ -216,12 +210,12 @@ class RuleMatcher:
         if rejected is None:
             zeros = np.zeros(n, dtype=np.float64)
             zeros.flags.writeable = False
-            rejected = self._rejected[n] = [WordTagSeq(r, zeros) for r in self.rule_ids]
+            rejected = self._rejected[n] = [WordTagSeq(zeros)] * len(self.start)
         tag_seqs = rejected.copy()
         for k in accepted.nonzero()[0].tolist():
             tags = np.zeros(n, dtype=np.float64)
             tags[: consumed[k]] = 1.0
-            tag_seqs[k] = WordTagSeq(self.rule_ids[k], tags)
+            tag_seqs[k] = WordTagSeq(tags)
         return instances, tag_seqs
 
     def run_batch(

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `require`, the range
+check that raises ConfigError."""
 
 
 class RulefuseError(Exception):
@@ -48,6 +49,12 @@ class CheckpointError(RulefuseError, ValueError):
 
 class ConfigError(RulefuseError, ValueError):
     """A model or training setting is outside the range it can run with."""
+
+
+def require(ok: bool, message: str) -> None:
+    """Raise ConfigError(message) unless the setting is `ok`."""
+    if not ok:
+        raise ConfigError(message)
 
 
 class MissingFeaturesError(RulefuseError):

@@ -28,7 +28,7 @@ from .encoding import (
     RuleMatcher,
     encode_all,  # noqa: F401 - bench/tracer.py patches rulefuse.experiment.encode_all
 )
-from .errors import ConfigError, RulesMismatchError
+from .errors import ConfigError, RulesMismatchError, require
 from .matching import Sentence
 from .model import (
     VARIANTS,
@@ -294,12 +294,16 @@ def run_experiment(
     Every run goes through `init_model` and `fit_run` on one shared
     feature cache.  The CSV is written once, however the grid ends: on
     failure it holds the rows finished so far with an error row appended.
-    An empty axis (no variant, q value, sampling seed or training seed)
-    raises ConfigError before anything is written.
+    An empty axis (no variant, q value, sampling seed or training seed),
+    a q below 1 or a negative seed raises ConfigError before anything is
+    written.
     """
     for axis in ("variants", "q_values", "sample_seeds", "train_seeds"):
         if not getattr(config, axis):
             raise ConfigError(f"the experiment grid has an empty {axis} axis")
+    seeds, top3 = config.sample_seeds, config.augment_top3
+    fewshots = {q: FewShotConfig(q, seeds, top3) for q in config.q_values}
+    require(min(config.train_seeds) >= 0, f"seed must be >= 0, got {min(config.train_seeds)}")
     if mdfas and ruleset.rules:
         fresh = compile_ast(ruleset.rules[0].ast)
         if fresh.fingerprint() != mdfas[0].fingerprint():
@@ -312,10 +316,7 @@ def run_experiment(
     try:
         for variant in config.variants:
             for q in config.q_values:
-                fewshot = FewShotConfig(
-                    q=q, seeds=config.sample_seeds, augment_top3=config.augment_top3
-                )
-                subsets = sample_fewshot(train_dataset, fewshot)
+                subsets = sample_fewshot(train_dataset, fewshots[q])
                 for sample_seed, subset in zip(config.sample_seeds, subsets):
                     for train_seed in config.train_seeds:
                         t0 = time.perf_counter()

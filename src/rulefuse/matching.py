@@ -47,15 +47,12 @@ class Trace:
     number of words fed before stopping.
     """
 
-    rule_id: int
     visited: tuple[int, ...]
     consumed: int
     accepted: bool
 
 
-def run_trace(
-    mdfa: Mdfa, sentence: Sentence, rule_id: int = 0, full_match: bool = False
-) -> Trace:
+def run_trace(mdfa: Mdfa, sentence: Sentence, full_match: bool = False) -> Trace:
     """Feed the sentence through the automaton and record the state trace.
 
     Early-stop mode halts right after the first final state is entered; an
@@ -63,7 +60,7 @@ def run_trace(
     the full trace, dead-state visits included, is retained.
     """
     if sentence.n == 0:
-        return Trace(rule_id, (), 0, mdfa.is_final(mdfa.start))
+        return Trace((), 0, mdfa.is_final(mdfa.start))
     state = mdfa.start
     visited = []
     accepted = False
@@ -75,7 +72,7 @@ def run_trace(
             break
     if full_match:
         accepted = mdfa.is_final(state)
-    return Trace(rule_id, tuple(visited), len(visited), accepted)
+    return Trace(tuple(visited), len(visited), accepted)
 
 
 def accepts(mdfa: Mdfa, sentence: Sentence, full_match: bool = False) -> bool:

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .errors import (
     MissingFeaturesError,
     NumericalError,
     RulefuseError,
+    require,
 )
 from .matching import Sentence
 
@@ -62,6 +63,9 @@ UNK = "<unk>"
 CHECKPOINT_VERSION = "rulefuse-v2"  # adds the rule binding
 UNBOUND_CHECKPOINT_VERSION = "rulefuse-v1"  # no rule binding; still loads
 INFER_CHUNK = 64  # sentences per forward-only inference batch
+# initial weights are uniform(-_INIT_SCALE, _INIT_SCALE); much smaller values
+# stall learning, as the stacked squashing layers attenuate the gradient
+_INIT_SCALE = 0.3
 _SIZES = ("d", "h", "C", "p", "m_total")  # the model's sizes, as checkpoint meta keys
 
 _TENSOR_NAMES = (
@@ -90,11 +94,6 @@ def build_vocab(sentences: Iterable[Sentence]) -> dict[str, int]:
     return vocab
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ConfigError(message)
-
-
 @dataclass
 class ModelParams:
     """The configuration of one classifier and all its weights.
@@ -119,10 +118,10 @@ class ModelParams:
     rules: list[dict] | None = None
 
     def __post_init__(self):
-        _require(self.variant in VARIANTS, f"unknown variant {self.variant!r}")
+        require(self.variant in VARIANTS, f"unknown variant {self.variant!r}")
         for name, low in zip(_SIZES, (1, 1, 1, 0, 0)):
             value = getattr(self, name)
-            _require(value >= low, f"{name} must be >= {low}, got {value}")
+            require(value >= low, f"{name} must be >= {low}, got {value}")
         d_in, h4, h2 = self.input_width, 4 * self.h, 2 * self.h
         shapes = {
             "emb": (len(self.vocab), self.d), "wx": (2, d_in, h4), "wh": (2, self.h, h4),
@@ -166,18 +165,16 @@ class ModelParams:
         p: int = 0,
         m_total: int = 0,
         seed: int = 0,
-        scale: float = 0.3,
         labels: list[str] | None = None,
         rules: list[dict] | None = None,
     ) -> "ModelParams":
-        """Seeded uniform(-scale, scale) weights, zero biases.
+        """Seeded uniform(-0.3, 0.3) weights (`_INIT_SCALE`), zero biases.
 
         The draw order is fixed, so two variants with identical tensor
         shapes (e.g. any variant at p = 0) get identical values from the
-        same seed.  The default scale suits the small hidden sizes this
-        model runs at; much smaller values stall learning because the
-        stacked squashing layers attenuate the gradient.
+        same seed.  A negative seed is a ConfigError.
         """
+        require(seed >= 0, f"seed must be >= 0, got {seed}")
         params = cls(
             variant, dict(vocab), d, h, C, p, m_total,
             labels=list(labels) if labels is not None else None,
@@ -186,20 +183,11 @@ class ModelParams:
         rng = np.random.default_rng(seed)
         for name in ("emb", "fwd_wx", "fwd_wh", "bwd_wx", "bwd_wh", "att_w", "mlp_w1", "mlp_w2"):
             view = params._views[name]
-            view[...] = rng.uniform(-scale, scale, size=view.shape)
+            view[...] = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=view.shape)
         return params
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: self._views[name] for name in _TENSOR_NAMES}
-
-    def copy(self) -> "ModelParams":
-        return replace(
-            self,
-            vocab=dict(self.vocab),
-            theta=self.theta.copy(),
-            labels=list(self.labels) if self.labels is not None else None,
-            rules=list(self.rules) if self.rules is not None else None,
-        )
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.theta).all())
@@ -257,12 +245,13 @@ class TrainConfig:
     clip_norm: float | None = 5.0
 
     def __post_init__(self):
-        _require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
-        _require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
+        require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
+        require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
+        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         lr, clip, patience = self.lr, self.clip_norm, self.patience
-        _require(bool(np.isfinite(lr)) and lr >= 0, f"lr must be finite and >= 0, got {lr}")
-        _require(clip is None or clip > 0, f"clip_norm must be None or > 0, got {clip}")
-        _require(
+        require(bool(np.isfinite(lr)) and lr >= 0, f"lr must be finite and >= 0, got {lr}")
+        require(clip is None or clip > 0, f"clip_norm must be None or > 0, got {clip}")
+        require(
             patience is None or patience >= 0, f"patience must be None or >= 0, got {patience}"
         )
 

@@ -244,7 +244,6 @@ class Rule:
     rule_id: int  # 1-based, consecutive in file order
     label: str
     ast: RegexNode
-    source: str
 
 
 @dataclass(frozen=True)
@@ -287,7 +286,7 @@ def parse_rule_lines(
             raise RegexSyntaxError(
                 exc.message, offset=exc.offset, line=line_no
             ) from exc
-        rules.append(Rule(len(rules) + 1, label, ast, pattern.strip().lower()))
+        rules.append(Rule(len(rules) + 1, label, ast))
     return RuleSet(tuple(rules))
 
 

@@ -164,7 +164,7 @@ def test_criterion_3_encoding_invariants():
         consumed = rng.randint(0, n)
         visited = tuple(rng.randrange(m_k) for _ in range(consumed))
         accepted = rng.random() < 0.5 if (consumed or n == 0) else False
-        trace = Trace(1, visited, consumed, accepted)
+        trace = Trace(visited, consumed, accepted)
         feat = encode_instance(trace, m_k)
         tags = encode_word_tags(trace, n)
         ok = (

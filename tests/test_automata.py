@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import random
 from pathlib import Path
 
@@ -335,3 +336,9 @@ def test_dot_export():
     assert dot.startswith("digraph pair {")
     assert "doublecircle" in dot
     assert "<other>" in dot
+
+
+def test_position_automaton_reads_its_own_literals():
+    assert list(inspect.signature(nfa_from_ast).parameters) == ["ast"]
+    nfa = nfa_from_ast(parse_regex("b ( a | . ) b"))
+    assert nfa.symbols == ("a", "b") and nfa.other_id == 2

@@ -5,6 +5,7 @@ per-sentence features of `FeatureCache.features`, `run_experiment`, and
 the `synth-gen`/`fewshot`/`train`/`eval` commands.  If one of them
 changes, the benchmark only reports failed ops; these run every workload
 the way `bench/run.py` does, so such a break fails the test suite too.
+That includes loading `tests/oracles.py` without a `sys.modules` entry.
 """
 
 import importlib.util
@@ -29,6 +30,9 @@ def _load(name: str, monkeypatch):
 def test_rules_atis_full_pass_reports_no_errors(tmp_path, monkeypatch):
     _load("atis_gen", monkeypatch)
     workloads = _load("workloads", monkeypatch)
+    # bench/run.py never imports tests/oracles.py as a module: `load_oracles`
+    # executes it unregistered, and a dataclass defined there then fails
+    monkeypatch.delitem(sys.modules, "oracles", raising=False)
     workload = workloads.RulesAtis(0, tmp_path, ROOT, workloads.TINY)
     workload.setup()
     workload.expect()

@@ -83,7 +83,7 @@ def test_encode_jsonl_equals_per_rule_traces(corpus, tmp_path, flags):
     expected = []
     for sentence, label in dataset.samples:
         traces = [
-            run_trace(mdfa, sentence, rule_id=rule.rule_id, full_match=full)
+            run_trace(mdfa, sentence, full_match=full)
             for rule, mdfa in zip(ruleset.rules, mdfas)
         ]
         record = {
@@ -517,3 +517,108 @@ def test_train_with_a_missing_test_file_fails_before_training(corpus, tmp_path, 
         ])
     assert capsys.readouterr().out == ""
     assert not ckpt.exists()
+
+
+def _eval_argv(corpus, *flags):
+    return ["eval", "--rules", str(corpus / "rules.tsv"), "--test", str(corpus / "test.tsv"),
+            *flags]
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "one of the arguments --model --rule-only is required"),
+    (["--rule-only", "--model", "/nonexistent.npz"],
+     "argument --model: not allowed with argument --rule-only"),
+])
+def test_eval_needs_exactly_one_of_model_and_rule_only(corpus, capsys, flags, message):
+    # both flags used to print a rule-only accuracy and exit 0, ignoring the model
+    with pytest.raises(SystemExit) as exc:
+        run(_eval_argv(corpus, *flags))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(message)
+
+
+@pytest.mark.parametrize("text", ["model = /nonexistent.npz\n", "rule_only = off\n"])
+def test_config_cannot_break_eval_exclusivity(corpus, tmp_path, capsys, text):
+    config = tmp_path / "eval.conf"
+    config.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run(_eval_argv(corpus, "--rule-only", "--config", str(config)))
+    assert exc.value.code == 2
+    assert "give exactly one of --model --rule-only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["ture", "2", ""])
+def test_config_switch_rejects_other_values(corpus, tmp_path, capsys, value):
+    # `full_match = ture` used to switch off a --full-match given as a flag
+    with pytest.raises(SystemExit) as exc:
+        _parse_with_config(["trace", "--rules", "r.tsv", "--sentence", "x", "--full-match"],
+                           f"full_match = {value}\n", tmp_path)
+    assert exc.value.code == 2
+    assert "config key 'full_match'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, expected", [("1", True), ("ON", True), ("0", False),
+                                             ("false", False), ("no", False), ("off", False)])
+def test_config_switch_values(tmp_path, value, expected):
+    args = _parse_with_config(["trace", "--rules", "r.tsv", "--sentence", "x", "--full-match"],
+                              f"full_match = {value}\n", tmp_path)
+    assert args.full_match is expected
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["train", "--seed=-1"], "seed must be >= 0, got -1"),
+    (["experiment", "--train-seeds=-3"], "seed must be >= 0, got -3"),
+    (["fewshot", "--seeds=-1"], "sampling seeds must be >= 0, got -1"),
+    (["fewshot", "--augment-top3", "-2"], "augment_top3 must be None or >= 0, got -2"),
+])
+def test_negative_seeds_and_counts_are_one_line_errors(corpus, tmp_path, capsys, flags, message):
+    # each of these ended in a raw numpy ValueError traceback
+    command, *rest = flags
+    argv = [command, "--train", str(corpus / "train.tsv"), *rest]
+    if command == "fewshot":
+        argv += ["--out", str(tmp_path / "fewshot")]
+    else:
+        argv += ["--test", str(corpus / "test.tsv"), "--epochs", "1", "--emb-dim", "4",
+                 "--hidden", "4"]
+    if command == "experiment":
+        argv += ["--variant", "nnsc", "--q", "1", "--seeds", "0"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rulefuse: error: {message}\n"
+    assert not (tmp_path / "fewshot").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--classes", "0"], "classes must be in 2..56, got 0"),
+    (["--classes", "1"], "classes must be in 2..56, got 1"),
+    (["--classes", "99"], "classes must be in 2..56, got 99"),
+    (["--train-size", "-5"], "train_size must be >= 1, got -5"),
+    (["--test-size", "0"], "test_size must be >= 1, got 0"),
+    (["--noise", "1.5"], "noise must be in [0, 1], got 1.5"),
+    (["--noise", "-0.5"], "noise must be in [0, 1], got -0.5"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_synth_gen_out_of_range_is_a_one_line_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "synth"
+    assert run(["synth-gen", "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rulefuse: error: {message}\n"
+    assert not out.exists()
+
+
+def test_synth_gen_accepts_the_range_ends(tmp_path, capsys):
+    for classes, noise in ((2, 0.0), (56, 1.0)):
+        out = tmp_path / f"c{classes}"
+        assert run(["synth-gen", "--out", str(out), "--classes", str(classes),
+                    "--train-size", "1", "--test-size", "1", "--noise", str(noise)]) == 0
+        assert len((out / "rules.tsv").read_text().splitlines()) == classes
+
+
+def test_optional_number_flags_name_their_type(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--train", "t.tsv", "--patience", "x"])
+    assert "invalid int value: 'x'" in capsys.readouterr().err

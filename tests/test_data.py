@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rulefuse.data import (
@@ -199,3 +201,35 @@ def test_synthetic_rule_lines_format():
     assert all("\t" in line for line in lines)
     labels = [line.split("\t")[0] for line in lines]
     assert len(set(labels)) == 6
+
+
+@pytest.mark.parametrize("field, value", [
+    ("classes", 0), ("classes", 1), ("classes", 57), ("classes", 99),
+    ("train_size", -5), ("test_size", 0),
+    ("noise", 1.5), ("noise", -0.5), ("noise", float("nan")), ("seed", -1),
+])
+def test_synthetic_spec_rejects_out_of_range_fields(field, value):
+    # classes 0, 1 and 99 raised ZeroDivisionError or a bare ValueError; the
+    # others were accepted, an empty split giving an empty TSV
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        SyntheticSpec(**{field: value})
+
+
+def test_synthetic_spec_has_only_its_five_settings():
+    # the filler vocabulary (40 words) and the gap (1-3 words) are fixed
+    assert list(SyntheticSpec.__dataclass_fields__) == [
+        "classes", "train_size", "test_size", "noise", "seed"
+    ]
+    train, _, _ = generate_synthetic(SyntheticSpec(classes=2, train_size=200, test_size=1))
+    fillers = {w for s, _ in train.samples for w in s.words if w.startswith("w")}
+    assert fillers == {f"w{i:02d}" for i in range(40)}
+    assert {s.n for s, _ in train.samples} == set(range(5, 12))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seeds": (0, -1)}, "sampling seeds must be >= 0, got -1"),
+    ({"augment_top3": -2}, "augment_top3 must be None or >= 0, got -2"),
+])
+def test_fewshot_config_rejects_negative_values(kwargs, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        FewShotConfig(**{"q": 1, "seeds": (0,), **kwargs})

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import random
 from pathlib import Path
@@ -9,7 +10,9 @@ from hypothesis import given, strategies as st
 
 from oracles import OOV, random_ast
 from rulefuse.encoding import (
+    InstanceFeature,
     RuleMatcher,
+    WordTagSeq,
     encode_all,
     encode_instance,
     encode_word_tags,
@@ -17,60 +20,60 @@ from rulefuse.encoding import (
 from rulefuse.errors import DimensionMismatchError
 from rulefuse.experiment import FeatureCache, compile_rules
 from rulefuse.matching import Sentence, Trace, run_trace
-from rulefuse.rules import Rule, RuleSet, parse_regex, parse_rule_lines, unparse
+from rulefuse.rules import Rule, RuleSet, parse_regex, parse_rule_lines
 
 
 def test_instance_is_indicator_of_visited():
-    trace = Trace(1, (1, 2, 2, 3), 4, True)
+    trace = Trace((1, 2, 2, 3), 4, True)
     feat = encode_instance(trace, 4)
     assert feat.values.tolist() == [0.0, 1.0, 1.0, 1.0]
 
 
 def test_instance_empty_trace_is_zero():
-    feat = encode_instance(Trace(1, (), 0, False), 5)
+    feat = encode_instance(Trace((), 0, False), 5)
     assert feat.values.tolist() == [0.0] * 5
 
 
 def test_instance_saturates():
-    feat = encode_instance(Trace(1, (0, 1, 2), 3, False), 3)
+    feat = encode_instance(Trace((0, 1, 2), 3, False), 3)
     assert feat.values.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_instance_rejected_trace_still_encoded_by_default():
-    feat = encode_instance(Trace(1, (2, 2), 2, False), 3)
+    feat = encode_instance(Trace((2, 2), 2, False), 3)
     assert feat.values.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_instance_gate_zeroes_rejections():
-    feat = encode_instance(Trace(1, (2, 2), 2, False), 3, gate=True)
+    feat = encode_instance(Trace((2, 2), 2, False), 3, gate=True)
     assert feat.values.tolist() == [0.0, 0.0, 0.0]
-    kept = encode_instance(Trace(1, (2,), 1, True), 3, gate=True)
+    kept = encode_instance(Trace((2,), 1, True), 3, gate=True)
     assert kept.values.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_instance_out_of_range_state():
     with pytest.raises(IndexError):
-        encode_instance(Trace(1, (4,), 1, True), 4)
+        encode_instance(Trace((4,), 1, True), 4)
 
 
 def test_word_tags_prefix_ones():
-    seq = encode_word_tags(Trace(1, (1, 2, 3), 3, True), 5)
+    seq = encode_word_tags(Trace((1, 2, 3), 3, True), 5)
     assert seq.tags.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
 
 
 def test_word_tags_rejected_all_zero():
-    seq = encode_word_tags(Trace(1, (1, 2, 2, 2), 4, False), 4)
+    seq = encode_word_tags(Trace((1, 2, 2, 2), 4, False), 4)
     assert seq.tags.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_word_tags_full_consumption():
-    seq = encode_word_tags(Trace(1, (1, 2, 3, 4), 4, True), 4)
+    seq = encode_word_tags(Trace((1, 2, 3, 4), 4, True), 4)
     assert seq.tags.tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_word_tags_length_mismatch():
     with pytest.raises(ValueError):
-        encode_word_tags(Trace(1, (1, 2, 3), 3, True), 2)
+        encode_word_tags(Trace((1, 2, 3), 3, True), 2)
 
 
 def _tiny_rules():
@@ -90,7 +93,6 @@ def test_encode_all_accept_and_reject_composition():
     ruleset, mdfas = _tiny_rules()
     sentence = Sentence.from_text("a b c")
     instances, tags = encode_all(ruleset, mdfas, sentence)
-    assert [f.rule_id for f in instances] == [1, 2]
     assert tags[0].tags.tolist() == [1.0, 0.0, 0.0]  # early stop after "a"
     assert tags[1].tags.tolist() == [0.0, 0.0, 0.0]  # rejected rule gated off
     # rejected rule's instance vector still records visited states
@@ -161,7 +163,7 @@ def test_gated_off_rules_share_one_zero_feature():
     assert not zero_2.values.any() and zero_2.values.shape == (mdfas[1].state_count,)
     assert all(inst[1] is zero_2 for inst in encoded)
     zero_1 = encoded[1][0]  # rule 1 rejects "b": no leading "a"
-    assert not zero_1.values.any() and zero_1.rule_id == 1
+    assert not zero_1.values.any()
     assert all(inst[0] is zero_1 for inst in encoded[1:])
     # an ungated rejecting trace keeps its visited states
     ungated, _ = matcher.encode(Sentence.from_text("b"))
@@ -187,8 +189,6 @@ def test_changing_returned_instance_lists_leaves_later_results_unchanged():
         if text != "a b":  # the cache hands back the list it stored for "a b"
             results.append(cache.features(sentence))
         for got_inst, got_tags in results:
-            assert [f.rule_id for f in got_inst] == [1, 2]
-            assert [t.rule_id for t in got_tags] == [1, 2]
             for got, want in zip(got_inst, want_inst):
                 assert got.values.tobytes() == want.values.tobytes()
             for got, want in zip(got_tags, want_tags):
@@ -239,7 +239,6 @@ def test_changing_returned_features_leaves_later_results_unchanged():
         sentence = Sentence.from_text(text)
         got_inst, got_tags = cache.features(sentence)
         want_inst, want_tags = RuleMatcher(ruleset, mdfas).encode(sentence)
-        assert [t.rule_id for t in got_tags] == [1, 2]
         for got, want in zip(got_tags, want_tags):
             assert got.tags.tobytes() == want.tags.tobytes()
         for got, want in zip(got_inst, want_inst):
@@ -266,7 +265,7 @@ def _random_trace(draw):
         draw(st.integers(min_value=0, max_value=m_k - 1)) for _ in range(consumed)
     )
     accepted = draw(st.booleans()) if consumed or n == 0 else False
-    return Trace(1, visited, consumed, accepted), m_k, n
+    return Trace(visited, consumed, accepted), m_k, n
 
 
 @given(_random_trace())
@@ -292,7 +291,7 @@ def _random_ruleset(rng: random.Random) -> RuleSet:
     if asts and rng.random() < 0.3:
         asts[rng.randrange(len(asts))] = parse_regex("( . )*")
     return RuleSet(
-        tuple(Rule(k + 1, f"l{k % 2}", ast, unparse(ast)) for k, ast in enumerate(asts))
+        tuple(Rule(k + 1, f"l{k % 2}", ast) for k, ast in enumerate(asts))
     )
 
 
@@ -316,11 +315,9 @@ def test_matcher_equals_per_rule_traces_bit_for_bit():
                     instances, tag_seqs = matcher.encode(
                         sentence, gate_instance=gate, full_match=full
                     )
-                    assert [f.rule_id for f in instances] == [r.rule_id for r in ruleset.rules]
-                    assert [t.rule_id for t in tag_seqs] == [r.rule_id for r in ruleset.rules]
                     _, _, accepted = matcher.run(sentence, full_match=full)
                     for k, (rule, mdfa) in enumerate(zip(ruleset.rules, mdfas)):
-                        trace = run_trace(mdfa, sentence, rule_id=rule.rule_id, full_match=full)
+                        trace = run_trace(mdfa, sentence, full_match=full)
                         want_inst = encode_instance(trace, mdfa.state_count, gate=gate)
                         want_tags = encode_word_tags(trace, sentence.n)
                         got_inst, got_tags = instances[k].values, tag_seqs[k].tags
@@ -344,7 +341,7 @@ def _atis_gen():
 
 def _assert_batch_equals_encode(matcher, sentences):
     """encode_batch and run_batch agree with encode and run, bit for bit."""
-    p = len(matcher.rule_ids)
+    p = len(matcher.start)
     for gate in (False, True):
         for full in (False, True):
             indicator, tags = matcher.encode_batch(sentences, gate_instance=gate, full_match=full)
@@ -411,7 +408,6 @@ def test_interned_encode_equals_batch_split_at_bounds_on_atis_rules():
             features = set()
             for i, sentence in enumerate(sentences):
                 instances, tag_seqs = matcher.encode(sentence, gate_instance=gate, full_match=full)
-                assert [f.rule_id for f in instances] == matcher.rule_ids
                 for feature, (lo, hi) in zip(instances, parts):
                     assert feature.values.dtype == np.float64
                     assert feature.values.shape == (hi - lo,)
@@ -422,3 +418,13 @@ def test_interned_encode_equals_batch_split_at_bounds_on_atis_rules():
                     assert seq.tags.tobytes() == tags[i][:, k].tobytes()
             # a few visited sets per rule, not one feature per (sentence, rule)
             assert len(features) < len(sentences) * ruleset.p // 10
+
+
+def test_feature_records_are_positional():
+    # entry k of a feature list belongs to ruleset.rules[k], so no trace or
+    # feature record carries a rule id
+    assert list(Trace.__dataclass_fields__) == ["visited", "consumed", "accepted"]
+    assert list(InstanceFeature.__dataclass_fields__) == ["values"]
+    assert list(WordTagSeq.__dataclass_fields__) == ["tags"]
+    assert list(inspect.signature(run_trace).parameters) == ["mdfa", "sentence", "full_match"]
+    assert not hasattr(RuleMatcher(*_tiny_rules()), "rule_ids")

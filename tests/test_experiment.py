@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,28 @@ def test_run_experiment_empty_axis_is_config_error_before_any_csv(tmp_path, axis
     setattr(config, axis, ())
     out = tmp_path / "results.csv"
     with pytest.raises(ConfigError, match=axis):
+        run_experiment(ruleset, mdfas, train, test, config, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("q_values", (20, 0), "q must be >= 1, got 0"),
+    ("sample_seeds", (0, -1), "sampling seeds must be >= 0, got -1"),
+    ("train_seeds", (0, -3), "seed must be >= 0, got -3"),
+    ("augment_top3", -2, "augment_top3 must be None or >= 0, got -2"),
+])
+def test_run_experiment_bad_grid_value_is_config_error_before_any_csv(
+    tmp_path, field, value, message
+):
+    # each was raised inside the grid, after the CSV had an error row to get
+    ruleset, mdfas, train, test = _tiny_experiment_setup()
+    config = ExperimentConfig(
+        variants=("nnsc",), q_values=(20,), sample_seeds=(0,), train_seeds=(0,),
+        epochs=1, d=4, h=4,
+    )
+    setattr(config, field, value)
+    out = tmp_path / "results.csv"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         run_experiment(ruleset, mdfas, train, test, config, out)
     assert not out.exists()
 

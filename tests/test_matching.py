@@ -32,7 +32,7 @@ def test_trace_through_wildcard_pattern():
 def test_empty_sentence_against_nonnullable_pattern():
     mdfa = compile(parse_regex("a"))
     trace = run_trace(mdfa, Sentence(()))
-    assert trace == Trace(0, (), 0, False)
+    assert trace == Trace((), 0, False)
 
 
 def test_early_stop_at_first_final():
@@ -117,9 +117,8 @@ def test_monotone_consumption_and_purity():
         tokens = collect_literals(ast) + [OOV]
         words = tuple(rng.choice(tokens) for _ in range(rng.randint(0, 5)))
         sentence = Sentence(words)
-        trace = run_trace(mdfa, sentence, rule_id=7)
-        assert trace.rule_id == 7
+        trace = run_trace(mdfa, sentence)
         assert trace.consumed <= sentence.n
         if not trace.accepted:
             assert trace.consumed == sentence.n
-        assert run_trace(mdfa, sentence, rule_id=7) == trace
+        assert run_trace(mdfa, sentence) == trace

@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -458,25 +459,14 @@ def test_tensors_are_views_into_one_parameter_vector():
 
 def test_init_keeps_its_draw_order():
     vocab = _vocab("a", "b", "c")
-    params = ModelParams.init("word", vocab, d=4, h=3, C=5, p=2, m_total=7, seed=8, scale=0.2)
+    params = ModelParams.init("word", vocab, d=4, h=3, C=5, p=2, m_total=7, seed=8)
     rng = np.random.default_rng(8)
     shapes = {"emb": (4, 4), "fwd_wx": (6, 12), "fwd_wh": (3, 12), "bwd_wx": (6, 12),
               "bwd_wh": (3, 12), "att_w": (6, 6), "mlp_w1": (6, 6), "mlp_w2": (6, 5)}
     for name, shape in shapes.items():
-        assert getattr(params, name).tobytes() == rng.uniform(-0.2, 0.2, size=shape).tobytes()
+        assert getattr(params, name).tobytes() == rng.uniform(-0.3, 0.3, size=shape).tobytes()
     for name in ("fwd_b", "bwd_b", "mlp_b1", "mlp_b2"):
         assert not getattr(params, name).any()
-
-
-def test_copy_owns_its_parameter_vector():
-    params = _nnsc_params(seed=3)
-    clone = params.copy()
-    assert clone.theta.tobytes() == params.theta.tobytes()
-    assert not np.shares_memory(clone.theta, params.theta)
-    clone.att_w[:] = 0.0
-    assert clone.theta.tobytes() != params.theta.tobytes()
-    assert params.att_w.any()
-    assert np.shares_memory(clone.att_w, clone.theta)
 
 
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
@@ -613,3 +603,16 @@ def test_label_out_of_range_is_config_error(label):
 def test_boundary_training_settings_stay_legal():
     TrainConfig(epochs=1, batch_size=1, lr=0.0, clip_norm=None, patience=0)
     TrainConfig(clip_norm=1e-9, patience=None)
+
+
+def test_negative_seed_is_a_config_error():
+    # both ended in numpy's "expected non-negative integer" ValueError
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
+        _nnsc_params(seed=-2)
+
+
+def test_params_keep_no_unused_settings():
+    assert "scale" not in inspect.signature(ModelParams.init).parameters
+    assert not hasattr(ModelParams, "copy")

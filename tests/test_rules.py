@@ -9,6 +9,7 @@ from rulefuse.rules import (
     Literal,
     Opt,
     Plus,
+    Rule,
     Star,
     load_rules,
     parse_regex,
@@ -178,3 +179,8 @@ def test_load_many_rules(tmp_path):
     ruleset = load_rules(path, known_labels=set(labels))
     assert ruleset.p == 54
     assert [r.rule_id for r in ruleset.rules] == list(range(1, 55))
+
+
+def test_rule_keeps_no_pattern_text():
+    # checkpoints record unparse(rule.ast), so the pattern text had no reader
+    assert list(Rule.__dataclass_fields__) == ["rule_id", "label", "ast"]
