@@ -18,7 +18,6 @@ from .data import (
     sample_fewshot,
 )
 from .encoding import (
-    InstanceFeature,
     RuleMatcher,
     WordTagSeq,
     encode_all,

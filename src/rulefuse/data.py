@@ -45,12 +45,6 @@ class Dataset:
     def label_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.label_names)}
 
-    def class_counts(self) -> list[int]:
-        counts = [0] * self.C
-        for _, label in self.samples:
-            counts[label] += 1
-        return counts
-
 
 def load_labels(path: str | os.PathLike) -> list[str]:
     """One label per line; order defines the class indices."""
@@ -177,24 +171,29 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        classes, most = self.classes, _MAX_CLASSES
-        require(2 <= classes <= most, f"classes must be in 2..{most}, got {classes}")
+        _require_classes(self.classes)
         require(self.train_size >= 1, f"train_size must be >= 1, got {self.train_size}")
         require(self.test_size >= 1, f"test_size must be >= 1, got {self.test_size}")
         require(0.0 <= self.noise <= 1.0, f"noise must be in [0, 1], got {self.noise}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
 
 
+def _require_classes(classes: int) -> None:
+    require(2 <= classes <= _MAX_CLASSES, f"classes must be in 2..{_MAX_CLASSES}, got {classes}")
+
+
 def _keyword_pairs(classes: int) -> list[tuple[str, str]]:
-    for k in range(2, len(_KEYWORDS) + 1):
-        if k * (k - 1) >= classes:
-            pairs = list(itertools.permutations(_KEYWORDS[:k], 2))
-            return pairs[:classes]
-    raise ValueError(f"cannot build {classes} keyword-pair classes")
+    """The first `classes` ordered pairs of the fewest keywords that have as many."""
+    k = next(k for k in range(2, len(_KEYWORDS) + 1) if k * (k - 1) >= classes)
+    return list(itertools.permutations(_KEYWORDS[:k], 2))[:classes]
 
 
 def synthetic_rule_lines(classes: int = 6) -> list[str]:
-    """`label<TAB>pattern` lines, one ordered keyword-pair rule per class."""
+    """`label<TAB>pattern` lines, one ordered keyword-pair rule per class.
+
+    Raises ConfigError unless `classes` is in the range SyntheticSpec takes.
+    """
+    _require_classes(classes)
     lines = []
     for first, second in _keyword_pairs(classes):
         lines.append(f"{first}_{second}\t( . )* {first} ( . )* {second}")

@@ -11,18 +11,19 @@ Two encodings per (sentence, rule) pair:
   any words after the early stop stay 0.
 
 `RuleMatcher` computes both for a whole rule set at once: it stacks every
-rule's automaton into one transition table and advances all of them
-together, one array lookup per word.  `encode` gives one sentence's
-per-rule `InstanceFeature`/`WordTagSeq` objects.  Feature lists are in
-rule order, so entry k belongs to `ruleset.rules[k]`.  Each matcher
-interns instance features: every distinct set of states a rule visits
-gets one `InstanceFeature` with read-only values, shared by all sentences
-that visit it.  Each accepting rule gets a fresh tag array, and every
-rejecting rule one `WordTagSeq` shared by all sentences of that length,
-whose tags are a read-only zero array.  `encode_batch` gives a whole padded
-dataset's features as the arrays the model reads.  `run_trace` with
-`encode_instance` and `encode_word_tags` is the one-rule path both must
-agree with.
+rule's automaton into one flat transition table and advances all of them
+together, one array lookup per word, in one stepping loop that both of its
+paths share.  `encode_batch` gives a whole padded dataset's features as the
+arrays the model reads, for any gate/full-match setting.  `encode` gives
+one sentence's per-rule instance arrays and `WordTagSeq`s at the default
+settings (no gate, early stop).  Feature lists are in rule order, so entry
+k belongs to `ruleset.rules[k]`.  Each matcher interns instance features:
+every distinct set of states a rule visits gets one read-only float64
+array, shared by all sentences that visit it.  Each accepting rule gets a
+fresh tag array, and every rejecting rule one `WordTagSeq` shared by all
+sentences of that length, whose tags are a read-only zero array.
+`run_trace` with `encode_instance` and `encode_word_tags` is the one-rule
+path both must agree with.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .matching import (
 from .rules import RuleSet
 
 __all__ = [
-    "InstanceFeature",
     "WordTagSeq",
     "RuleMatcher",
     "encode_instance",
@@ -53,17 +53,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class InstanceFeature:
-    values: np.ndarray  # float64, shape (m_k,), entries 0.0 or 1.0
-
-
-@dataclass(frozen=True)
 class WordTagSeq:
     tags: np.ndarray  # float64, shape (n,), entries 0.0 or 1.0
 
 
-def encode_instance(trace: Trace, m_k: int, gate: bool = False) -> InstanceFeature:
-    """Indicator vector of the states visited by the trace.
+def encode_instance(trace: Trace, m_k: int, gate: bool = False) -> np.ndarray:
+    """Float64 `(m_k,)` indicator of the states visited by the trace.
 
     Equivalent to max-pooling the one-hot encodings of the visited states.
     With gate=True a rejecting trace encodes to the zero vector.
@@ -76,7 +71,7 @@ def encode_instance(trace: Trace, m_k: int, gate: bool = False) -> InstanceFeatu
                     f"visited state {state} outside automaton with {m_k} states"
                 )
             values[state] = 1.0
-    return InstanceFeature(values)
+    return values
 
 
 def encode_word_tags(trace: Trace, n: int) -> WordTagSeq:
@@ -93,14 +88,13 @@ def encode_word_tags(trace: Trace, n: int) -> WordTagSeq:
 
 class _InstanceMemo(dict):
     """One rule's visited-state sets, keyed by the bytes of its 0/1 uint8
-    indicator, each mapped to one `InstanceFeature` with read-only values.
-    A missing key builds and stores its feature on lookup."""
+    indicator, each mapped to one read-only float64 indicator.  A missing
+    key builds and stores its array on lookup."""
 
-    def __missing__(self, key: bytes) -> InstanceFeature:
-        values = np.frombuffer(key, dtype=np.uint8).astype(np.float64)
+    def __missing__(self, key: bytes) -> np.ndarray:
+        values = self[key] = np.frombuffer(key, dtype=np.uint8).astype(np.float64)
         values.flags.writeable = False
-        feature = self[key] = InstanceFeature(values)
-        return feature
+        return values
 
 
 class RuleMatcher:
@@ -109,11 +103,12 @@ class RuleMatcher:
     Built once per (rule set, automata).  Each literal word of any rule
     gets a global word id, and one more id stands for every other word;
     `symbols[g, k]` is rule k's local symbol id for global word g.  Rule
-    k's states are rows `bounds[k] .. bounds[k + 1] - 1` of one
-    `(m_total, max n_symbols)` table of global state ids, so a vector of
-    the p current states advances with one fancy index per word.  The
-    tables hold native index integers (`np.intp`): indexing with them
-    skips a cast on every step.
+    k's states are global ids `bounds[k] .. bounds[k + 1] - 1`.  Their
+    transitions are rows of `width` entries in the one flat table
+    `offsets`, and each entry holds the target state's row offset
+    (state * width), so a vector of the p current offsets advances with
+    one 1-D lookup per word.  The tables hold native index integers
+    (`np.intp`): indexing with them skips a cast on every step.
     """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
@@ -125,85 +120,64 @@ class RuleMatcher:
         self.word_ids = {word: g for g, word in enumerate(words)}
         self.other = len(words)
         self.symbols = np.empty((len(words) + 1, len(mdfas)), dtype=np.intp)
-        self.table = np.zeros(
-            (self.m_total, max((m.n_symbols for m in mdfas), default=1)), dtype=np.intp
-        )
+        self.width = max((m.n_symbols for m in mdfas), default=1)
+        table = np.zeros((self.m_total, self.width), dtype=np.intp)
         self.final = np.zeros(self.m_total, dtype=bool)
         for k, (mdfa, base) in enumerate(zip(mdfas, self.bounds)):
             self.symbols[:, k] = mdfa.other_id
             for sid, word in enumerate(mdfa.symbols):
                 self.symbols[self.word_ids[word], k] = sid
-            self.table[base : base + mdfa.state_count, : mdfa.n_symbols] = (
+            table[base : base + mdfa.state_count, : mdfa.n_symbols] = (
                 np.array(mdfa.transitions, dtype=np.intp) + base
             )
             self.final[[base + s for s in mdfa.finals]] = True
         self.start = np.array(
             [base + m.start for m, base in zip(mdfas, self.bounds)], dtype=np.intp
         )
-        # `run` keeps state s as its row offset s * width in the flattened
-        # table, so one 1-D lookup advances every rule
-        self.offsets = (self.table * self.table.shape[1]).ravel()
+        self.offsets = (table * self.width).ravel()
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
         # sentence length n -> every rule's tags on rejection: one shared
         # WordTagSeq of a read-only zeros(n)
         self._rejected: dict[int, list[WordTagSeq]] = {}
-        # per rule: visited-state set -> its one shared InstanceFeature
+        # per rule: visited-state set -> its one shared indicator
         self._instances = [_InstanceMemo() for _ in mdfas]
 
-    def run(
-        self, sentence: Sentence, full_match: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """States, words consumed and acceptance of every rule (see run_trace).
-
-        Returns the `(n, p)` global state after each word, which keeps
-        stepping past a rule's early stop, the `(p,)` number of words each
-        rule consumed, and the `(p,)` acceptance flags.
-        """
-        n = sentence.n
-        if n == 0:
-            return (
-                np.empty((0, len(self.start)), dtype=np.intp),
-                np.zeros(len(self.start), dtype=np.int64),
-                self.final[self.start],
-            )
-        gids = [self.word_ids.get(word, self.other) for word in sentence.words]
-        syms = self.symbols[gids]
-        width = self.table.shape[1]
-        offsets = self.offsets
+    def _walk(self, syms: np.ndarray) -> np.ndarray:
+        """Global states after each step, for `(steps, ..., p)` local symbol
+        ids: every rule starts in its start state, and step i advances it by
+        `syms[i]`.  The states keep stepping past a rule's early stop."""
+        width, offsets = self.width, self.offsets
         states = np.empty(syms.shape, dtype=np.intp)
         state = self.start * width
         for i, row in enumerate(syms):
             state = states[i] = offsets[state + row]
         states //= width
-        if full_match:
-            return states, np.full(len(state), n, dtype=np.int64), self.final[states[-1]]
-        hit = self.final[states]
-        accepted = hit.any(axis=0)
-        consumed = np.where(accepted, hit.argmax(axis=0) + 1, n)
-        return states, consumed, accepted
+        return states
 
-    def encode(
-        self, sentence: Sentence, gate_instance: bool = False, full_match: bool = False
-    ) -> tuple[list[InstanceFeature], list[WordTagSeq]]:
-        """Both feature kinds for every rule, in rule order.
+    def encode(self, sentence: Sentence) -> tuple[list[np.ndarray], list[WordTagSeq]]:
+        """Both feature kinds for every rule, in rule order, at the default
+        settings (no gate, early stop).
 
         Equal, bit for bit, to `run_trace` followed by `encode_instance`
-        and `encode_word_tags` per rule.  Each rule's `InstanceFeature` is
-        shared by every sentence that visits the same states of that rule,
-        and its values are a read-only array.  An accepting rule gets a
-        fresh writeable tag array; every rejecting rule gets the one
-        `WordTagSeq` shared by all sentences of the same length, whose tags
-        are a read-only zero array.  The two lists are fresh on every call.
+        and `encode_word_tags` per rule.  Each rule's instance indicator is
+        a read-only float64 array, shared by every sentence that visits the
+        same states of that rule.  An accepting rule gets a fresh writeable
+        tag array; every rejecting rule gets the one `WordTagSeq` shared by
+        all sentences of the same length, whose tags are a read-only zero
+        array.  The two lists are fresh on every call.
         """
-        states, consumed, accepted = self.run(sentence, full_match=full_match)
         n = sentence.n
-        visited = np.arange(n)[:, None] < consumed
-        if gate_instance:
-            visited &= accepted
+        gids = [self.word_ids.get(word, self.other) for word in sentence.words]
+        states = self._walk(self.symbols[gids])
+        hit = self.final[states]
+        # an empty sentence visits no state and has no tags, so it counts as
+        # rejected by every rule here, even one that accepts the empty string
+        accepted = hit.any(axis=0)
+        consumed = np.where(accepted, hit.argmax(axis=0) + 1 if n else 0, n)
         indicator = np.zeros(self.m_total, dtype=np.uint8)
-        indicator[states[visited]] = 1
+        indicator[states[np.arange(n)[:, None] < consumed]] = 1
         # one lookup per rule by its slice of the indicator's bytes; only a
-        # visited set not seen before builds a feature (`__missing__`)
+        # visited set not seen before builds an array (`__missing__`)
         keys = map(indicator.tobytes().__getitem__, self.slices)
         instances = list(map(dict.__getitem__, self._instances, keys))
         rejected = self._rejected.get(n)
@@ -221,13 +195,15 @@ class RuleMatcher:
     def run_batch(
         self, sentences: Sequence[Sentence], full_match: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`run` for N sentences at once.
+        """States, words consumed and acceptance of every rule in N sentences
+        (see run_trace).
 
         Word ids are padded to `(N, T)` and all N x p automata advance with
         one table lookup per word position.  Returns the `(T, N, p)` global
         states (steps past a sentence's length are padding and read as
         nothing), the `(N, p)` words consumed and the `(N, p)` acceptance
-        flags, each row equal to what `run` gives for that sentence.
+        flags, each row equal to what `run_trace` gives for that sentence
+        and rule.
         """
         N, p = len(sentences), len(self.start)
         lengths = np.fromiter((s.n for s in sentences), dtype=np.intp, count=N)
@@ -239,12 +215,7 @@ class RuleMatcher:
             dtype=np.intp,
             count=int(lengths.sum()),
         )
-        syms = self.symbols[gids.T]  # (T, N, p), time-major
-        table = self.table
-        states = np.empty(syms.shape, dtype=np.intp)
-        state = np.broadcast_to(self.start, (N, p))
-        for t in range(T):
-            state = states[t] = table[state, syms[t]]
+        states = self._walk(self.symbols[gids.T])  # (T, N, p), time-major
         empty = (lengths == 0)[:, None]
         if full_match:
             last = states[np.maximum(lengths - 1, 0), np.arange(N)]
@@ -265,8 +236,10 @@ class RuleMatcher:
 
         Returns the `(N, m_total)` float64 state indicator and each
         sentence's `(n, p)` float64 tag matrix (views into one padded
-        array).  Row i, split at `bounds`, and tags[i].T equal `encode`'s
-        per-rule features of sentence i bit for bit.
+        array).  Row i, split at `bounds`, and tags[i].T equal, bit for bit,
+        `run_trace` followed by `encode_instance` (gated as asked) and
+        `encode_word_tags` per rule; at the default settings, `encode`'s
+        features of sentence i.
         """
         states, consumed, accepted = self.run_batch(sentences, full_match=full_match)
         T, N, p = states.shape
@@ -304,14 +277,7 @@ class RuleMatcher:
 
 
 def encode_all(
-    ruleset: RuleSet,
-    mdfas: list[Mdfa],
-    sentence: Sentence,
-    gate_instance: bool = False,
-    full_match: bool = False,
-) -> tuple[list[InstanceFeature], list[WordTagSeq]]:
-    """Both feature kinds for every rule, in rule order (see RuleMatcher)."""
-    return RuleMatcher(ruleset, mdfas).encode(
-        sentence, gate_instance=gate_instance, full_match=full_match
-    )
-
+    ruleset: RuleSet, mdfas: list[Mdfa], sentence: Sentence
+) -> tuple[list[np.ndarray], list[WordTagSeq]]:
+    """Both feature kinds for every rule, in rule order (see RuleMatcher.encode)."""
+    return RuleMatcher(ruleset, mdfas).encode(sentence)

@@ -115,13 +115,14 @@ def check_rule_binding(params: ModelParams, ruleset: RuleSet, mdfas: list[Mdfa])
 
 
 class FeatureCache:
-    """Per-sentence rule features, computed lazily and shared across runs.
+    """Rule features, computed lazily and shared across runs.
 
-    `features` gives one sentence's per-rule feature objects; `arrays`
-    gives many sentences' `(m_total,)` indicator and `(n, p)` tag matrix,
-    encoding the ones not yet cached in one batched matcher call.  The
-    rules and automata it encodes with stay readable as `ruleset` and
-    `mdfas`, so a model built on the cache can record them.
+    `arrays` gives many sentences' `(m_total,)` indicator and `(n, p)` tag
+    matrix, encoding the ones not yet cached in one batched matcher call.
+    `features` gives one sentence's per-rule features, uncached (see
+    `RuleMatcher.encode`).  The rules and automata it encodes with stay
+    readable as `ruleset` and `mdfas`, so a model built on the cache can
+    record them.
     """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
@@ -129,14 +130,10 @@ class FeatureCache:
         self.mdfas = mdfas
         self.matcher = RuleMatcher(ruleset, mdfas)
         self.m_total = self.matcher.m_total
-        self._store: dict[tuple[str, ...], tuple] = {}
         self._arrays: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def features(self, sentence: Sentence):
-        key = sentence.words
-        if key not in self._store:
-            self._store[key] = self.matcher.encode(sentence)
-        return self._store[key]
+        return self.matcher.encode(sentence)
 
     def arrays(self, sentences: list[Sentence]) -> list[tuple[np.ndarray, np.ndarray]]:
         """(indicator, tag matrix) of each sentence, in order."""
@@ -289,8 +286,9 @@ def run_experiment(
 ) -> list[dict]:
     """Run the seeded grid; returns data rows followed by aggregate rows.
 
-    Automata are compiled once by the caller and shared; a fingerprint
-    spot-check verifies the cached tables match a fresh compilation.
+    Automata are compiled once by the caller and shared; each one's
+    fingerprint must equal a fresh compilation of its rule, or
+    RulesMismatchError names the first rule that differs.
     Every run goes through `init_model` and `fit_run` on one shared
     feature cache.  The CSV is written once, however the grid ends: on
     failure it holds the rows finished so far with an error row appended.
@@ -304,10 +302,12 @@ def run_experiment(
     seeds, top3 = config.sample_seeds, config.augment_top3
     fewshots = {q: FewShotConfig(q, seeds, top3) for q in config.q_values}
     require(min(config.train_seeds) >= 0, f"seed must be >= 0, got {min(config.train_seeds)}")
-    if mdfas and ruleset.rules:
-        fresh = compile_ast(ruleset.rules[0].ast)
-        if fresh.fingerprint() != mdfas[0].fingerprint():
-            raise RuntimeError("cached automaton differs from fresh compilation")
+    for k, (rule, mdfa, fresh) in enumerate(zip(ruleset.rules, mdfas, compile_rules(ruleset))):
+        if mdfa.fingerprint() != fresh.fingerprint():
+            raise RulesMismatchError(
+                f"rule {k + 1} ({rule.label}: {unparse(rule.ast)}) does not compile "
+                "to the automaton given for it"
+            )
     for variant in config.variants:
         check_variant(variant, ruleset)
 

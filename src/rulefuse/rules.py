@@ -254,9 +254,6 @@ class RuleSet:
     def p(self) -> int:
         return len(self.rules)
 
-    def labels(self) -> list[str]:
-        return [rule.label for rule in self.rules]
-
 
 def parse_rule_lines(
     lines: Iterable[str], known_labels: set[str] | None = None

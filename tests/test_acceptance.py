@@ -168,11 +168,11 @@ def test_criterion_3_encoding_invariants():
         feat = encode_instance(trace, m_k)
         tags = encode_word_tags(trace, n)
         ok = (
-            set(feat.values.tolist()) <= {0.0, 1.0}
+            set(feat.tolist()) <= {0.0, 1.0}
             and set(tags.tags.tolist()) <= {0.0, 1.0}
-            and feat.values.sum() == len(set(visited))
+            and feat.sum() == len(set(visited))
             and all(
-                feat.values[s] == (1.0 if s in visited else 0.0) for s in range(m_k)
+                feat[s] == (1.0 if s in visited else 0.0) for s in range(m_k)
             )
         )
         if accepted:

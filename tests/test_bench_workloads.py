@@ -61,3 +61,30 @@ def test_workload_full_pass_reports_no_errors(name, tmp_path, monkeypatch):
     assert workload.finish(results) == {}
     assert 0.0 <= workload.accuracy(results) <= 1.0
     assert set(workload.detail(results)) == {f"acc.{v}" for v in workloads.VARIANTS}
+
+
+@pytest.mark.parametrize("name", ["rules_atis", "grid_synth", "eval_bulk"])
+def test_traced_op_passes_its_checks_and_counts(name, tmp_path, monkeypatch):
+    # `bench/run.py --trace` patches every function in `tracer.TARGETS`; one
+    # traced op per workload shows that each target still exists and that
+    # the counters its per-layer metrics read are filled
+    _load("atis_gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    tracer_module = _load("tracer", monkeypatch)
+    monkeypatch.delitem(sys.modules, "oracles", raising=False)
+    workload = workloads.WORKLOADS[name](0, tmp_path, ROOT, workloads.TINY)
+    workload.setup()
+    workload.expect()
+    tracer = tracer_module.Tracer()
+    tracer.activate(0)
+    try:
+        kept = workload.keep(0, workload.op(0))
+    finally:
+        tracer.deactivate()
+    assert workload.check(0, kept) == []
+    counts = tracer.counts_for([0])
+    assert counts["automata.mdfa_states"] > 0
+    if name == "grid_synth":
+        assert counts["model.train_runs"] > 0
+    if name == "rules_atis":
+        assert tracer.calls([0], "experiment.features") == len(workload.slice_range(0))

@@ -90,7 +90,7 @@ def test_encode_jsonl_equals_per_rule_traces(corpus, tmp_path, flags):
             "text": sentence.text(),
             "label": dataset.label_names[label],
             "instance": [
-                [int(v) for v in encode_instance(trace, mdfa.state_count, gate=gate).values]
+                [int(v) for v in encode_instance(trace, mdfa.state_count, gate=gate)]
                 for trace, mdfa in zip(traces, mdfas)
             ],
             "tags": [[int(t) for t in encode_word_tags(trace, sentence.n).tags] for trace in traces],
@@ -153,7 +153,8 @@ def test_unbound_v1_checkpoint_still_evaluates(corpus, tmp_path, capsys):
         "--out", str(ckpt),
     ])
     params = load_model(ckpt)
-    assert [rule["label"] for rule in params.rules] == load_rules(corpus / "rules.tsv").labels()
+    ruleset = load_rules(corpus / "rules.tsv")
+    assert [rule["label"] for rule in params.rules] == [rule.label for rule in ruleset.rules]
     params.rules = None
     save_model(params, ckpt)
     meta = json.loads(np.load(ckpt, allow_pickle=False)["meta"].item())

@@ -27,7 +27,7 @@ def test_load_dataset_basic(tmp_path):
     assert ds.label_names == ["flight", "airline"]  # first-appearance order
     assert ds.samples[0][0].words == ("show", "me", "flights")
     assert [label for _, label in ds.samples] == [0, 1, 0]
-    assert ds.class_counts() == [2, 1]
+    assert [sum(label == c for _, label in ds.samples) for c in range(ds.C)] == [2, 1]
 
 
 def test_load_dataset_fixed_labels(tmp_path):
@@ -127,7 +127,7 @@ def test_fewshot_subset_no_duplicates_deterministic():
 def test_fewshot_per_class_counts():
     ds = _balanced_dataset(classes=5, per_class=6)
     subset = sample_fewshot(ds, FewShotConfig(q=4, seeds=(1,)))[0]
-    counts = subset.class_counts()
+    counts = [sum(label == c for _, label in subset.samples) for c in range(subset.C)]
     assert counts == [4] * 5
 
 
@@ -139,7 +139,7 @@ def test_fewshot_augment_top3():
             samples.append((Sentence.from_text(f"t{c} s{j}"), c))
     ds = Dataset(samples, names)
     subset = sample_fewshot(ds, FewShotConfig(q=2, seeds=(0,), augment_top3=5))[0]
-    counts = subset.class_counts()
+    counts = [sum(label == c for _, label in subset.samples) for c in range(subset.C)]
     assert counts[:3] == [7, 7, 7]  # q + augment for the 3 largest classes
     assert counts[3] == 2
     keys = [(s.words, l) for s, l in subset.samples]
@@ -165,7 +165,7 @@ def test_synthetic_shapes_and_balance():
     assert len(train) == 120 and len(test) == 60
     assert train.C == 6 and train.label_names == test.label_names
     assert len(rule_lines) == 6
-    assert train.class_counts() == [20] * 6
+    assert [sum(label == c for _, label in train.samples) for c in range(train.C)] == [20] * 6
 
 
 def test_synthetic_noise_free_corpus_is_rule_determined():
@@ -194,6 +194,13 @@ def test_synthetic_determinism():
         (s.words, l) for s, l in second[0].samples
     ]
     assert first[2] == second[2]
+
+
+@pytest.mark.parametrize("classes", [0, 1, 57])
+def test_synthetic_rule_lines_out_of_range_is_a_config_error(classes):
+    # 0 gave no rules, 1 one rule, and 57 a bare ValueError
+    with pytest.raises(ConfigError, match=f"^classes must be in 2..56, got {classes}$"):
+        synthetic_rule_lines(classes)
 
 
 def test_synthetic_rule_lines_format():

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from oracles import OOV, random_ast
 from rulefuse.encoding import (
-    InstanceFeature,
     RuleMatcher,
     WordTagSeq,
     encode_all,
@@ -26,29 +25,29 @@ from rulefuse.rules import Rule, RuleSet, parse_regex, parse_rule_lines
 def test_instance_is_indicator_of_visited():
     trace = Trace((1, 2, 2, 3), 4, True)
     feat = encode_instance(trace, 4)
-    assert feat.values.tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert feat.tolist() == [0.0, 1.0, 1.0, 1.0]
 
 
 def test_instance_empty_trace_is_zero():
     feat = encode_instance(Trace((), 0, False), 5)
-    assert feat.values.tolist() == [0.0] * 5
+    assert feat.tolist() == [0.0] * 5
 
 
 def test_instance_saturates():
     feat = encode_instance(Trace((0, 1, 2), 3, False), 3)
-    assert feat.values.tolist() == [1.0, 1.0, 1.0]
+    assert feat.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_instance_rejected_trace_still_encoded_by_default():
     feat = encode_instance(Trace((2, 2), 2, False), 3)
-    assert feat.values.tolist() == [0.0, 0.0, 1.0]
+    assert feat.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_instance_gate_zeroes_rejections():
     feat = encode_instance(Trace((2, 2), 2, False), 3, gate=True)
-    assert feat.values.tolist() == [0.0, 0.0, 0.0]
+    assert feat.tolist() == [0.0, 0.0, 0.0]
     kept = encode_instance(Trace((2,), 1, True), 3, gate=True)
-    assert kept.values.tolist() == [0.0, 0.0, 1.0]
+    assert kept.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_instance_out_of_range_state():
@@ -96,7 +95,7 @@ def test_encode_all_accept_and_reject_composition():
     assert tags[0].tags.tolist() == [1.0, 0.0, 0.0]  # early stop after "a"
     assert tags[1].tags.tolist() == [0.0, 0.0, 0.0]  # rejected rule gated off
     # rejected rule's instance vector still records visited states
-    assert instances[1].values.sum() > 0
+    assert instances[1].sum() > 0
 
 
 def test_encode_all_determinism():
@@ -105,7 +104,7 @@ def test_encode_all_determinism():
     first = encode_all(ruleset, mdfas, sentence)
     second = encode_all(ruleset, mdfas, sentence)
     for a, b in zip(first[0], second[0]):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
     for a, b in zip(first[1], second[1]):
         assert np.array_equal(a.tags, b.tags)
 
@@ -128,11 +127,11 @@ def test_instance_values_are_read_only():
     ruleset, mdfas = _tiny_rules()
     instances, _ = RuleMatcher(ruleset, mdfas).encode(Sentence.from_text("a b c"))
     for feature in instances:
-        assert feature.values.dtype == np.float64
-        assert not feature.values.flags.writeable
+        assert feature.dtype == np.float64
+        assert not feature.flags.writeable
         with pytest.raises(ValueError):
-            feature.values[0] = 5.0
-    assert set(instances[0].values.tolist()) == {0.0, 1.0}
+            feature[0] = 5.0
+    assert set(instances[0].tolist()) == {0.0, 1.0}
 
 
 def test_same_visited_states_share_one_instance_feature():
@@ -147,27 +146,10 @@ def test_same_visited_states_share_one_instance_feature():
     assert other_words[1] is first[1] and shorter[1] is first[1]
     # a different visited set gets its own feature
     more, _ = matcher.encode(Sentence.from_text("q q"))
-    assert more[1] is not first[1] and more[1].values.sum() > first[1].values.sum()
+    assert more[1] is not first[1] and more[1].sum() > first[1].sum()
     # the list is fresh on every call even when every entry is shared
     again, _ = matcher.encode(Sentence.from_text("a b c"))
     assert again is not first and all(a is b for a, b in zip(again, first, strict=True))
-
-
-def test_gated_off_rules_share_one_zero_feature():
-    ruleset, mdfas = _tiny_rules()
-    matcher = RuleMatcher(ruleset, mdfas)
-    texts = ("a b c", "b", "q q", "c a b c", "")
-    encoded = [matcher.encode(Sentence.from_text(t), gate_instance=True)[0] for t in texts]
-    assert [f.values.any() for f in encoded[0]] == [True, False]  # rule 2 rejects
-    zero_2 = encoded[0][1]
-    assert not zero_2.values.any() and zero_2.values.shape == (mdfas[1].state_count,)
-    assert all(inst[1] is zero_2 for inst in encoded)
-    zero_1 = encoded[1][0]  # rule 1 rejects "b": no leading "a"
-    assert not zero_1.values.any()
-    assert all(inst[0] is zero_1 for inst in encoded[1:])
-    # an ungated rejecting trace keeps its visited states
-    ungated, _ = matcher.encode(Sentence.from_text("b"))
-    assert ungated[0].values.any() and ungated[0] is not zero_1
 
 
 def test_changing_returned_instance_lists_leaves_later_results_unchanged():
@@ -185,12 +167,9 @@ def test_changing_returned_instance_lists_leaves_later_results_unchanged():
     for text in ("a b c", "a b", "a c c", "c c c", "a b c d", ""):
         sentence = Sentence.from_text(text)
         want_inst, want_tags = RuleMatcher(ruleset, mdfas).encode(sentence)
-        results = [matcher.encode(sentence)]
-        if text != "a b":  # the cache hands back the list it stored for "a b"
-            results.append(cache.features(sentence))
-        for got_inst, got_tags in results:
+        for got_inst, got_tags in (matcher.encode(sentence), cache.features(sentence)):
             for got, want in zip(got_inst, want_inst):
-                assert got.values.tobytes() == want.values.tobytes()
+                assert got.tobytes() == want.tobytes()
             for got, want in zip(got_tags, want_tags):
                 assert got.tags.tobytes() == want.tags.tobytes()
 
@@ -242,7 +221,7 @@ def test_changing_returned_features_leaves_later_results_unchanged():
         for got, want in zip(got_tags, want_tags):
             assert got.tags.tobytes() == want.tags.tobytes()
         for got, want in zip(got_inst, want_inst):
-            assert got.values.tobytes() == want.values.tobytes()
+            assert got.tobytes() == want.tobytes()
 
 
 def test_feature_record_is_json_ints():
@@ -273,12 +252,12 @@ def test_encoding_properties(case):
     trace, m_k, n = case
     feat = encode_instance(trace, m_k)
     tags = encode_word_tags(trace, n)
-    assert set(feat.values.tolist()) <= {0.0, 1.0}
+    assert set(feat.tolist()) <= {0.0, 1.0}
     assert set(tags.tags.tolist()) <= {0.0, 1.0}
     # indicator-of-visited-states semantics
-    assert feat.values.sum() == len(set(trace.visited))
+    assert feat.sum() == len(set(trace.visited))
     for state in range(m_k):
-        assert feat.values[state] == (1.0 if state in trace.visited else 0.0)
+        assert feat[state] == (1.0 if state in trace.visited else 0.0)
     # accept gating and prefix-ones shape
     if not trace.accepted:
         assert not tags.tags.any()
@@ -295,6 +274,45 @@ def _random_ruleset(rng: random.Random) -> RuleSet:
     )
 
 
+def _assert_equals_traces(matcher, mdfas, sentences):
+    """encode_batch and run_batch, split at `bounds`, agree bit for bit with
+    `run_trace` + `encode_instance`/`encode_word_tags` per rule under all four
+    gate/full-match settings, and per-sentence `encode` does at its defaults."""
+    assert matcher.m_total == sum(m.state_count for m in mdfas)
+    p = len(mdfas)
+    for full in (False, True):
+        traces = [[run_trace(mdfa, s, full_match=full) for mdfa in mdfas] for s in sentences]
+        _, consumed, accepted = matcher.run_batch(sentences, full_match=full)
+        assert consumed.shape == accepted.shape == (len(sentences), p)
+        for gate in (False, True):
+            indicator, tags = matcher.encode_batch(sentences, gate_instance=gate, full_match=full)
+            assert indicator.dtype == np.float64
+            assert indicator.shape == (len(sentences), matcher.m_total)
+            assert len(tags) == len(sentences)
+            for i, (sentence, row) in enumerate(zip(sentences, traces)):
+                assert tags[i].dtype == np.float64
+                assert tags[i].shape == (sentence.n, p)
+                for k, (trace, mdfa, part) in enumerate(zip(row, mdfas, matcher.slices)):
+                    want_inst = encode_instance(trace, mdfa.state_count, gate=gate)
+                    want_tags = encode_word_tags(trace, sentence.n).tags
+                    assert indicator[i, part].tobytes() == want_inst.tobytes()
+                    assert tags[i][:, k].tobytes() == want_tags.tobytes()
+                    assert consumed[i, k] == trace.consumed
+                    assert bool(accepted[i, k]) == trace.accepted
+    traces = [[run_trace(mdfa, s) for mdfa in mdfas] for s in sentences]
+    for sentence, row in zip(sentences, traces):
+        instances, tag_seqs = matcher.encode(sentence)
+        assert len(instances) == len(tag_seqs) == p
+        for got_inst, got_tags, trace, mdfa in zip(instances, tag_seqs, row, mdfas):
+            want_inst = encode_instance(trace, mdfa.state_count)
+            want_tags = encode_word_tags(trace, sentence.n).tags
+            assert got_inst.dtype == want_inst.dtype and got_inst.shape == want_inst.shape
+            assert got_inst.tobytes() == want_inst.tobytes()
+            assert got_tags.tags.dtype == want_tags.dtype
+            assert got_tags.tags.shape == want_tags.shape
+            assert got_tags.tags.tobytes() == want_tags.tobytes()
+
+
 def test_matcher_equals_per_rule_traces_bit_for_bit():
     rng = random.Random(4242)
     tokens = ["a", "b", "c", OOV, "other"]
@@ -304,30 +322,14 @@ def test_matcher_equals_per_rule_traces_bit_for_bit():
             ruleset = parse_rule_lines(["x\t( . )*", "y\ta b", "x\t. c ."])
         mdfas = compile_rules(ruleset)
         matcher = RuleMatcher(ruleset, mdfas)
-        assert matcher.m_total == sum(m.state_count for m in mdfas)
         sentences = [Sentence(())] + [
             Sentence(tuple(rng.choice(tokens) for _ in range(rng.randint(1, 7))))
             for _ in range(12)
         ]
+        _assert_equals_traces(matcher, mdfas, sentences)
+        # one sentence at a time, as well as all of them in one batch
         for sentence in sentences:
-            for gate in (False, True):
-                for full in (False, True):
-                    instances, tag_seqs = matcher.encode(
-                        sentence, gate_instance=gate, full_match=full
-                    )
-                    _, _, accepted = matcher.run(sentence, full_match=full)
-                    for k, (rule, mdfa) in enumerate(zip(ruleset.rules, mdfas)):
-                        trace = run_trace(mdfa, sentence, full_match=full)
-                        want_inst = encode_instance(trace, mdfa.state_count, gate=gate)
-                        want_tags = encode_word_tags(trace, sentence.n)
-                        got_inst, got_tags = instances[k].values, tag_seqs[k].tags
-                        assert got_inst.dtype == want_inst.values.dtype
-                        assert got_inst.shape == want_inst.values.shape
-                        assert got_inst.tobytes() == want_inst.values.tobytes()
-                        assert got_tags.dtype == want_tags.tags.dtype
-                        assert got_tags.shape == want_tags.tags.shape
-                        assert got_tags.tobytes() == want_tags.tags.tobytes()
-                        assert bool(accepted[k]) == trace.accepted
+            _assert_equals_traces(matcher, mdfas, [sentence])
 
 
 def _atis_gen():
@@ -339,31 +341,6 @@ def _atis_gen():
     return module
 
 
-def _assert_batch_equals_encode(matcher, sentences):
-    """encode_batch and run_batch agree with encode and run, bit for bit."""
-    p = len(matcher.start)
-    for gate in (False, True):
-        for full in (False, True):
-            indicator, tags = matcher.encode_batch(sentences, gate_instance=gate, full_match=full)
-            assert indicator.dtype == np.float64
-            assert indicator.shape == (len(sentences), matcher.m_total)
-            assert len(tags) == len(sentences)
-            _, consumed, accepted = matcher.run_batch(sentences, full_match=full)
-            for i, sentence in enumerate(sentences):
-                instances, tag_seqs = matcher.encode(sentence, gate_instance=gate, full_match=full)
-                want_u = np.concatenate([f.values for f in instances] + [np.zeros(0)])
-                want_tags = np.stack(
-                    [seq.tags for seq in tag_seqs] + [np.zeros(sentence.n)], axis=1
-                )[:, :p]
-                assert indicator[i].tobytes() == want_u.tobytes()
-                assert tags[i].dtype == np.float64
-                assert tags[i].shape == (sentence.n, p)
-                assert tags[i].tobytes() == want_tags.tobytes()
-                _, want_consumed, want_accepted = matcher.run(sentence, full_match=full)
-                assert consumed[i].tolist() == want_consumed.tolist()
-                assert accepted[i].tolist() == want_accepted.tolist()
-
-
 def test_batch_encoder_equals_per_sentence_encode():
     rng = random.Random(977)
     tokens = ["a", "b", "c", OOV, "other"]
@@ -371,13 +348,14 @@ def test_batch_encoder_equals_per_sentence_encode():
         ruleset = _random_ruleset(rng)
         if case == 0:
             ruleset = parse_rule_lines(["x\t( . )*", "y\ta b", "x\t. c ."])
-        matcher = RuleMatcher(ruleset, compile_rules(ruleset))
+        mdfas = compile_rules(ruleset)
+        matcher = RuleMatcher(ruleset, mdfas)
         # the longest sentence sits among shorter ones, so most rows are padded
         lengths = [0, 1, 12, 1, 0] + [rng.randint(1, 7) for _ in range(10)]
         rng.shuffle(lengths)
         sentences = [Sentence(tuple(rng.choice(tokens) for _ in range(n))) for n in lengths]
-        _assert_batch_equals_encode(matcher, sentences)
-        _assert_batch_equals_encode(matcher, [Sentence(())])
+        _assert_equals_traces(matcher, mdfas, sentences)
+        _assert_equals_traces(matcher, mdfas, [Sentence(())])
         indicator, tags = matcher.encode_batch([])
         assert indicator.shape == (0, matcher.m_total) and tags == []
 
@@ -387,11 +365,12 @@ def test_batch_encoder_equals_per_sentence_encode_on_atis_rules():
     lines = atis_gen.generate_rules(0)
     ruleset = parse_rule_lines(lines, known_labels=set(atis_gen.LABELS))
     assert ruleset.p == 54
-    matcher = RuleMatcher(ruleset, compile_rules(ruleset))
+    mdfas = compile_rules(ruleset)
+    matcher = RuleMatcher(ruleset, mdfas)
     corpus = atis_gen.generate_corpus(0, lines, 300)
     sentences = [Sentence.from_text(text) for _, text, _ in corpus]
     sentences += [Sentence(()), Sentence((OOV, "zzz")), Sentence(("flights",))]
-    _assert_batch_equals_encode(matcher, sentences)
+    _assert_equals_traces(matcher, mdfas, sentences)
 
 
 def test_interned_encode_equals_batch_split_at_bounds_on_atis_rules():
@@ -401,30 +380,33 @@ def test_interned_encode_equals_batch_split_at_bounds_on_atis_rules():
     corpus = atis_gen.generate_corpus(0, lines, 300)
     sentences = [Sentence.from_text(text) for _, text, _ in corpus] + [Sentence(())]
     matcher = RuleMatcher(ruleset, compile_rules(ruleset))
-    parts = list(zip(matcher.bounds, matcher.bounds[1:]))
-    for gate in (False, True):
-        for full in (False, True):
-            indicator, tags = matcher.encode_batch(sentences, gate_instance=gate, full_match=full)
-            features = set()
-            for i, sentence in enumerate(sentences):
-                instances, tag_seqs = matcher.encode(sentence, gate_instance=gate, full_match=full)
-                for feature, (lo, hi) in zip(instances, parts):
-                    assert feature.values.dtype == np.float64
-                    assert feature.values.shape == (hi - lo,)
-                    assert feature.values.tobytes() == indicator[i, lo:hi].tobytes()
-                    assert not feature.values.flags.writeable
-                    features.add(id(feature))
-                for k, seq in enumerate(tag_seqs):
-                    assert seq.tags.tobytes() == tags[i][:, k].tobytes()
-            # a few visited sets per rule, not one feature per (sentence, rule)
-            assert len(features) < len(sentences) * ruleset.p // 10
+    indicator, tags = matcher.encode_batch(sentences)
+    features = set()
+    for i, sentence in enumerate(sentences):
+        instances, tag_seqs = matcher.encode(sentence)
+        for feature, part in zip(instances, matcher.slices, strict=True):
+            assert feature.dtype == np.float64
+            assert feature.shape == (part.stop - part.start,)
+            assert feature.tobytes() == indicator[i, part].tobytes()
+            assert not feature.flags.writeable
+            features.add(id(feature))
+        for k, seq in enumerate(tag_seqs):
+            assert seq.tags.tobytes() == tags[i][:, k].tobytes()
+    # a few visited sets per rule, not one feature per (sentence, rule)
+    assert len(features) < len(sentences) * ruleset.p // 10
 
 
 def test_feature_records_are_positional():
     # entry k of a feature list belongs to ruleset.rules[k], so no trace or
     # feature record carries a rule id
     assert list(Trace.__dataclass_fields__) == ["visited", "consumed", "accepted"]
-    assert list(InstanceFeature.__dataclass_fields__) == ["values"]
     assert list(WordTagSeq.__dataclass_fields__) == ["tags"]
     assert list(inspect.signature(run_trace).parameters) == ["mdfa", "sentence", "full_match"]
-    assert not hasattr(RuleMatcher(*_tiny_rules()), "rule_ids")
+    matcher = RuleMatcher(*_tiny_rules())
+    assert not hasattr(matcher, "rule_ids")
+    # one flat transition table and one stepping loop; the per-sentence path
+    # runs at the default settings only and returns bare instance arrays
+    assert not hasattr(matcher, "table") and not hasattr(matcher, "run")
+    assert list(inspect.signature(RuleMatcher.encode).parameters) == ["self", "sentence"]
+    assert list(inspect.signature(encode_all).parameters) == ["ruleset", "mdfas", "sentence"]
+    assert type(encode_instance(Trace((0,), 1, True), 2)) is np.ndarray

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rulefuse.data import Dataset, SyntheticSpec, generate_synthetic
-from rulefuse.errors import ConfigError
+from rulefuse.errors import ConfigError, RulesMismatchError
 from rulefuse.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -64,8 +64,8 @@ def test_feature_cache_reuses_entries():
     ruleset, mdfas = _ruleset()
     cache = FeatureCache(ruleset, mdfas)
     s = Sentence.from_text("show me flights")
-    first = cache.features(s)
-    assert cache.features(Sentence.from_text("show me flights")) is first
+    first = cache.arrays([s])[0]
+    assert cache.arrays([Sentence.from_text("show me flights")])[0] is first
     assert cache.m_total == sum(m.state_count for m in mdfas)
 
 
@@ -302,8 +302,19 @@ def test_run_experiment_detects_stale_cache():
     )
     wrong = compile_rules(other_ruleset) + mdfas[1:]
     config = ExperimentConfig(variants=("nnsc",), q_values=(1,), epochs=1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RulesMismatchError, match=r"^rule 1 \(alpha_beta: "):
         run_experiment(ruleset, wrong, train, test, config)
+
+
+def test_run_experiment_checks_every_automaton(tmp_path):
+    # only rule 1 was checked: rules 2 and 3 swapped trained silently
+    ruleset, mdfas, train, test = _tiny_experiment_setup()
+    swapped = [mdfas[0], mdfas[2], mdfas[1], *mdfas[3:]]
+    config = ExperimentConfig(variants=("instance",), q_values=(1,), epochs=1)
+    out = tmp_path / "rows.csv"
+    with pytest.raises(RulesMismatchError, match=r"^rule 2 \(alpha_gamma: .* given for it$"):
+        run_experiment(ruleset, swapped, train, test, config, out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])

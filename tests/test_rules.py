@@ -133,7 +133,7 @@ def test_load_rules(tmp_path):
     ruleset = load_rules(path, known_labels={"flight", "airline"})
     assert ruleset.p == 3
     assert [r.rule_id for r in ruleset.rules] == [1, 2, 3]
-    assert ruleset.labels() == ["flight", "airline", "flight"]  # case folded
+    assert [r.label for r in ruleset.rules] == ["flight", "airline", "flight"]  # case folded
 
 
 def test_load_rules_empty_file(tmp_path):
