@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: compile, trace, encode, train, eval, fewshot, synth-gen,
-experiment.  A `--config FILE` of flat `key=value` lines overrides any
-flag of the same name.
+experiment.  An `@FILE` argument is replaced by the arguments in FILE,
+split like a shell command line (quotes and `#` comments work), so a
+flags file parses exactly like the command line; a later flag wins.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import contextlib
 import json
 import os
+import shlex
 import sys
 
 from .automata import to_dot
@@ -52,6 +54,9 @@ from .rules import RuleSet, load_rules
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+_int_list.__name__ = "int list"  # argparse names the type in its errors
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -250,58 +255,25 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")  # on/off config values
+class _Parser(argparse.ArgumentParser):
+    """argparse that splits each line of an `@FILE` like a shell would."""
 
-
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Flat key=value file; values override parsed flags.
-
-    Each value is converted as its flag's argparse `type` would convert it
-    on the command line; on/off flags take 1/true/yes/on or 0/false/no/off.
-    A value that does not convert is a parser error naming its key.  So is
-    a file that leaves eval's --model/--rule-only both set or neither.
-    """
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = sub.choices[args.command]
-    actions = {action.dest: action for action in command._actions}
-    with open(args.config, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            action = actions.get(key)
-            if action is None or key in ("help", "config"):
-                parser.error(f"unknown config key {key!r}")
-            if action.nargs == 0:
-                if value.lower() not in _ON + _OFF:
-                    parser.error(f"config key {key!r}: {value!r} is not an on/off value")
-                setattr(args, key, value.lower() in _ON)
-                continue
-            try:
-                parsed = action.type(value) if action.type else value
-            except ValueError:
-                parser.error(f"config key {key!r}: invalid value {value!r}")
-            if action.choices is not None and parsed not in action.choices:
-                parser.error(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-            setattr(args, key, parsed)
-    for group in command._mutually_exclusive_groups:
-        flags = " ".join(a.option_strings[0] for a in group._group_actions)
-        given = sum(getattr(args, a.dest) != a.default for a in group._group_actions)
-        if given > 1 or (group.required and not given):
-            parser.error(f"config: give exactly one of {flags}")
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        try:
+            return shlex.split(arg_line, comments=True)
+        except ValueError as exc:  # an unclosed quote
+            self.error(f"{exc} in flags file line {arg_line!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rulefuse",
         description="Word-pattern automata features for a small sentence classifier",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file overriding flags")
     common.add_argument("--out", help="output path")
 
     rules_flag = argparse.ArgumentParser(add_help=False)
@@ -383,10 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        _apply_config_file(args, parser)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -28,7 +28,7 @@ from .encoding import (
     RuleMatcher,
     encode_all,  # noqa: F401 - bench/tracer.py patches rulefuse.experiment.encode_all
 )
-from .errors import ConfigError, RulesMismatchError, require
+from .errors import ConfigError, RulesMismatchError, UnknownLabelError, require
 from .matching import Sentence
 from .model import (
     VARIANTS,
@@ -67,8 +67,16 @@ def compile_rules(ruleset: RuleSet) -> list[Mdfa]:
 
 
 def rule_baseline_accuracy(ruleset: RuleSet, mdfas: list[Mdfa], dataset: Dataset) -> float:
-    """Accuracy of the first-match rule classifier; no-match counts as wrong."""
+    """Accuracy of the first-match rule classifier; no-match counts as wrong.
+
+    Raises ConfigError for an empty rule set, and UnknownLabelError for a
+    rule label that is not one of the dataset's labels.
+    """
+    require(bool(ruleset.rules), "the rule-only baseline needs at least one rule")
     index = dataset.label_index()
+    for rule in ruleset.rules:
+        if rule.label not in index:
+            raise UnknownLabelError(rule.label)
     rule_labels = np.array([index[rule.label] for rule in ruleset.rules] + [-1])
     _, _, accepted = RuleMatcher(ruleset, mdfas).run_batch(
         [sentence for sentence, _ in dataset.samples]

@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rulefuse.cli import _apply_config_file, build_parser, main, run
+from rulefuse.cli import build_parser, main, run
 from rulefuse.data import load_dataset
 from rulefuse.encoding import encode_instance, encode_word_tags
 from rulefuse.errors import ConfigError, NumericalError, RulesMismatchError
@@ -203,43 +205,46 @@ def test_experiment_csv(corpus, tmp_path):
     assert len(lines) == 1 + 2 + 2  # header + 2 data rows + 2 aggregate rows
 
 
+def _flags_file(tmp_path, text):
+    path = tmp_path / "run.args"
+    path.write_text(text)
+    return f"@{path}"
+
+
 def test_config_file_overrides_flags(corpus, tmp_path, capsys):
-    config = tmp_path / "run.conf"
-    config.write_text("sentence = alpha w00 beta\n")
+    # a flags file is read where it stands in argv, so its --sentence wins
+    flags = _flags_file(tmp_path, '--sentence "alpha w00 beta"  # rule 1 accepts this\n')
     main([
-        "trace", "--rules", str(corpus / "rules.tsv"),
-        "--sentence", "ignored words", "--config", str(config),
+        "trace", "--rules", str(corpus / "rules.tsv"), "--sentence", "ignored words", flags,
     ])
     lines = capsys.readouterr().out.splitlines()
-    # the alpha..beta rule accepts the configured sentence, not the flag one
-    assert any("accepted=True" in line for line in lines)
+    assert lines[0].startswith("1\talpha_beta\taccepted=True\t")
 
 
-def test_unknown_config_key_errors(corpus, tmp_path):
-    config = tmp_path / "bad.conf"
-    config.write_text("no_such_flag = 3\n")
-    with pytest.raises(SystemExit):
-        main([
-            "trace", "--rules", str(corpus / "rules.tsv"),
-            "--sentence", "x", "--config", str(config),
-        ])
+def test_flags_after_a_flags_file_override_it(tmp_path):
+    flags = _flags_file(tmp_path, "train --train t.tsv\n--epochs 40 --lr 0.3\n")
+    args = build_parser().parse_args([flags, "--epochs", "5"])
+    assert (args.command, args.train, args.epochs, args.lr) == ("train", "t.tsv", 5, 0.3)
 
 
-def _parse_with_config(argv, text, tmp_path):
-    config = tmp_path / "run.conf"
-    config.write_text(text)
-    parser = build_parser()
-    args = parser.parse_args(argv + ["--config", str(config)])
-    _apply_config_file(args, parser)
-    return args
+def test_unknown_config_key_errors(corpus, tmp_path, capsys):
+    flags = _flags_file(tmp_path, "--no-such-flag 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--rules", str(corpus / "rules.tsv"), "--sentence", "x", flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag 3" in capsys.readouterr().err
+
+
+def _parse_with_file(argv, text, tmp_path):
+    return build_parser().parse_args(argv + [_flags_file(tmp_path, text)])
 
 
 def test_config_values_use_flag_types(corpus, tmp_path):
     # defaults of None (patience) used to leave raw strings, and clip_norm
     # could not be switched off
-    args = _parse_with_config(
+    args = _parse_with_file(
         ["train", "--train", str(corpus / "train.tsv")],
-        "patience = 3\nclip-norm = none\nlr = 0.25\n",
+        "--patience 3\n--clip-norm none --lr 0.25\n",
         tmp_path,
     )
     assert args.patience == 3
@@ -256,36 +261,69 @@ def test_config_values_use_flag_types(corpus, tmp_path):
     [
         (
             ["train", "--train", "t.tsv"],
-            {"epochs": "7", "lr": "0.25", "batch-size": "4", "emb-dim": "6", "hidden": "5",
-             "clip-norm": "none", "variant": "word", "seed": "3", "patience": "2",
-             "test": "x.tsv", "rules": "r.tsv"},
+            ["--epochs", "7", "--lr", "0.25", "--batch-size", "4", "--emb-dim", "6",
+             "--hidden", "5", "--clip-norm", "none", "--variant", "word", "--seed", "3",
+             "--patience", "2", "--test", "x.tsv", "--rules", "r.tsv"],
         ),
         (
             ["experiment", "--train", "t.tsv", "--test", "x.tsv"],
-            {"variant": "nnsc,word", "q": "2,3", "seeds": "4,5", "train-seeds": "6",
-             "augment-top3": "2", "clip-norm": "1.5", "epochs": "3"},
+            ["--variant", "nnsc,word", "--q", "2,3", "--seeds", "4,5", "--train-seeds", "6",
+             "--augment-top3", "2", "--clip-norm", "1.5", "--epochs", "3"],
         ),
         (
             ["encode", "--train", "t.tsv"],
-            {"gate-instance": "true", "full-match": "yes", "out": "f.jsonl"},
+            ["--gate-instance", "--full-match", "--out", "f.jsonl"],
+        ),
+        (["compile"], ["--rules", "r.tsv", "--labels", "l.txt", "--dot", "--out", "r.dot"]),
+        (["trace"], ["--rules", "r.tsv", "--sentence", "w03 alpha  'w11' beta", "--full-match"]),
+        (["eval", "--test", "x.tsv"], ["--rules", "r.tsv", "--model", "m.npz"]),
+        (
+            ["fewshot", "--train", "t.tsv"],
+            ["--q", "2,3", "--seeds", "1", "--augment-top3", "none", "--out", "fs"],
+        ),
+        (
+            ["synth-gen"],
+            ["--classes", "4", "--train-size", "10", "--test-size", "5", "--noise", "0.2",
+             "--seed", "7", "--out", "syn"],
         ),
     ],
 )
 def test_config_file_matches_command_line(argv, values, tmp_path):
-    text = "".join(f"{key} = {value}\n" for key, value in values.items())
-    from_config = _parse_with_config(argv, text, tmp_path)
-    flags = []
-    for key, value in values.items():
-        flags += [f"--{key}"] if value in ("true", "yes") else [f"--{key}", value]
-    from_flags = build_parser().parse_args(argv + flags + ["--config", str(tmp_path / "run.conf")])
-    assert vars(from_config) == vars(from_flags)
+    # required flags may come from the file too (compile, trace, eval)
+    half = len(values) // 2
+    text = f"# {argv[0]} flags\n{shlex.join(values[:half])}\n{shlex.join(values[half:])}  # end\n"
+    from_file = _parse_with_file(argv, text, tmp_path)
+    from_flags = build_parser().parse_args(argv + values)
+    assert vars(from_file) == vars(from_flags)
 
 
-def test_config_rejects_bad_choice(corpus, tmp_path):
-    with pytest.raises(SystemExit):
-        _parse_with_config(
-            ["train", "--train", str(corpus / "train.tsv")], "variant = bogus\n", tmp_path
+def test_config_rejects_bad_choice(corpus, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _parse_with_file(
+            ["train", "--train", str(corpus / "train.tsv")], "--variant bogus\n", tmp_path
         )
+    assert exc.value.code == 2
+    assert "argument --variant: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_an_unclosed_quote_in_a_flags_file_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["trace", "--rules", "r.tsv", _flags_file(tmp_path, '--sentence "alpha beta\n')])
+    assert exc.value.code == 2
+    assert "No closing quotation in flags file line" in capsys.readouterr().err
+
+
+def test_a_missing_flags_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "none.args"
+    with pytest.raises(SystemExit) as exc:
+        run(["trace", "--rules", "r.tsv", "--sentence", "x", f"@{missing}"])
+    assert exc.value.code == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_a_value_starting_with_at_is_read_literally_after_equals():
+    args = build_parser().parse_args(["trace", "--rules", "r.tsv", "--sentence=@bob hi"])
+    assert args.sentence == "@bob hi"
 
 
 def test_train_reports_a_numerical_abort(corpus, tmp_path, capsys):
@@ -381,12 +419,11 @@ def test_experiment_with_an_empty_axis_fails_and_writes_nothing(corpus, tmp_path
 
 
 def test_train_with_patience_and_no_clipping_from_config(corpus, tmp_path, capsys):
-    config = tmp_path / "train.conf"
-    config.write_text("patience = 1\nclip_norm = none\n")
+    flags = _flags_file(tmp_path, "--patience 1\n--clip-norm none\n")
     assert main([
         "train", "--rules", str(corpus / "rules.tsv"),
         "--train", str(corpus / "train.tsv"), "--dev", str(corpus / "test.tsv"),
-        "--epochs", "3", "--emb-dim", "4", "--hidden", "4", "--config", str(config),
+        "--epochs", "3", "--emb-dim", "4", "--hidden", "4", flags,
     ]) == 0
     assert "dev_accuracy=" in capsys.readouterr().out
 
@@ -540,32 +577,27 @@ def test_eval_needs_exactly_one_of_model_and_rule_only(corpus, capsys, flags, me
     assert captured.err.splitlines()[-1].endswith(message)
 
 
-@pytest.mark.parametrize("text", ["model = /nonexistent.npz\n", "rule_only = off\n"])
-def test_config_cannot_break_eval_exclusivity(corpus, tmp_path, capsys, text):
-    config = tmp_path / "eval.conf"
-    config.write_text(text)
+@pytest.mark.parametrize("in_file, on_argv", [
+    (["--model", "/nonexistent.npz"], ["--rule-only"]),
+    (["--rule-only"], ["--model", "/nonexistent.npz"]),
+], ids=["model-in-file", "rule-only-in-file"])
+def test_flags_file_cannot_break_eval_exclusivity(corpus, tmp_path, capsys, in_file, on_argv):
+    flags = _flags_file(tmp_path, shlex.join(in_file) + "\n")
     with pytest.raises(SystemExit) as exc:
-        run(_eval_argv(corpus, "--rule-only", "--config", str(config)))
+        run(_eval_argv(corpus, *on_argv, flags))
     assert exc.value.code == 2
-    assert "give exactly one of --model --rule-only" in capsys.readouterr().err
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["ture", "2", ""])
 def test_config_switch_rejects_other_values(corpus, tmp_path, capsys, value):
-    # `full_match = ture` used to switch off a --full-match given as a flag
+    # `full_match = ture` used to switch off a --full-match given as a flag;
+    # an on/off flag takes no value, so a file cannot switch it back off
     with pytest.raises(SystemExit) as exc:
-        _parse_with_config(["trace", "--rules", "r.tsv", "--sentence", "x", "--full-match"],
-                           f"full_match = {value}\n", tmp_path)
+        _parse_with_file(["trace", "--rules", "r.tsv", "--sentence", "x", "--full-match"],
+                         f"--full-match {shlex.quote(value)}\n", tmp_path)
     assert exc.value.code == 2
-    assert "config key 'full_match'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value, expected", [("1", True), ("ON", True), ("0", False),
-                                             ("false", False), ("no", False), ("off", False)])
-def test_config_switch_values(tmp_path, value, expected):
-    args = _parse_with_config(["trace", "--rules", "r.tsv", "--sentence", "x", "--full-match"],
-                              f"full_match = {value}\n", tmp_path)
-    assert args.full_match is expected
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -623,3 +655,50 @@ def test_optional_number_flags_name_their_type(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--train", "t.tsv", "--patience", "x"])
     assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--train", "t.tsv", "--test", "x.tsv", "--q", "5,x"],
+    ["fewshot", "--train", "t.tsv", "--seeds", "0,a"],
+], ids=["experiment-q", "fewshot-seeds"])
+def test_list_flags_name_their_type(capsys, argv):
+    # the error used to name the helper: invalid _int_list value
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert f"invalid int list value: {argv[-1]!r}" in capsys.readouterr().err
+
+
+def test_rule_only_eval_without_rules_is_a_one_line_error(corpus, capsys):
+    # it printed rule_only_accuracy=0.0000 and exited 0
+    assert run(["eval", "--test", str(corpus / "test.tsv"), "--rule-only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rulefuse: error: the rule-only baseline needs at least one rule\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(after: str, fence: str) -> str:
+    """The body of the first `fence` code block that follows `after`."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(after, 1)[1].split(fence + "\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quickstart_commands_parse(tmp_path, monkeypatch):
+    # the flags file the @FILE example reads is the one README shows
+    (tmp_path / "train.args").write_text(_readme_block("## Flags files", "```text"))
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    for line in _readme_block("## Quickstart", "```bash").replace("\\\n", " ").splitlines():
+        tokens = shlex.split(line, comments=True)
+        if ">" in tokens:
+            tokens = tokens[: tokens.index(">")]
+        if tokens:
+            assert tokens[0] == "rulefuse", line
+            commands.append(build_parser().parse_args(tokens[1:]))
+    assert {args.command for args in commands} == {
+        "synth-gen", "compile", "trace", "encode", "train", "eval", "fewshot", "experiment",
+    }
+    from_file = next(args for args in commands if args.command == "train" and args.epochs == 5)
+    assert from_file.variant == "instance" and from_file.out == "model.npz"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rulefuse.data import Dataset, SyntheticSpec, generate_synthetic
-from rulefuse.errors import ConfigError, RulesMismatchError
+from rulefuse.errors import ConfigError, RulesMismatchError, UnknownLabelError
 from rulefuse.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -58,6 +58,21 @@ def test_rule_only_no_match_is_none_and_counts_wrong():
     for label in (0, 1):  # no rule accepts "hello", so neither gold label is hit
         ds = Dataset([(Sentence.from_text("hello"), label)], ["flight", "airline"])
         assert rule_baseline_accuracy(ruleset, mdfas, ds) == 0.0
+
+
+def test_rule_only_without_rules_is_a_config_error():
+    # it scored 0.0, as if every sentence had been classified wrong
+    ds = Dataset([(Sentence.from_text("which airline"), 1)], ["flight", "airline"])
+    with pytest.raises(ConfigError, match="needs at least one rule"):
+        rule_baseline_accuracy(RuleSet(()), [], ds)
+
+
+def test_rule_only_with_a_label_the_dataset_lacks_names_it():
+    # it raised a bare KeyError: 'zzz'
+    ruleset = parse_rule_lines(["flight\tlist flights", "zzz\talpha"])
+    ds = Dataset([(Sentence.from_text("list flights"), 0)], ["flight", "airline"])
+    with pytest.raises(UnknownLabelError, match="unknown label 'zzz'"):
+        rule_baseline_accuracy(ruleset, compile_rules(ruleset), ds)
 
 
 def test_feature_cache_reuses_entries():
