@@ -492,6 +492,15 @@ def test_run_reports_errors_in_one_line(corpus, tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 6
 
 
+def test_run_reports_a_rule_syntax_error_in_one_line(tmp_path, capsys):
+    rules = tmp_path / "bad.tsv"
+    rules.write_text("a\tshow me\nb\t( broken\n")
+    assert run(["compile", "--rules", str(rules)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rulefuse: error: unbalanced parenthesis (line 2, offset 0)\n"
+
+
 @pytest.mark.parametrize("flag", ["--train", "--rules"])
 def test_run_reports_a_missing_input_file_in_one_line(corpus, tmp_path, capsys, flag):
     missing = str(tmp_path / "none.tsv")

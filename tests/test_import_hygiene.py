@@ -4,7 +4,8 @@ Every module under `src/rulefuse/` except `__init__.py` (whose imports are
 the package's exports) must use each name it imports, unless the import
 line carries a `# noqa: F401` marker (see test_bench_tracer_imports.py
 for what may carry one).  Every `__all__` entry of every module must name
-something the module defines or imports.
+something the module defines or imports, and every module-level `_name`
+a module defines must be read somewhere else in that module.
 """
 
 import ast
@@ -73,3 +74,34 @@ def test_every_export_resolves(path):
     defined = _top_level_names(tree)
     missing = [name for name in _exports(tree) if name not in defined]
     assert missing == [], f"{path.name} lists undefined names in __all__: {missing}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of every module-level `_name` function, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_read(path):
+    # a read from inside the helper's own definition (recursion) does not count
+    tree = _tree(path)
+    dead = []
+    for name, definition in _private_definitions(tree):
+        inside = {id(n) for n in ast.walk(definition)}
+        if not any(
+            isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+            and id(n) not in inside
+            for n in ast.walk(tree)
+        ):
+            dead.append(f"{path.name}:{definition.lineno} {name}")
+    assert dead == [], f"module-level private names never read in their module: {dead}"

@@ -13,6 +13,7 @@ from rulefuse.rules import (
     Star,
     load_rules,
     parse_regex,
+    parse_rule_lines,
     unparse,
 )
 
@@ -76,6 +77,45 @@ def test_empty_pattern():
 def test_empty_alternation_branch():
     with pytest.raises(RegexSyntaxError):
         parse_regex("a |")
+
+
+@pytest.mark.parametrize(
+    "source, message, offset",
+    [
+        ("", "empty pattern", 0),
+        ("   ", "empty pattern", 0),
+        ("a |", "empty expression", 3),
+        ("a | | b", "empty expression", 4),
+        ("a ( b | )", "empty expression", 8),
+        ("( a", "unbalanced parenthesis", 0),
+        ("a(", "empty expression", 2),
+        ("* a", "dangling operator '*'", 0),
+        ("a | + b", "dangling operator '+'", 4),
+        ("( ? a )", "dangling operator '?'", 2),
+        ("a ( ) b", "empty group", 2),
+        ("()", "empty group", 0),
+        ("( a ( b )", "unbalanced parenthesis", 0),
+        ("( a ( b", "unbalanced parenthesis", 4),
+        (") a", "empty expression", 0),
+        ("a ) b", "unbalanced parenthesis", 2),
+        ("a b )", "unbalanced parenthesis", 4),
+        ("(a|b)*)", "unbalanced parenthesis", 6),
+    ],
+)
+def test_syntax_error_message_and_offset(source, message, offset):
+    with pytest.raises(RegexSyntaxError) as exc_info:
+        parse_regex(source)
+    assert (exc_info.value.message, exc_info.value.offset) == (message, offset)
+    assert exc_info.value.line is None
+    assert str(exc_info.value) == f"{message} (offset {offset})"
+
+
+def test_syntax_error_in_rule_lines_names_line_and_offset():
+    with pytest.raises(RegexSyntaxError) as exc_info:
+        parse_rule_lines(["# header", "a\tok", "", "b\tx | + y"])
+    err = exc_info.value
+    assert (err.message, err.offset, err.line) == ("dangling operator '+'", 4, 4)
+    assert str(err) == "dangling operator '+' (line 4, offset 4)"
 
 
 def test_parser_deterministic():
