@@ -15,15 +15,15 @@ rule's automaton into one flat transition table and advances all of them
 together, one array lookup per word, in one stepping loop that both of its
 paths share.  `encode_batch` gives a whole padded dataset's features as the
 arrays the model reads, for any gate/full-match setting.  `encode` gives
-one sentence's per-rule instance arrays and `WordTagSeq`s at the default
-settings (no gate, early stop).  Feature lists are in rule order, so entry
-k belongs to `ruleset.rules[k]`.  Each matcher interns instance features:
-every distinct set of states a rule visits gets one read-only float64
-array, shared by all sentences that visit it.  Each accepting rule gets a
-fresh tag array, and every rejecting rule one `WordTagSeq` shared by all
-sentences of that length, whose tags are a read-only zero array.
-`run_trace` with `encode_instance` and `encode_word_tags` is the one-rule
-path both must agree with.
+one sentence's `(m_total,)` state indicator (rule k's states are the slice
+`bounds[k]:bounds[k + 1]`) and per-rule `WordTagSeq`s at the default
+settings (no gate, early stop); the indicator is a fresh array, equal to
+the sentence's `encode_batch` row.  Tag lists are in rule order, so entry
+k belongs to `ruleset.rules[k]`.  Each accepting rule gets a fresh tag
+array, and every rejecting rule one `WordTagSeq` shared by all sentences
+of that length, whose tags are a read-only zero array.  `run_trace` with
+`encode_instance` and `encode_word_tags` is the one-rule path both must
+agree with.
 """
 
 from __future__ import annotations
@@ -86,17 +86,6 @@ def encode_word_tags(trace: Trace, n: int) -> WordTagSeq:
     return WordTagSeq(tags)
 
 
-class _InstanceMemo(dict):
-    """One rule's visited-state sets, keyed by the bytes of its 0/1 uint8
-    indicator, each mapped to one read-only float64 indicator.  A missing
-    key builds and stores its array on lookup."""
-
-    def __missing__(self, key: bytes) -> np.ndarray:
-        values = self[key] = np.frombuffer(key, dtype=np.uint8).astype(np.float64)
-        values.flags.writeable = False
-        return values
-
-
 class RuleMatcher:
     """Every rule's automaton in one table, stepped together.
 
@@ -139,8 +128,6 @@ class RuleMatcher:
         # sentence length n -> every rule's tags on rejection: one shared
         # WordTagSeq of a read-only zeros(n)
         self._rejected: dict[int, list[WordTagSeq]] = {}
-        # per rule: visited-state set -> its one shared indicator
-        self._instances = [_InstanceMemo() for _ in mdfas]
 
     def _walk(self, syms: np.ndarray) -> np.ndarray:
         """Global states after each step, for `(steps, ..., p)` local symbol
@@ -154,17 +141,17 @@ class RuleMatcher:
         states //= width
         return states
 
-    def encode(self, sentence: Sentence) -> tuple[list[np.ndarray], list[WordTagSeq]]:
-        """Both feature kinds for every rule, in rule order, at the default
-        settings (no gate, early stop).
+    def encode(self, sentence: Sentence) -> tuple[np.ndarray, list[WordTagSeq]]:
+        """Both feature kinds for every rule at the default settings (no gate,
+        early stop): the fresh `(m_total,)` float64 state indicator, equal
+        to the sentence's `encode_batch` row, and the rules' tags in order.
 
         Equal, bit for bit, to `run_trace` followed by `encode_instance`
-        and `encode_word_tags` per rule.  Each rule's instance indicator is
-        a read-only float64 array, shared by every sentence that visits the
-        same states of that rule.  An accepting rule gets a fresh writeable
-        tag array; every rejecting rule gets the one `WordTagSeq` shared by
-        all sentences of the same length, whose tags are a read-only zero
-        array.  The two lists are fresh on every call.
+        (split at `bounds`) and `encode_word_tags` per rule.  An accepting
+        rule gets a fresh writeable tag array; every rejecting rule gets the
+        one `WordTagSeq` shared by all sentences of the same length, whose
+        tags are a read-only zero array.  The tag list is fresh on every
+        call.
         """
         n = sentence.n
         gids = [self.word_ids.get(word, self.other) for word in sentence.words]
@@ -174,12 +161,8 @@ class RuleMatcher:
         # rejected by every rule here, even one that accepts the empty string
         accepted = hit.any(axis=0)
         consumed = np.where(accepted, hit.argmax(axis=0) + 1 if n else 0, n)
-        indicator = np.zeros(self.m_total, dtype=np.uint8)
-        indicator[states[np.arange(n)[:, None] < consumed]] = 1
-        # one lookup per rule by its slice of the indicator's bytes; only a
-        # visited set not seen before builds an array (`__missing__`)
-        keys = map(indicator.tobytes().__getitem__, self.slices)
-        instances = list(map(dict.__getitem__, self._instances, keys))
+        indicator = np.zeros(self.m_total, dtype=np.float64)
+        indicator[states[np.arange(n)[:, None] < consumed]] = 1.0
         rejected = self._rejected.get(n)
         if rejected is None:
             zeros = np.zeros(n, dtype=np.float64)
@@ -190,7 +173,7 @@ class RuleMatcher:
             tags = np.zeros(n, dtype=np.float64)
             tags[: consumed[k]] = 1.0
             tag_seqs[k] = WordTagSeq(tags)
-        return instances, tag_seqs
+        return indicator, tag_seqs
 
     def run_batch(
         self, sentences: Sequence[Sentence], full_match: bool = False
@@ -278,6 +261,7 @@ class RuleMatcher:
 
 def encode_all(
     ruleset: RuleSet, mdfas: list[Mdfa], sentence: Sentence
-) -> tuple[list[np.ndarray], list[WordTagSeq]]:
-    """Both feature kinds for every rule, in rule order (see RuleMatcher.encode)."""
+) -> tuple[np.ndarray, list[WordTagSeq]]:
+    """One sentence's `(m_total,)` state indicator and per-rule tags (see
+    RuleMatcher.encode)."""
     return RuleMatcher(ruleset, mdfas).encode(sentence)

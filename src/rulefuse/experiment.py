@@ -127,10 +127,10 @@ class FeatureCache:
 
     `arrays` gives many sentences' `(m_total,)` indicator and `(n, p)` tag
     matrix, encoding the ones not yet cached in one batched matcher call.
-    `features` gives one sentence's per-rule features, uncached (see
-    `RuleMatcher.encode`).  The rules and automata it encodes with stay
-    readable as `ruleset` and `mdfas`, so a model built on the cache can
-    record them.
+    `features` gives one sentence's `(m_total,)` indicator and per-rule
+    tags, uncached (see `RuleMatcher.encode`).  The rules and automata it
+    encodes with stay readable as `ruleset` and `mdfas`, so a model built
+    on the cache can record them.
     """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
@@ -301,15 +301,27 @@ def run_experiment(
     feature cache.  The CSV is written once, however the grid ends: on
     failure it holds the rows finished so far with an error row appended.
     An empty axis (no variant, q value, sampling seed or training seed),
-    a q below 1 or a negative seed raises ConfigError before anything is
-    written.
+    a q below 1, a negative seed or a training setting no run can use
+    (epochs, batch size, lr, clip norm, d, h) raises ConfigError before
+    anything is written.
     """
     for axis in ("variants", "q_values", "sample_seeds", "train_seeds"):
         if not getattr(config, axis):
             raise ConfigError(f"the experiment grid has an empty {axis} axis")
     seeds, top3 = config.sample_seeds, config.augment_top3
     fewshots = {q: FewShotConfig(q, seeds, top3) for q in config.q_values}
-    require(min(config.train_seeds) >= 0, f"seed must be >= 0, got {min(config.train_seeds)}")
+    train_configs = {
+        seed: TrainConfig(
+            epochs=config.epochs,
+            batch_size=config.batch_size,
+            lr=config.lr,
+            seed=seed,
+            clip_norm=config.clip_norm,
+        )
+        for seed in config.train_seeds
+    }
+    for name, value in (("d", config.d), ("h", config.h)):
+        require(value >= 1, f"{name} must be >= 1, got {value}")
     for k, (rule, mdfa, fresh) in enumerate(zip(ruleset.rules, mdfas, compile_rules(ruleset))):
         if mdfa.fingerprint() != fresh.fingerprint():
             raise RulesMismatchError(
@@ -331,15 +343,9 @@ def run_experiment(
                         params = init_model(
                             variant, cache, subset, config.d, config.h, train_seed
                         )
-                        train_config = TrainConfig(
-                            epochs=config.epochs,
-                            batch_size=config.batch_size,
-                            lr=config.lr,
-                            seed=train_seed,
-                            clip_norm=config.clip_norm,
-                        )
                         _, accuracy = fit_run(
-                            params, cache, subset, train_config, test_set=test_dataset
+                            params, cache, subset, train_configs[train_seed],
+                            test_set=test_dataset,
                         )
                         rows.append(
                             {

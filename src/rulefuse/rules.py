@@ -1,17 +1,21 @@
 """Word-level regular expressions: AST types, parser, and rules-file loader.
 
 Patterns are built from whole-word literals rather than characters.  A
-literal token matches exactly one word, `.` matches any single word
+literal is a maximal run of characters other than whitespace and
+`( ) | * + ? .`, and matches exactly one word; `.` matches any single word
 (including out-of-vocabulary ones), and `( ) | * + ?` have their usual
-meanings.  Postfix operators bind tightest, then concatenation, then
-alternation, so `a b | c` reads as `(a b) | c`.
+meanings.  Metacharacters split words as spaces do: `from st. louis` reads
+as `from st . louis` (`st`, any word, `louis`), and `(.)*x` needs no spaces.
+Postfix operators bind tightest, then concatenation, then alternation, so
+`a b | c` reads as `(a b) | c`.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .errors import RegexSyntaxError, UnknownLabelError
 
@@ -32,7 +36,7 @@ __all__ = [
     "parse_rule_lines",
 ]
 
-_METACHARS = frozenset("()|*+?.")
+_METACHARS = "()|*+?."
 
 
 @dataclass(frozen=True)
@@ -86,105 +90,11 @@ class Opt:
 
 RegexNode = Union[Literal, AnyWord, Concat, Alternation, Star, Plus, Opt]
 
-
-class _Token(NamedTuple):
-    kind: str  # WORD LPAREN RPAREN PIPE STAR PLUS QMARK DOT
-    text: str
-    offset: int
-
-
-_TOKEN_KINDS = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "|": "PIPE",
-    "*": "STAR",
-    "+": "PLUS",
-    "?": "QMARK",
-    ".": "DOT",
-}
-
-_ATOM_START = frozenset({"WORD", "DOT", "LPAREN"})
-_POSTFIX = {"STAR": Star, "PLUS": Plus, "QMARK": Opt}
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_KINDS:
-            tokens.append(_Token(_TOKEN_KINDS[ch], ch, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not source[j].isspace() and source[j] not in _METACHARS:
-            j += 1
-        tokens.append(_Token("WORD", source[i:j], i))
-        i = j
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], source_len: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.source_len = source_len
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def alternation(self) -> RegexNode:
-        branches = [self.concat()]
-        while (tok := self.peek()) is not None and tok.kind == "PIPE":
-            self.next()
-            branches.append(self.concat())
-        return branches[0] if len(branches) == 1 else Alternation(tuple(branches))
-
-    def concat(self) -> RegexNode:
-        items = []
-        while (tok := self.peek()) is not None and tok.kind in _ATOM_START:
-            items.append(self.postfix())
-        if not items:
-            tok = self.peek()
-            if tok is not None and tok.kind in _POSTFIX:
-                raise RegexSyntaxError(
-                    f"dangling operator {tok.text!r}", offset=tok.offset
-                )
-            offset = tok.offset if tok is not None else self.source_len
-            raise RegexSyntaxError("empty expression", offset=offset)
-        return items[0] if len(items) == 1 else Concat(tuple(items))
-
-    def postfix(self) -> RegexNode:
-        node = self.atom()
-        while (tok := self.peek()) is not None and tok.kind in _POSTFIX:
-            self.next()
-            node = _POSTFIX[tok.kind](node)
-        return node
-
-    def atom(self) -> RegexNode:
-        tok = self.next()
-        if tok.kind == "WORD":
-            return Literal(tok.text)
-        if tok.kind == "DOT":
-            return AnyWord()
-        # LPAREN is the only remaining atom starter
-        inner_tok = self.peek()
-        if inner_tok is not None and inner_tok.kind == "RPAREN":
-            raise RegexSyntaxError("empty group", offset=tok.offset)
-        inner = self.alternation()
-        closing = self.peek()
-        if closing is None or closing.kind != "RPAREN":
-            raise RegexSyntaxError("unbalanced parenthesis", offset=tok.offset)
-        self.next()
-        return inner
+_POSTFIX = {"*": Star, "+": Plus, "?": Opt}
+# a token is one metacharacter or a maximal run of other non-space characters
+_TOKEN = re.compile(f"[{re.escape(_METACHARS)}]|[^\\s{re.escape(_METACHARS)}]+")
+# what cannot start an atom: the end token, `|`, `)` and the postfix operators
+_NOT_ATOM = ("", "|", ")", *_POSTFIX)
 
 
 def parse_regex(source: str) -> RegexNode:
@@ -193,19 +103,54 @@ def parse_regex(source: str) -> RegexNode:
     Raises RegexSyntaxError (with a character offset) for unbalanced
     parentheses, dangling operators, empty groups, or an empty pattern.
     """
-    tokens = _tokenize(source)
+    # (text, offset) pairs, ending in one end token: ("", len(source))
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(source)]
     if not tokens:
         raise RegexSyntaxError("empty pattern", offset=0)
-    parser = _Parser(tokens, len(source))
-    node = parser.alternation()
-    trailing = parser.peek()
-    if trailing is not None:
-        if trailing.kind == "RPAREN":
-            raise RegexSyntaxError("unbalanced parenthesis", offset=trailing.offset)
-        raise RegexSyntaxError(
-            f"unexpected token {trailing.text!r}", offset=trailing.offset
-        )
+    tokens.append(("", len(source)))
+    node, i = _alternation(tokens, 0)
+    text, offset = tokens[i]
+    if text:  # only `)` can end the top-level alternation before the end token
+        raise RegexSyntaxError("unbalanced parenthesis", offset=offset)
     return node
+
+
+def _alternation(tokens: list, i: int) -> tuple[RegexNode, int]:
+    node, i = _concat(tokens, i)
+    branches = [node]
+    while tokens[i][0] == "|":
+        node, i = _concat(tokens, i + 1)
+        branches.append(node)
+    return (branches[0] if len(branches) == 1 else Alternation(tuple(branches))), i
+
+
+def _concat(tokens: list, i: int) -> tuple[RegexNode, int]:
+    items = []
+    while tokens[i][0] not in _NOT_ATOM:
+        node, i = _atom(tokens, i)
+        while tokens[i][0] in _POSTFIX:
+            node, i = _POSTFIX[tokens[i][0]](node), i + 1
+        items.append(node)
+    if not items:
+        text, offset = tokens[i]
+        if text in _POSTFIX:
+            raise RegexSyntaxError(f"dangling operator {text!r}", offset=offset)
+        raise RegexSyntaxError("empty expression", offset=offset)
+    return (items[0] if len(items) == 1 else Concat(tuple(items))), i
+
+
+def _atom(tokens: list, i: int) -> tuple[RegexNode, int]:
+    text, offset = tokens[i]
+    if text == ".":
+        return AnyWord(), i + 1
+    if text != "(":
+        return Literal(text), i + 1
+    if tokens[i + 1][0] == ")":
+        raise RegexSyntaxError("empty group", offset=offset)
+    node, i = _alternation(tokens, i + 1)
+    if tokens[i][0] != ")":
+        raise RegexSyntaxError("unbalanced parenthesis", offset=offset)
+    return node, i + 1
 
 
 def unparse(node: RegexNode) -> str:
@@ -214,29 +159,19 @@ def unparse(node: RegexNode) -> str:
         return node.word
     if isinstance(node, AnyWord):
         return "."
-    if isinstance(node, (Star, Plus, Opt)):
-        op = {Star: "*", Plus: "+", Opt: "?"}[type(node)]
-        child = node.child
-        inner = unparse(child)
-        if isinstance(child, (Concat, Alternation)):
-            inner = f"( {inner} )"
-        return inner + op
+    for op, kind in _POSTFIX.items():
+        if isinstance(node, kind):
+            return _grouped(node.child, (Concat, Alternation)) + op
     if isinstance(node, Concat):
-        parts = []
-        for child in node.children:
-            text = unparse(child)
-            # nested sequence/alternation needs parens to survive reparsing
-            if isinstance(child, (Concat, Alternation)):
-                text = f"( {text} )"
-            parts.append(text)
-        return " ".join(parts)
-    parts = []
-    for child in node.children:
-        text = unparse(child)
-        if isinstance(child, Alternation):
-            text = f"( {text} )"
-        parts.append(text)
-    return " | ".join(parts)
+        return " ".join(_grouped(child, (Concat, Alternation)) for child in node.children)
+    return " | ".join(_grouped(child, Alternation) for child in node.children)
+
+
+def _grouped(node: RegexNode, kinds) -> str:
+    """`unparse(node)`, in parentheses if it is one of `kinds`: a nested
+    sequence or alternation that would not survive reparsing bare."""
+    text = unparse(node)
+    return f"( {text} )" if isinstance(node, kinds) else text
 
 
 @dataclass(frozen=True)

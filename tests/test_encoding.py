@@ -82,20 +82,34 @@ def _tiny_rules():
     return ruleset, compile_rules(ruleset)
 
 
+def _batch_row(ruleset, mdfas, sentence):
+    """The sentence's `(m_total,)` indicator row from `encode_batch`."""
+    return RuleMatcher(ruleset, mdfas).encode_batch([sentence])[0][0]
+
+
+def _assert_indicator(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_encode_all_empty_ruleset():
     ruleset = parse_rule_lines([])
-    instances, tags = encode_all(ruleset, [], Sentence.from_text("a b"))
-    assert instances == [] and tags == []
+    sentence = Sentence.from_text("a b")
+    indicator, tags = encode_all(ruleset, [], sentence)
+    assert indicator.shape == (0,) and tags == []
+    _assert_indicator(indicator, _batch_row(ruleset, [], sentence))
 
 
 def test_encode_all_accept_and_reject_composition():
     ruleset, mdfas = _tiny_rules()
     sentence = Sentence.from_text("a b c")
-    instances, tags = encode_all(ruleset, mdfas, sentence)
+    indicator, tags = encode_all(ruleset, mdfas, sentence)
     assert tags[0].tags.tolist() == [1.0, 0.0, 0.0]  # early stop after "a"
     assert tags[1].tags.tolist() == [0.0, 0.0, 0.0]  # rejected rule gated off
-    # rejected rule's instance vector still records visited states
-    assert instances[1].sum() > 0
+    _assert_indicator(indicator, _batch_row(ruleset, mdfas, sentence))
+    # rejected rule's slice of the indicator still records visited states
+    assert indicator[RuleMatcher(ruleset, mdfas).slices[1]].sum() > 0
 
 
 def test_encode_all_determinism():
@@ -103,8 +117,8 @@ def test_encode_all_determinism():
     sentence = Sentence.from_text("a b a")
     first = encode_all(ruleset, mdfas, sentence)
     second = encode_all(ruleset, mdfas, sentence)
-    for a, b in zip(first[0], second[0]):
-        assert np.array_equal(a, b)
+    _assert_indicator(first[0], second[0])
+    _assert_indicator(first[0], _batch_row(ruleset, mdfas, sentence))
     for a, b in zip(first[1], second[1]):
         assert np.array_equal(a.tags, b.tags)
 
@@ -123,53 +137,26 @@ def test_feature_cache_wrong_mdfa_count_is_a_dimension_mismatch():
         FeatureCache(ruleset, mdfas + mdfas[:1])
 
 
-def test_instance_values_are_read_only():
-    ruleset, mdfas = _tiny_rules()
-    instances, _ = RuleMatcher(ruleset, mdfas).encode(Sentence.from_text("a b c"))
-    for feature in instances:
-        assert feature.dtype == np.float64
-        assert not feature.flags.writeable
-        with pytest.raises(ValueError):
-            feature[0] = 5.0
-    assert set(instances[0].tolist()) == {0.0, 1.0}
-
-
-def test_same_visited_states_share_one_instance_feature():
-    ruleset, mdfas = _tiny_rules()
-    matcher = RuleMatcher(ruleset, mdfas)
-    # rule 1 stops early after "a" in all three; rule 2 falls into its sink
-    # on the first word and stays there
-    first, _ = matcher.encode(Sentence.from_text("a b c"))
-    other_words, _ = matcher.encode(Sentence.from_text("a c a"))
-    shorter, _ = matcher.encode(Sentence.from_text("a"))
-    assert other_words[0] is first[0] and shorter[0] is first[0]
-    assert other_words[1] is first[1] and shorter[1] is first[1]
-    # a different visited set gets its own feature
-    more, _ = matcher.encode(Sentence.from_text("q q"))
-    assert more[1] is not first[1] and more[1].sum() > first[1].sum()
-    # the list is fresh on every call even when every entry is shared
-    again, _ = matcher.encode(Sentence.from_text("a b c"))
-    assert again is not first and all(a is b for a, b in zip(again, first, strict=True))
-
-
 def test_changing_returned_instance_lists_leaves_later_results_unchanged():
     ruleset, mdfas = _tiny_rules()
     matcher = RuleMatcher(ruleset, mdfas)
     cache = FeatureCache(ruleset, mdfas)
-    for instances, tags in (
+    for indicator, tags in (
         matcher.encode(Sentence.from_text("a b c")),
         cache.features(Sentence.from_text("a b")),
     ):
-        instances[0], instances[1] = instances[1], instances[0]
-        instances.append(instances[0])
+        assert indicator.flags.writeable and indicator.flags.owndata
+        indicator[:] = 5.0
         tags.reverse()
-    # every later sentence visits states the changed lists' features stand for
+        tags.append(tags[0])
+    # every later sentence visits states the changed indicators stood for
     for text in ("a b c", "a b", "a c c", "c c c", "a b c d", ""):
         sentence = Sentence.from_text(text)
-        want_inst, want_tags = RuleMatcher(ruleset, mdfas).encode(sentence)
+        want_inst = _batch_row(ruleset, mdfas, sentence)
+        _, want_tags = RuleMatcher(ruleset, mdfas).encode(sentence)
         for got_inst, got_tags in (matcher.encode(sentence), cache.features(sentence)):
-            for got, want in zip(got_inst, want_inst):
-                assert got.tobytes() == want.tobytes()
+            _assert_indicator(got_inst, want_inst)
+            assert len(got_tags) == len(want_tags)
             for got, want in zip(got_tags, want_tags):
                 assert got.tags.tobytes() == want.tags.tobytes()
 
@@ -217,11 +204,10 @@ def test_changing_returned_features_leaves_later_results_unchanged():
     for text in ("a c c", "c c c", "a b c d"):
         sentence = Sentence.from_text(text)
         got_inst, got_tags = cache.features(sentence)
-        want_inst, want_tags = RuleMatcher(ruleset, mdfas).encode(sentence)
+        _, want_tags = RuleMatcher(ruleset, mdfas).encode(sentence)
         for got, want in zip(got_tags, want_tags):
             assert got.tags.tobytes() == want.tags.tobytes()
-        for got, want in zip(got_inst, want_inst):
-            assert got.tobytes() == want.tobytes()
+        _assert_indicator(got_inst, _batch_row(ruleset, mdfas, sentence))
 
 
 def test_feature_record_is_json_ints():
@@ -277,7 +263,8 @@ def _random_ruleset(rng: random.Random) -> RuleSet:
 def _assert_equals_traces(matcher, mdfas, sentences):
     """encode_batch and run_batch, split at `bounds`, agree bit for bit with
     `run_trace` + `encode_instance`/`encode_word_tags` per rule under all four
-    gate/full-match settings, and per-sentence `encode` does at its defaults."""
+    gate/full-match settings, and per-sentence `encode` does at its defaults:
+    its indicator is the whole default `encode_batch` row."""
     assert matcher.m_total == sum(m.state_count for m in mdfas)
     p = len(mdfas)
     for full in (False, True):
@@ -300,14 +287,15 @@ def _assert_equals_traces(matcher, mdfas, sentences):
                     assert consumed[i, k] == trace.consumed
                     assert bool(accepted[i, k]) == trace.accepted
     traces = [[run_trace(mdfa, s) for mdfa in mdfas] for s in sentences]
-    for sentence, row in zip(sentences, traces):
-        instances, tag_seqs = matcher.encode(sentence)
-        assert len(instances) == len(tag_seqs) == p
-        for got_inst, got_tags, trace, mdfa in zip(instances, tag_seqs, row, mdfas):
+    indicator, _ = matcher.encode_batch(sentences)
+    for sentence, row, want_row in zip(sentences, traces, indicator):
+        got_row, tag_seqs = matcher.encode(sentence)
+        _assert_indicator(got_row, want_row)
+        assert len(tag_seqs) == p
+        for got_tags, trace, mdfa, part in zip(tag_seqs, row, mdfas, matcher.slices):
             want_inst = encode_instance(trace, mdfa.state_count)
             want_tags = encode_word_tags(trace, sentence.n).tags
-            assert got_inst.dtype == want_inst.dtype and got_inst.shape == want_inst.shape
-            assert got_inst.tobytes() == want_inst.tobytes()
+            assert got_row[part].tobytes() == want_inst.tobytes()
             assert got_tags.tags.dtype == want_tags.dtype
             assert got_tags.tags.shape == want_tags.shape
             assert got_tags.tags.tobytes() == want_tags.tobytes()
@@ -373,7 +361,7 @@ def test_batch_encoder_equals_per_sentence_encode_on_atis_rules():
     _assert_equals_traces(matcher, mdfas, sentences)
 
 
-def test_interned_encode_equals_batch_split_at_bounds_on_atis_rules():
+def test_encode_equals_batch_row_on_atis_rules():
     atis_gen = _atis_gen()
     lines = atis_gen.generate_rules(0)
     ruleset = parse_rule_lines(lines, known_labels=set(atis_gen.LABELS))
@@ -381,19 +369,16 @@ def test_interned_encode_equals_batch_split_at_bounds_on_atis_rules():
     sentences = [Sentence.from_text(text) for _, text, _ in corpus] + [Sentence(())]
     matcher = RuleMatcher(ruleset, compile_rules(ruleset))
     indicator, tags = matcher.encode_batch(sentences)
-    features = set()
+    rows = []
     for i, sentence in enumerate(sentences):
-        instances, tag_seqs = matcher.encode(sentence)
-        for feature, part in zip(instances, matcher.slices, strict=True):
-            assert feature.dtype == np.float64
-            assert feature.shape == (part.stop - part.start,)
-            assert feature.tobytes() == indicator[i, part].tobytes()
-            assert not feature.flags.writeable
-            features.add(id(feature))
+        row, tag_seqs = matcher.encode(sentence)
+        _assert_indicator(row, indicator[i])
+        assert len(tag_seqs) == ruleset.p
         for k, seq in enumerate(tag_seqs):
             assert seq.tags.tobytes() == tags[i][:, k].tobytes()
-    # a few visited sets per rule, not one feature per (sentence, rule)
-    assert len(features) < len(sentences) * ruleset.p // 10
+        rows.append(row)
+    # each call returns its own array
+    assert len({id(row) for row in rows}) == len(sentences)
 
 
 def test_feature_records_are_positional():
@@ -405,8 +390,9 @@ def test_feature_records_are_positional():
     matcher = RuleMatcher(*_tiny_rules())
     assert not hasattr(matcher, "rule_ids")
     # one flat transition table and one stepping loop; the per-sentence path
-    # runs at the default settings only and returns bare instance arrays
+    # runs at the default settings only and returns the bare indicator
     assert not hasattr(matcher, "table") and not hasattr(matcher, "run")
     assert list(inspect.signature(RuleMatcher.encode).parameters) == ["self", "sentence"]
     assert list(inspect.signature(encode_all).parameters) == ["ruleset", "mdfas", "sentence"]
     assert type(encode_instance(Trace((0,), 1, True), 2)) is np.ndarray
+    assert type(matcher.encode(Sentence.from_text("a"))[0]) is np.ndarray

@@ -270,6 +270,12 @@ def test_run_experiment_empty_axis_is_config_error_before_any_csv(tmp_path, axis
     ("sample_seeds", (0, -1), "sampling seeds must be >= 0, got -1"),
     ("train_seeds", (0, -3), "seed must be >= 0, got -3"),
     ("augment_top3", -2, "augment_top3 must be None or >= 0, got -2"),
+    ("epochs", 0, "epochs must be >= 1, got 0"),
+    ("lr", -1.0, "lr must be finite and >= 0, got -1.0"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("clip_norm", 0.0, "clip_norm must be None or > 0, got 0.0"),
+    ("d", 0, "d must be >= 1, got 0"),
+    ("h", 0, "h must be >= 1, got 0"),
 ])
 def test_run_experiment_bad_grid_value_is_config_error_before_any_csv(
     tmp_path, field, value, message
