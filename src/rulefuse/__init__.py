@@ -45,7 +45,7 @@ from .experiment import (
     rule_baseline_accuracy,
     run_experiment,
 )
-from .matching import Sentence, Trace, accepts, run_trace
+from .matching import Sentence, Trace, run_trace
 from .model import (
     ActivationRecord,
     ModelParams,

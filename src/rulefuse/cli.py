@@ -26,7 +26,7 @@ from .data import (
     write_dataset,
 )
 from .encoding import RuleMatcher
-from .errors import NumericalError, RulefuseError
+from .errors import NumericalError, RulefuseError, require
 from .experiment import (
     ExperimentConfig,
     FeatureCache,
@@ -193,6 +193,7 @@ def cmd_eval(args) -> int:
 
 def cmd_fewshot(args) -> int:
     dataset = load_dataset(args.train)
+    require(bool(args.q), "the q list is empty")
     configs = [FewShotConfig(q, args.seeds, args.augment_top3) for q in args.q]
     os.makedirs(args.out, exist_ok=True)
     for config in configs:

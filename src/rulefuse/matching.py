@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .automata import Mdfa
 
-__all__ = ["Sentence", "Trace", "run_trace", "accepts"]
+__all__ = ["Sentence", "Trace", "run_trace"]
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,3 @@ def run_trace(mdfa: Mdfa, sentence: Sentence, full_match: bool = False) -> Trace
     if full_match:
         accepted = mdfa.is_final(state)
     return Trace(tuple(visited), len(visited), accepted)
-
-
-def accepts(mdfa: Mdfa, sentence: Sentence, full_match: bool = False) -> bool:
-    """Whether the automaton accepts the sentence (see run_trace)."""
-    return run_trace(mdfa, sentence, full_match=full_match).accepted

@@ -13,6 +13,9 @@ All math is plain numpy in float64 with hand-written backward passes so the
 analytic gradients can be checked against central finite differences.
 Training and scoring run on padded mini-batches: only the recurrence
 ``h @ wh`` loops over time, and both LSTM directions advance together.
+Each layer (input, LSTM, attention, classifier MLP) is one forward and one
+backward function; a forward returns, as a tuple, what its backward reads.
+Inference keeps no LSTM gate or cell state.
 """
 
 from __future__ import annotations
@@ -40,22 +43,9 @@ from .errors import (
 from .matching import Sentence
 
 __all__ = [
-    "VARIANTS",
-    "UNK",
-    "CHECKPOINT_VERSION",
-    "ModelParams",
-    "ActivationRecord",
-    "TrainItem",
-    "TrainConfig",
-    "build_vocab",
-    "forward",
-    "loss_and_grads",
-    "predict",
-    "train",
-    "evaluate_items",
-    "save_model",
-    "load_model",
-    "load_pretrained_embeddings",
+    "VARIANTS", "UNK", "CHECKPOINT_VERSION", "ModelParams", "ActivationRecord", "TrainItem",
+    "TrainConfig", "build_vocab", "forward", "loss_and_grads", "predict", "train",
+    "evaluate_items", "save_model", "load_model", "load_pretrained_embeddings",
 ]
 
 VARIANTS = ("nnsc", "instance", "word")
@@ -69,18 +59,8 @@ _INIT_SCALE = 0.3
 _SIZES = ("d", "h", "C", "p", "m_total")  # the model's sizes, as checkpoint meta keys
 
 _TENSOR_NAMES = (
-    "emb",
-    "fwd_wx",
-    "fwd_wh",
-    "fwd_b",
-    "bwd_wx",
-    "bwd_wh",
-    "bwd_b",
-    "att_w",
-    "mlp_w1",
-    "mlp_b1",
-    "mlp_w2",
-    "mlp_b2",
+    "emb", "fwd_wx", "fwd_wh", "fwd_b", "bwd_wx", "bwd_wh", "bwd_b",
+    "att_w", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
 )
 
 
@@ -262,14 +242,68 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _lstm_forward(Xd, wx, wh, b, cache=None):
+def _gather_features(params, sentence, feats):
+    """The rule features the variant reads, after one shape check: an
+    `(n, p)` tag matrix for `word`, an `(m_total,)` state indicator for
+    `instance`, None for `nnsc`.  At p = 0 missing features read as
+    zero-width."""
+    if params.variant == "nnsc":
+        return None
+    word = params.variant == "word"
+    what = "tag matrix" if word else "state indicator"
+    if feats is None:
+        if params.p:
+            raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
+        feats = np.zeros((sentence.n, 0) if word else 0)
+    shape = (sentence.n, params.p) if word else (params.m_total,)
+    got = getattr(feats, "shape", type(feats).__name__)
+    if got != shape:
+        raise DimensionMismatchError(f"{what} is {got}, expected an array of shape {shape}")
+    return feats
+
+
+def _input_forward(params, rows):
+    """Embeddings of the (sentence, feats) rows, `word` tags appended.
+
+    Sentences are zero-padded after their words to the longest; the
+    backward direction reads each reversed within its length, so its
+    padding also comes last.  Returns both directions stacked time-major,
+    `Xd` (2, T, B, d_in); the `instance` rows `U` (B, 0 for other
+    variants); and the batch layout (lengths, mask, rev, ids)."""
+    lengths = np.array([sentence.n for sentence, _ in rows])
+    if lengths.min() < 1:
+        raise ValueError("forward requires a non-empty sentence")
+    feats = [_gather_features(params, *row) for row in rows]
+    B, T = len(rows), int(lengths.max())
+    steps = np.arange(T)
+    mask = steps < lengths[:, None]
+    ids = np.array([params.vocab.get(w, 0) for sentence, _ in rows for w in sentence.words])
+    X = np.zeros((B, T, params.input_width))
+    X[mask, : params.d] = params.emb[ids]
+    if params.variant == "word":
+        X[mask, params.d :] = np.concatenate(feats)
+    U = np.stack(feats) if params.variant == "instance" else np.zeros((B, 0))
+    rev = np.where(mask, lengths[:, None] - 1 - steps, steps)  # its own inverse
+    Xd = np.ascontiguousarray(np.stack([X, X[np.arange(B)[:, None], rev]]).swapaxes(1, 2))
+    return Xd, U, (lengths, mask, rev, ids)
+
+
+def _input_backward(dXd, layout, demb):
+    """Un-reverse `dXd` and scatter-add its embedding columns into `demb`;
+    the `word` tags take no gradient."""
+    _, mask, rev, ids = layout
+    dX = dXd[0].swapaxes(0, 1) + dXd[1][rev, np.arange(len(rev))[:, None]]  # (B, T, d_in)
+    np.add.at(demb, ids, dX[mask, : demb.shape[1]])
+
+
+def _lstm_forward(Xd, wx, wh, b, keep=False):
     """Both LSTM directions, stacked on axis 0 of inputs and weights.
 
     Xd is (2, T, B, d_in), the backward direction's sentences already
     reversed within their lengths.  All timesteps are projected by one
     matmul; only `h @ wh` runs per step.  Gates are ordered i, f, o, g.
-    Returns the hidden states (2, T, B, h); a `cache` dict also receives
-    the gate activations and cell states that `_lstm_backward` reads.
+    Returns the hidden states (2, T, B, h) and what `_lstm_backward`
+    reads; only with `keep` (not at inference) are gates and cells stored.
     """
     Zx = Xd @ wx[:, None]
     Zx += b[:, None, None]
@@ -278,7 +312,7 @@ def _lstm_forward(Xd, wx, wh, b, cache=None):
     hs = np.empty((D, T, B, hdim))
     h = np.zeros((D, B, hdim))
     c = np.zeros((D, B, hdim))
-    if cache is not None:
+    if keep:
         gates = np.empty_like(Zx)
         cells = np.empty_like(hs)
     for t in range(T):
@@ -288,25 +322,21 @@ def _lstm_forward(Xd, wx, wh, b, cache=None):
         c = s[..., hdim : 2 * hdim] * c + s[..., :hdim] * g
         h = s[..., 2 * hdim :] * np.tanh(c)
         hs[:, t] = h
-        if cache is not None:
+        if keep:
             gates[:, t, :, : 3 * hdim] = s
             gates[:, t, :, 3 * hdim :] = g
             cells[:, t] = c
-    if cache is not None:
-        cache.update(gates=gates, cells=cells)
-    return hs
+    return hs, ((Xd, hs, gates, cells) if keep else None)
 
 
-def _lstm_backward(dhs, cache):
-    """BPTT through both stacked directions, from `_forward_batch`'s cache.
+def _lstm_backward(dhs, saved, wx, wh):
+    """BPTT through both stacked directions, from `_lstm_forward`'s saved tensors.
 
     Returns (dXd, dwx, dwh, db), each stacked per direction like its
     forward counterpart.  Padded steps receive zero upstream gradient and
     follow every real step, so their dz is exactly zero and adds nothing.
     """
-    Xd, hs, gates, cells, wx, wh = (
-        cache[k] for k in ("Xd", "hs", "gates", "cells", "wx", "wh")
-    )
+    Xd, hs, gates, cells = saved
     hdim = wh.shape[1]
     i, f, o, g = (gates[..., k * hdim : (k + 1) * hdim] for k in range(4))
     tanh_c = np.tanh(cells)
@@ -335,72 +365,67 @@ def _lstm_backward(dhs, cache):
     return dZ @ wx.swapaxes(1, 2)[:, None], dwx, dwh, flat_dz.sum(axis=1)
 
 
-def _gather_features(params, sentence, feats):
-    """The rule features the variant reads, after one shape check: an
-    `(n, p)` tag matrix for `word`, an `(m_total,)` state indicator for
-    `instance`, None for `nnsc`.  At p = 0 missing features read as
-    zero-width."""
-    if params.variant == "nnsc":
-        return None
-    word = params.variant == "word"
-    what = "tag matrix" if word else "state indicator"
-    if feats is None:
-        if params.p:
-            raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
-        feats = np.zeros((sentence.n, 0) if word else 0)
-    shape = (sentence.n, params.p) if word else (params.m_total,)
-    got = getattr(feats, "shape", type(feats).__name__)
-    if got != shape:
-        raise DimensionMismatchError(f"{what} is {got}, expected an array of shape {shape}")
-    return feats
-
-
-def _forward_batch(params, rows, cache=None):
-    """Forward pass over (sentence, feats) rows at once.
-
-    Sentences are zero-padded to the longest, padding after the real words.
-    The backward direction reads each sentence reversed within its own
-    length, so its padding also comes last.  Attention scores past a
-    sentence's length are -inf.  Returns (H, alpha, f, logits, y) with a
-    leading batch axis; a `cache` dict receives what `_backward` reads.
-    """
-    lengths = np.array([sentence.n for sentence, _ in rows])
-    if lengths.min() < 1:
-        raise ValueError("forward requires a non-empty sentence")
-    feats = [_gather_features(params, *row) for row in rows]
-    B, T = len(rows), int(lengths.max())
-    mask = np.arange(T) < lengths[:, None]
-    ids = np.array([params.vocab.get(w, 0) for sentence, _ in rows for w in sentence.words])
-    X = np.zeros((B, T, params.input_width))
-    X[mask, : params.d] = params.emb[ids]
-    if params.variant == "word":
-        X[mask, params.d :] = np.concatenate(feats)
-    U = np.stack(feats) if params.variant == "instance" else np.zeros((B, 0))
-
-    rows_b = np.arange(B)
-    steps = np.arange(T)
-    rev = np.where(mask, lengths[:, None] - 1 - steps, steps)  # its own inverse
-    # both directions stacked, time-major: (2, T, B, d_in)
-    Xd = np.ascontiguousarray(np.stack([X, X[rows_b[:, None], rev]]).swapaxes(1, 2))
-    wx, wh = params._views["wx"], params._views["wh"]
-    hs = _lstm_forward(Xd, wx, wh, params._views["b"], cache)
-    H = np.concatenate([hs[0].swapaxes(0, 1), hs[1][rev, rows_b[:, None]]], axis=-1)  # (B, T, 2h)
-
+def _attention_forward(hs, att_w, layout):
+    """Bilinear attention over H (B, T, 2h), the query being the state at
+    the last word; padding scores -inf.  Returns f and (H, alpha, q, Wq)."""
+    lengths, mask, rev, _ = layout
+    rows_b = np.arange(len(lengths))
+    H = np.concatenate([hs[0].swapaxes(0, 1), hs[1][rev, rows_b[:, None]]], axis=-1)
     q = H[rows_b, lengths - 1]
-    Wq = q @ params.att_w.T
+    Wq = q @ att_w.T
     alpha = _softmax(np.where(mask, (H @ Wq[:, :, None])[..., 0], -np.inf))
     f = (alpha[:, None, :] @ H)[:, 0]
+    return f, (H, alpha, q, Wq)
 
+
+def _attention_backward(df, saved, att_w, layout):
+    """Returns `dhs` (2, T, B, h) and `d att_w`.  f = alpha H, alpha =
+    softmax(H (W q)), q = H[len - 1]; alpha is 0 on padding, so is its gradient."""
+    H, alpha, q, Wq = saved
+    lengths, _, rev, _ = layout
+    rows_b = np.arange(len(lengths))
+    dalpha = (H @ df[:, :, None])[..., 0]
+    dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    dWq = (dscores[:, None, :] @ H)[:, 0]
+    dH = alpha[:, :, None] * df[:, None, :] + dscores[:, :, None] * Wq[:, None, :]
+    datt_w = dWq.T @ q
+    dH[rows_b, lengths - 1] += dWq @ att_w
+    h = df.shape[1] // 2
+    return np.stack([dH[:, :, :h], dH[rows_b[:, None], rev, h:]]).swapaxes(1, 2), datt_w
+
+
+def _classifier_forward(params, f, U):
+    """The tanh MLP and softmax over [f, U]: returns logits, y and (g, a1, y)."""
     g = np.concatenate([f, U], axis=1)
     a1 = np.tanh(g @ params.mlp_w1 + params.mlp_b1)
     logits = a1 @ params.mlp_w2 + params.mlp_b2
     y = _softmax(logits)
-    if cache is not None:
-        cache.update(
-            ids=ids, lengths=lengths, mask=mask, rev=rev, Xd=Xd, wx=wx, wh=wh, hs=hs,
-            H=H, q=q, Wq=Wq, alpha=alpha, g=g, a1=a1, y=y,
-        )
-    return H, alpha, f, logits, y
+    return logits, y, (g, a1, y)
+
+
+def _classifier_backward(params, saved, labels):
+    """Gradients of the batch-mean cross-entropy: mlp_w1, mlp_b1, mlp_w2 and
+    mlp_b2 as one tuple, and df (the `instance` columns take none)."""
+    g, a1, y = saved
+    dlogits = y.copy()
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits /= len(labels)
+    dz1 = (1.0 - a1 * a1) * (dlogits @ params.mlp_w2.T)
+    mlp = g.T @ dz1, dz1.sum(axis=0), a1.T @ dlogits, dlogits.sum(axis=0)
+    return mlp, (dz1 @ params.mlp_w1.T)[:, : 2 * params.h]
+
+
+def _forward_batch(params, rows, keep=False):
+    """Forward pass over (sentence, feats) rows at once, layer by layer.
+    Returns (H, alpha, f, logits, y) with a leading batch axis, and what
+    each layer's backward reads (LSTM state only with `keep`)."""
+    Xd, U, layout = _input_forward(params, rows)
+    views = params._views
+    hs, lstm = _lstm_forward(Xd, views["wx"], views["wh"], views["b"], keep)
+    f, attention = _attention_forward(hs, params.att_w, layout)
+    logits, y, classifier = _classifier_forward(params, f, U)
+    H, alpha = attention[:2]
+    return (H, alpha, f, logits, y), (layout, lstm, attention, classifier)
 
 
 def forward(
@@ -408,7 +433,7 @@ def forward(
 ) -> ActivationRecord:
     """Run the classifier on one sentence (a batch of one) with the feature
     array its variant reads, as in `TrainItem`."""
-    H, alpha, f, logits, y = _forward_batch(params, [(sentence, feats)])
+    H, alpha, f, logits, y = _forward_batch(params, [(sentence, feats)])[0]
     return ActivationRecord(H=H[0], alpha=alpha[0], f=f[0], logits=logits[0], y=y[0])
 
 
@@ -420,39 +445,19 @@ class _Gradients(dict):
         self.flat = flat
 
 
-def _backward(params, cache, labels: np.ndarray) -> _Gradients:
-    """Gradient of the batch-mean cross-entropy, laid out like `theta`."""
-    h = params.h
-    y, a1, g, H, alpha, q, Wq = (cache[k] for k in ("y", "a1", "g", "H", "alpha", "q", "Wq"))
-    lengths, rev, mask = cache["lengths"], cache["rev"], cache["mask"]
-    B = len(labels)
-    rows_b = np.arange(B)
+def _backward(params, saved, labels: np.ndarray) -> _Gradients:
+    """Gradient of the batch-mean cross-entropy, laid out like `theta`:
+    each layer's backward, from the classifier down to the input."""
+    layout, lstm, attention, classifier = saved
     flat = np.zeros_like(params.theta)
     grads = params.views(flat)
-
-    dlogits = y.copy()
-    dlogits[rows_b, labels] -= 1.0
-    dlogits /= B
-    grads["mlp_w2"][...] = a1.T @ dlogits
-    grads["mlp_b2"][...] = dlogits.sum(axis=0)
-    dz1 = (1.0 - a1 * a1) * (dlogits @ params.mlp_w2.T)
-    grads["mlp_w1"][...] = g.T @ dz1
-    grads["mlp_b1"][...] = dz1.sum(axis=0)
-    df = (dz1 @ params.mlp_w1.T)[:, : 2 * h]
-
-    # attention: f = alpha H, alpha = softmax(H (W q)), q = H[len - 1];
-    # alpha is exactly 0 on padding, so padding gets no gradient here
-    dalpha = (H @ df[:, :, None])[..., 0]
-    dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-    dWq = (dscores[:, None, :] @ H)[:, 0]
-    dH = alpha[:, :, None] * df[:, None, :] + dscores[:, :, None] * Wq[:, None, :]
-    grads["att_w"][...] = dWq.T @ q
-    dH[rows_b, lengths - 1] += dWq @ params.att_w
-
-    dhs = np.stack([dH[:, :, :h], dH[rows_b[:, None], rev, h:]]).swapaxes(1, 2)  # (2, T, B, h)
-    dXd, grads["wx"][...], grads["wh"][...], grads["b"][...] = _lstm_backward(dhs, cache)
-    dX = dXd[0].swapaxes(0, 1) + dXd[1][rev, rows_b[:, None]]  # (B, T, d_in)
-    np.add.at(grads["emb"], cache["ids"], dX[mask, : params.d])
+    mlp, df = _classifier_backward(params, classifier, labels)
+    for name, grad in zip(("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"), mlp):
+        grads[name][...] = grad
+    dhs, grads["att_w"][...] = _attention_backward(df, attention, params.att_w, layout)
+    wx, wh = params._views["wx"], params._views["wh"]
+    dXd, grads["wx"][...], grads["wh"][...], grads["b"][...] = _lstm_backward(dhs, lstm, wx, wh)
+    _input_backward(dXd, layout, grads["emb"])
     return _Gradients(grads, flat)
 
 
@@ -468,16 +473,15 @@ def loss_and_grads(
     """
     if not batch:
         raise ValueError("empty batch")
-    cache: dict = {}
-    y = _forward_batch(params, [(it.sentence, it.feats) for it in batch], cache)[-1]
+    outputs, saved = _forward_batch(params, [(it.sentence, it.feats) for it in batch], keep=True)
     labels = np.array([item.label for item in batch])
-    probs = y[np.arange(len(batch)), labels]
+    probs = outputs[-1][np.arange(len(batch)), labels]
     if not (np.isfinite(probs).all() and (probs > 0.0).all()):
         raise NumericalError("class probability underflowed or went non-finite")
     loss = float(-np.log(probs).sum()) / len(batch)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss}")
-    return loss, _backward(params, cache, labels)
+    return loss, _backward(params, saved, labels)
 
 
 def predict(params: ModelParams, sentence: Sentence, feats: np.ndarray | None = None) -> int:
@@ -489,25 +493,28 @@ def predict(params: ModelParams, sentence: Sentence, feats: np.ndarray | None = 
 def evaluate_items(params: ModelParams, items: Sequence[TrainItem]) -> float:
     """Fraction of items whose prediction matches the gold label.
 
-    Forward-only batches of at most INFER_CHUNK sentences, keeping no
-    backward caches; argmax ties break toward the lowest class index, as
-    in `predict`.
+    Forward-only batches of at most INFER_CHUNK sentences, keeping no LSTM
+    state for a backward pass; argmax ties break toward the lowest class
+    index, as in `predict`.
     """
     if not items:
         return 0.0
     hits = 0
     for lo in range(0, len(items), INFER_CHUNK):
         chunk = items[lo : lo + INFER_CHUNK]
-        y = _forward_batch(params, [(it.sentence, it.feats) for it in chunk])[-1]
+        y = _forward_batch(params, [(it.sentence, it.feats) for it in chunk])[0][-1]
         hits += int((y.argmax(axis=1) == [it.label for it in chunk]).sum())
     return hits / len(items)
 
 
-def _clip_grads(flat: np.ndarray, clip_norm: float) -> None:
-    """Scale the flat gradient in place to an L2 norm of at most clip_norm."""
-    norm = np.sqrt(flat @ flat)
-    if norm > clip_norm:
-        flat *= clip_norm / norm
+def _sgd_step(params: ModelParams, flat: np.ndarray, config: TrainConfig) -> None:
+    """One SGD step; the flat gradient is first scaled in place to an L2
+    norm of at most `config.clip_norm`, when that is set."""
+    if config.clip_norm is not None:
+        norm = np.sqrt(flat @ flat)
+        if norm > config.clip_norm:
+            flat *= config.clip_norm / norm
+    params.theta -= config.lr * flat
 
 
 def train(
@@ -525,11 +532,14 @@ def train(
     that were still finite and ends the history with a record
     `{"epoch": k, "loss": None, "dev_accuracy": None, "aborted": "numerical"}`
     for the epoch it abandoned.  An empty training set raises
-    `EmptyDatasetError`, a label outside `0..C-1` raises `ConfigError`,
-    and non-finite initial weights raise `NumericalError`.
+    `EmptyDatasetError`; a label outside `0..C-1`, or patience without
+    dev_items, raises `ConfigError`; non-finite initial weights raise
+    `NumericalError`.
     """
     if not items:
         raise EmptyDatasetError("empty training set")
+    if config.patience is not None and dev_items is None:
+        raise ConfigError("patience needs a dev set to stop on")
     if not params.all_finite():
         raise NumericalError("initial weights are not finite")
     for item in items:
@@ -548,9 +558,7 @@ def train(
             for lo in range(0, len(order), config.batch_size):
                 batch = [items[i] for i in order[lo : lo + config.batch_size]]
                 loss, grads = loss_and_grads(params, batch)
-                if config.clip_norm is not None:
-                    _clip_grads(grads.flat, config.clip_norm)
-                params.theta -= config.lr * grads.flat
+                _sgd_step(params, grads.flat, config)
                 total_loss += loss * len(batch)
         except NumericalError:
             blew_up = True

@@ -98,10 +98,11 @@ _NOT_ATOM = ("", "|", ")", *_POSTFIX)
 
 
 def parse_regex(source: str) -> RegexNode:
-    """Parse a word-level pattern into its AST.
+    """Parse a word-level pattern into its AST; literals are lowercased.
 
-    Raises RegexSyntaxError (with a character offset) for unbalanced
-    parentheses, dangling operators, empty groups, or an empty pattern.
+    Raises RegexSyntaxError (with a character offset into `source` as
+    written) for unbalanced parentheses, dangling operators, empty groups,
+    or an empty pattern.
     """
     # (text, offset) pairs, ending in one end token: ("", len(source))
     tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(source)]
@@ -144,7 +145,7 @@ def _atom(tokens: list, i: int) -> tuple[RegexNode, int]:
     if text == ".":
         return AnyWord(), i + 1
     if text != "(":
-        return Literal(text), i + 1
+        return Literal(text.lower()), i + 1
     if tokens[i + 1][0] == ")":
         raise RegexSyntaxError("empty group", offset=offset)
     node, i = _alternation(tokens, i + 1)
@@ -213,7 +214,7 @@ def parse_rule_lines(
         if known_labels is not None and label not in known_labels:
             raise UnknownLabelError(label, line=line_no)
         try:
-            ast = parse_regex(pattern.lower())
+            ast = parse_regex(pattern)
         except RegexSyntaxError as exc:
             raise RegexSyntaxError(
                 exc.message, offset=exc.offset, line=line_no

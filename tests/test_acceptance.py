@@ -32,7 +32,7 @@ from rulefuse.experiment import (
     rule_baseline_accuracy,
     run_experiment,
 )
-from rulefuse.matching import Sentence, Trace, accepts
+from rulefuse.matching import Sentence, Trace, run_trace
 from rulefuse.model import ModelParams, forward
 from rulefuse.rules import load_rules, parse_rule_lines
 
@@ -101,9 +101,9 @@ def test_criterion_1_oracle_equivalence(regex_population):
         for words in sentences_up_to(tokens, 5):
             sentence = Sentence(words)
             checked += 1
-            if accepts(mdfa, sentence) != oracle_earlystop_accepts(ast, words):
+            if run_trace(mdfa, sentence).accepted != oracle_earlystop_accepts(ast, words):
                 mismatches += 1
-            if accepts(mdfa, sentence, full_match=True) != oracle_full_match(ast, words):
+            if run_trace(mdfa, sentence, full_match=True).accepted != oracle_full_match(ast, words):
                 mismatches += 1
     elapsed = time.perf_counter() - start
     _report(

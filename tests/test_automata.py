@@ -27,7 +27,7 @@ from rulefuse.automata import (
     to_dot,
 )
 from rulefuse.errors import CapacityExceededError
-from rulefuse.matching import Sentence, accepts
+from rulefuse.matching import Sentence, run_trace
 from rulefuse.rules import AnyWord, Literal, Star, parse_regex, parse_rule_lines
 
 
@@ -268,7 +268,7 @@ def test_nfa_stages_preserve_language():
     mdfa = minimize(determinize(nfa_from_ast(ast)))
     for words in sentences_up_to(literals + [OOV], 4):
         sentence = Sentence(words)
-        assert accepts(mdfa, sentence, full_match=True) == oracle_full_match(ast, words)
+        assert run_trace(mdfa, sentence, full_match=True).accepted == oracle_full_match(ast, words)
 
 
 def test_random_equivalence_against_backtracking_oracle():
@@ -279,11 +279,11 @@ def test_random_equivalence_against_backtracking_oracle():
         mdfa = compile(ast)
         for words in sentences_up_to(literals + [OOV], 4):
             sentence = Sentence(words)
-            assert accepts(mdfa, sentence) == oracle_earlystop_accepts(ast, words), (
+            assert run_trace(mdfa, sentence).accepted == oracle_earlystop_accepts(ast, words), (
                 ast,
                 words,
             )
-            assert accepts(mdfa, sentence, full_match=True) == oracle_full_match(
+            assert run_trace(mdfa, sentence, full_match=True).accepted == oracle_full_match(
                 ast, words
             ), (ast, words)
 

@@ -37,3 +37,27 @@ def test_tracer_patches_and_restores_every_target():
     finally:
         tracer.deactivate()
     assert all(vars(owner)[attr] is orig for (owner, attr), orig in zip(targets, originals))
+
+
+def test_traced_training_counts_one_loss_and_grads_call_per_batch():
+    # `model.batches` and `model.train_words` count `loss_and_grads` calls;
+    # a `train` that bypassed it would read 0 for them
+    import math
+
+    from rulefuse.matching import Sentence
+    from rulefuse.model import ModelParams, TrainConfig, TrainItem, build_vocab, train
+
+    items = [TrainItem(Sentence(("a", "b", "c")[: 1 + k % 3]), k % 2) for k in range(10)]
+    params = ModelParams.init("nnsc", build_vocab(it.sentence for it in items), d=3, h=2, C=2)
+    config = TrainConfig(epochs=2, batch_size=4, seed=0)
+    tracer = _load_tracer().Tracer()
+    tracer.activate(0)
+    try:
+        train(params, items, config)
+    finally:
+        tracer.deactivate()
+    batches = config.epochs * math.ceil(len(items) / config.batch_size)
+    counts = tracer.counts_for([0])
+    assert counts["model.batches"] == batches
+    assert counts["model.train_words"] == config.epochs * sum(it.sentence.n for it in items)
+    assert sum(span[0] == "model.loss_and_grads" for span in tracer.spans) == batches

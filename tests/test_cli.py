@@ -428,6 +428,31 @@ def test_train_with_patience_and_no_clipping_from_config(corpus, tmp_path, capsy
     assert "dev_accuracy=" in capsys.readouterr().out
 
 
+def test_train_with_patience_and_no_dev_set_fails_and_writes_nothing(corpus, tmp_path, capsys):
+    # patience used to be ignored without a dev set: all epochs ran and exit was 0
+    ckpt = tmp_path / "model.npz"
+    assert run([
+        "train", "--rules", str(corpus / "rules.tsv"), "--train", str(corpus / "train.tsv"),
+        "--epochs", "3", "--patience", "0", "--emb-dim", "4", "--hidden", "4",
+        "--out", str(ckpt),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rulefuse: error: patience needs a dev set to stop on\n"
+    assert not ckpt.exists()
+
+
+def test_fewshot_with_an_empty_q_list_fails_and_writes_nothing(corpus, tmp_path, capsys):
+    # `--q ,` used to exit 0 having written nothing
+    out = tmp_path / "fewshot"
+    argv = ["fewshot", "--train", str(corpus / "train.tsv"), "--q", ",", "--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rulefuse: error: the q list is empty\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--batch-size", "0"], ["--emb-dim", "0"], ["--hidden", "0"], ["--epochs", "0"],

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import OOV, oracle_earlystop_accepts, oracle_full_match, random_ast
 from rulefuse.automata import collect_literals, compile
-from rulefuse.matching import Sentence, Trace, accepts, run_trace
+from rulefuse.matching import Sentence, Trace, run_trace
 from rulefuse.rules import AnyWord, Star, parse_regex
 
 
@@ -45,22 +45,22 @@ def test_early_stop_at_first_final():
 
 def test_universal_pattern_accepts_everything():
     mdfa = compile(Star(AnyWord()))
-    assert accepts(mdfa, Sentence(()))  # start state is final
-    assert accepts(mdfa, Sentence.from_text("anything at all"))
+    assert run_trace(mdfa, Sentence(())).accepted  # start state is final
+    assert run_trace(mdfa, Sentence.from_text("anything at all")).accepted
 
 
 def test_mismatch_goes_to_dead():
     mdfa = compile(parse_regex("a"))
-    assert not accepts(mdfa, Sentence.from_text("b"))
+    assert not run_trace(mdfa, Sentence.from_text("b")).accepted
 
 
 def test_nullable_pattern_does_not_accept_on_start_state_alone():
     # early stop triggers on *entering* a final state, so a nullable
     # pattern still rejects a sentence with no matching non-empty prefix
     mdfa = compile(parse_regex("( a )?"))
-    assert accepts(mdfa, Sentence(()))
-    assert not accepts(mdfa, Sentence.from_text("b"))
-    assert accepts(mdfa, Sentence.from_text("a"))
+    assert run_trace(mdfa, Sentence(())).accepted
+    assert not run_trace(mdfa, Sentence.from_text("b")).accepted
+    assert run_trace(mdfa, Sentence.from_text("a")).accepted
 
 
 def test_rejection_keeps_full_trace_with_dead_visits():
@@ -76,8 +76,8 @@ def test_rejection_keeps_full_trace_with_dead_visits():
 
 def test_full_match_mode():
     mdfa = compile(parse_regex("a"))
-    assert accepts(mdfa, Sentence.from_text("a"), full_match=True)
-    assert not accepts(mdfa, Sentence.from_text("a b"), full_match=True)
+    assert run_trace(mdfa, Sentence.from_text("a"), full_match=True).accepted
+    assert not run_trace(mdfa, Sentence.from_text("a b"), full_match=True).accepted
     trace = run_trace(mdfa, Sentence.from_text("a b"), full_match=True)
     assert trace.consumed == 2
 
@@ -92,8 +92,9 @@ def test_random_agreement_with_oracle():
         n = rng.randint(0, 5)
         words = tuple(rng.choice(tokens) for _ in range(n)) if tokens else ()
         sentence = Sentence(words)
-        assert accepts(mdfa, sentence) == oracle_earlystop_accepts(ast, words)
-        assert accepts(mdfa, sentence, full_match=True) == oracle_full_match(ast, words)
+        assert run_trace(mdfa, sentence).accepted == oracle_earlystop_accepts(ast, words)
+        full = run_trace(mdfa, sentence, full_match=True).accepted
+        assert full == oracle_full_match(ast, words)
 
 
 def test_early_stop_soundness():

@@ -170,7 +170,7 @@ def test_mixed_length_batch_gradients_match_finite_differences(variant):
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
 def test_padding_leaves_each_sentence_unchanged(variant):
     params, batch = _mixed_length_case(variant, seed=8)
-    H, alpha, f, _, y = _forward_batch(params, [(it.sentence, it.feats) for it in batch])
+    (H, alpha, f, _, y), _ = _forward_batch(params, [(it.sentence, it.feats) for it in batch])
     for b, item in enumerate(batch):
         n = item.sentence.n
         alone = forward(params, item.sentence, item.feats)
@@ -178,6 +178,18 @@ def test_padding_leaves_each_sentence_unchanged(variant):
         assert np.max(np.abs(H[b, :n] - alone.H)) < 1e-12
         assert np.max(np.abs(f[b] - alone.f)) < 1e-12
         assert np.all(alpha[b, n:] == 0.0)
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_inference_and_training_forward_agree_bit_for_bit(variant):
+    # inference stores no LSTM gates or cells; that must not change a bit
+    params, batch = _mixed_length_case(variant, seed=10)
+    rows = [(it.sentence, it.feats) for it in batch]
+    inferred, (_, lstm_state, *_) = _forward_batch(params, rows)
+    trained, _ = _forward_batch(params, rows, keep=True)
+    assert lstm_state is None
+    for name, a, b in zip(("H", "alpha", "f", "logits", "y"), inferred, trained):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])

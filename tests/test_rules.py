@@ -110,12 +110,21 @@ def test_syntax_error_message_and_offset(source, message, offset):
     assert str(exc_info.value) == f"{message} (offset {offset})"
 
 
-def test_syntax_error_in_rule_lines_names_line_and_offset():
+@pytest.mark.parametrize(
+    "lines, message, offset, line",
+    [
+        (["# header", "a\tok", "", "b\tx | + y"], "dangling operator '+'", 4, 4),
+        # "İ" lowercases to two characters; the offset counts the pattern as written
+        (["a\tİstanbul ( x"], "unbalanced parenthesis", 9, 1),
+    ],
+    ids=["dangling-operator", "offset-as-written"],
+)
+def test_syntax_error_in_rule_lines_names_line_and_offset(lines, message, offset, line):
     with pytest.raises(RegexSyntaxError) as exc_info:
-        parse_rule_lines(["# header", "a\tok", "", "b\tx | + y"])
+        parse_rule_lines(lines)
     err = exc_info.value
-    assert (err.message, err.offset, err.line) == ("dangling operator '+'", 4, 4)
-    assert str(err) == "dangling operator '+' (line 4, offset 4)"
+    assert (err.message, err.offset, err.line) == (message, offset, line)
+    assert str(err) == f"{message} (line {line}, offset {offset})"
 
 
 def test_parser_deterministic():
