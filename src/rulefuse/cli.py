@@ -4,12 +4,18 @@ Subcommands: compile, trace, encode, train, eval, fewshot, synth-gen,
 experiment.  An `@FILE` argument is replaced by the arguments in FILE,
 split like a shell command line (quotes and `#` comments work), so a
 flags file parses exactly like the command line; a later flag wins.
+
+Each run setting and its default are written once, as a field of
+`TrainConfig`, `ExperimentConfig` or `SyntheticSpec`; its flag stores under the
+field's name with no default (SUPPRESS), so `config_from_flags` keeps the field's.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import errno
 import json
 import os
 import shlex
@@ -73,20 +79,28 @@ def _or_none(convert):
     return parse
 
 
+def config_from_flags(cls, args):
+    """A `cls` config built from the parsed flags named after its fields."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return cls(**{name: value for name, value in vars(args).items() if name in names})
+
+
+def _require_out_dir(path: str | None) -> None:
+    """Fail before any work when `--out` names a file in a missing directory."""
+    parent = os.path.dirname(path) if path else ""
+    if parent and not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+
+
 def _load_ruleset(args, known_labels: set[str] | None = None) -> RuleSet:
     if not args.rules:
         return RuleSet(())
     return load_rules(args.rules, known_labels)
 
 
-@contextlib.contextmanager
 def _output(path: str | None):
     """The file at `path`, opened for writing and closed on exit, or stdout."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        yield fh
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_compile(args) -> int:
@@ -136,25 +150,19 @@ def cmd_encode(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _require_out_dir(args.out)
+    config = config_from_flags(TrainConfig, args)
     dataset = load_dataset(args.train)
     ruleset = _load_ruleset(args, set(dataset.label_names))
     check_variant(args.variant, ruleset)
     dev = load_dataset(args.dev, label_names=dataset.label_names) if args.dev else None
     test = load_dataset(args.test, label_names=dataset.label_names) if args.test else None
     cache = FeatureCache(ruleset, compile_rules(ruleset))
-    params = init_model(args.variant, cache, dataset, args.emb_dim, args.hidden, args.seed)
-    if args.embeddings:
-        loaded = load_pretrained_embeddings(params, args.embeddings)
-        print(f"loaded {loaded} pretrained embedding rows")
-    config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        seed=args.seed,
-        patience=args.patience,
-        clip_norm=args.clip_norm,
-    )
+    params = init_model(args.variant, cache, dataset, config)
+    loaded = load_pretrained_embeddings(params, args.embeddings) if args.embeddings else None
     history, acc = fit_run(params, cache, dataset, config, dev, test)
+    if loaded is not None:
+        print(f"loaded {loaded} pretrained embedding rows")
     completed = [entry for entry in history if "aborted" not in entry]
     if not completed:
         raise NumericalError(
@@ -205,14 +213,7 @@ def cmd_fewshot(args) -> int:
 
 
 def cmd_synth_gen(args) -> int:
-    spec = SyntheticSpec(
-        classes=args.classes,
-        train_size=args.train_size,
-        test_size=args.test_size,
-        noise=args.noise,
-        seed=args.seed,
-    )
-    train_set, test_set, rule_lines = generate_synthetic(spec)
+    train_set, test_set, rule_lines = generate_synthetic(config_from_flags(SyntheticSpec, args))
     os.makedirs(args.out, exist_ok=True)
     write_dataset(train_set, os.path.join(args.out, "train.tsv"))
     write_dataset(test_set, os.path.join(args.out, "test.tsv"))
@@ -226,23 +227,12 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _require_out_dir(args.out)
+    config = config_from_flags(ExperimentConfig, args)
     train_dataset = load_dataset(args.train)
     test_dataset = load_dataset(args.test, label_names=train_dataset.label_names)
     ruleset = _load_ruleset(args, set(train_dataset.label_names))
     mdfas = compile_rules(ruleset)
-    config = ExperimentConfig(
-        variants=args.variant,
-        q_values=args.q,
-        sample_seeds=args.seeds,
-        train_seeds=args.train_seeds,
-        augment_top3=args.augment_top3,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        clip_norm=args.clip_norm,
-        d=args.emb_dim,
-        h=args.hidden,
-    )
     rows = run_experiment(ruleset, mdfas, train_dataset, test_dataset, config, args.out)
     if args.out:
         print(f"results written to {args.out}")
@@ -282,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     rules_required = argparse.ArgumentParser(add_help=False)
     rules_required.add_argument("--rules", required=True, help="rules file (label<TAB>pattern)")
 
-    model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--epochs", type=int, default=30)
-    model_flags.add_argument("--lr", type=float, default=0.1)
-    model_flags.add_argument("--batch-size", type=int, default=8)
-    model_flags.add_argument("--emb-dim", type=int, default=16)
-    model_flags.add_argument("--hidden", type=int, default=16)
-    model_flags.add_argument("--clip-norm", type=_or_none(float), default=5.0,
+    model_flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    model_flags.add_argument("--epochs", type=int)
+    model_flags.add_argument("--lr", type=float)
+    model_flags.add_argument("--batch-size", type=int)
+    model_flags.add_argument("--emb-dim", type=int, dest="d", metavar="EMB_DIM")
+    model_flags.add_argument("--hidden", type=int, dest="h", metavar="HIDDEN")
+    model_flags.add_argument("--clip-norm", type=_or_none(float),
                              help="gradient-norm clip; none turns clipping off")
 
     p = sub.add_parser("compile", parents=[common, rules_required], help="compile rules to automata")
@@ -313,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test")
     p.add_argument("--dev", help="dev set for early stopping")
     p.add_argument("--variant", default="nnsc", choices=VARIANTS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patience", type=_or_none(int), default=None)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--patience", type=_or_none(int), default=argparse.SUPPRESS)
     p.add_argument("--embeddings", help="pretrained embedding text file")
     p.set_defaults(func=cmd_train)
 
@@ -327,29 +317,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fewshot", parents=[common], help="write few-shot subsets")
     p.add_argument("--train", required=True)
-    p.add_argument("--q", type=_int_list, default=(5,))
-    p.add_argument("--seeds", type=_int_list, default=(0, 1, 2))
-    p.add_argument("--augment-top3", type=_or_none(int), default=None)
+    p.add_argument("--q", type=_int_list, default=ExperimentConfig.q_values)
+    p.add_argument("--seeds", type=_int_list, default=ExperimentConfig.sample_seeds)
+    p.add_argument("--augment-top3", type=_or_none(int))
     p.set_defaults(func=cmd_fewshot)
 
-    p = sub.add_parser("synth-gen", parents=[common], help="generate the synthetic corpus")
-    p.add_argument("--classes", type=int, default=6)
-    p.add_argument("--train-size", type=int, default=600)
-    p.add_argument("--test-size", type=int, default=300)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("synth-gen", parents=[common], help="generate the synthetic corpus",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--train-size", type=int)
+    p.add_argument("--test-size", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth_gen)
 
     p = sub.add_parser("experiment", parents=[common, rules_flag, model_flags],
-                       help="run the seeded (variant, q) grid and write a CSV")
+                       help="run the seeded (variant, q) grid and write a CSV",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--variant", type=_str_list, default=("nnsc", "instance", "word"))
-    p.add_argument("--q", type=_int_list, default=(5,))
-    p.add_argument("--seeds", type=_int_list, default=(0, 1, 2),
+    p.add_argument("--variant", type=_str_list, dest="variants", metavar="VARIANT")
+    p.add_argument("--q", type=_int_list, dest="q_values", metavar="Q")
+    p.add_argument("--seeds", type=_int_list, dest="sample_seeds", metavar="SEEDS",
                    help="sampling seeds")
-    p.add_argument("--train-seeds", type=_int_list, default=(0, 1, 2, 3, 4))
-    p.add_argument("--augment-top3", type=_or_none(int), default=None)
+    p.add_argument("--train-seeds", type=_int_list)
+    p.add_argument("--augment-top3", type=_or_none(int))
     p.set_defaults(func=cmd_experiment)
 
     return parser

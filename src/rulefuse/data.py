@@ -188,7 +188,7 @@ def _keyword_pairs(classes: int) -> list[tuple[str, str]]:
     return list(itertools.permutations(_KEYWORDS[:k], 2))[:classes]
 
 
-def synthetic_rule_lines(classes: int = 6) -> list[str]:
+def synthetic_rule_lines(classes: int) -> list[str]:
     """`label<TAB>pattern` lines, one ordered keyword-pair rule per class.
 
     Raises ConfigError unless `classes` is in the range SyntheticSpec takes.

@@ -178,33 +178,35 @@ def evaluate_accuracy(
 
 @dataclass
 class ExperimentConfig:
+    """The grid's axes, and the training settings its runs share, by default `TrainConfig`'s."""
+
     variants: tuple[str, ...] = ("nnsc", "instance", "word")
     q_values: tuple[int, ...] = (5,)
     sample_seeds: tuple[int, ...] = (0, 1, 2)
     train_seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     augment_top3: int | None = None
-    epochs: int = 30
-    batch_size: int = 8
-    lr: float = 0.1
-    clip_norm: float | None = 5.0
-    d: int = 16
-    h: int = 16
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    clip_norm: float | None = TrainConfig.clip_norm
+    d: int = TrainConfig.d
+    h: int = TrainConfig.h
 
 
 def init_model(
-    variant: str, cache: FeatureCache, train_set: Dataset, d: int, h: int, seed: int
+    variant: str, cache: FeatureCache, train_set: Dataset, config: TrainConfig
 ) -> ModelParams:
-    """Seeded initial weights for one run on `train_set`, with its vocabulary,
-    its label names and the rule binding of the cache's rules."""
+    """Initial weights of widths `config.d`, `config.h` drawn with `config.seed`,
+    with `train_set`'s vocabulary and label names and the cache's rule binding."""
     return ModelParams.init(
         variant,
         build_vocab(sentence for sentence, _ in train_set.samples),
-        d=d,
-        h=h,
+        d=config.d,
+        h=config.h,
         C=train_set.C,
         p=cache.ruleset.p,
         m_total=cache.m_total,
-        seed=seed,
+        seed=config.seed,
         labels=train_set.label_names,
         rules=rule_binding(cache.ruleset, cache.mdfas),
     )
@@ -317,11 +319,11 @@ def run_experiment(
             lr=config.lr,
             seed=seed,
             clip_norm=config.clip_norm,
+            d=config.d,
+            h=config.h,
         )
         for seed in config.train_seeds
     }
-    for name, value in (("d", config.d), ("h", config.h)):
-        require(value >= 1, f"{name} must be >= 1, got {value}")
     for k, (rule, mdfa, fresh) in enumerate(zip(ruleset.rules, mdfas, compile_rules(ruleset))):
         if mdfa.fingerprint() != fresh.fingerprint():
             raise RulesMismatchError(
@@ -340,12 +342,10 @@ def run_experiment(
                 for sample_seed, subset in zip(config.sample_seeds, subsets):
                     for train_seed in config.train_seeds:
                         t0 = time.perf_counter()
-                        params = init_model(
-                            variant, cache, subset, config.d, config.h, train_seed
-                        )
+                        run_config = train_configs[train_seed]
+                        params = init_model(variant, cache, subset, run_config)
                         _, accuracy = fit_run(
-                            params, cache, subset, train_configs[train_seed],
-                            test_set=test_dataset,
+                            params, cache, subset, run_config, test_set=test_dataset
                         )
                         rows.append(
                             {

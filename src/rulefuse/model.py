@@ -81,8 +81,9 @@ class ModelParams:
     Every weight lives in the one float64 vector `theta`; `emb`, `fwd_wx`,
     ... `mlp_b2` are named views into it, in a layout built once per model.
     Writing into a view writes `theta`; assigning a tensor copies into its
-    view.  Each LSTM direction's `wx`, `wh` and `b` lie back to back, so
-    both directions stacked on a new axis 0 are views too.
+    view.  The two LSTM directions of each of `wx`, `wh` and `b` lie back
+    to back (`fwd_wx, bwd_wx, fwd_wh, bwd_wh, fwd_b, bwd_b`), so each
+    tensor with both directions stacked on axis 0 is a view too.
     """
 
     variant: str
@@ -217,12 +218,19 @@ class TrainItem:
 
 @dataclass
 class TrainConfig:
+    """One training run's settings; the CLI's flags and `ExperimentConfig`
+    take their defaults from these fields.  `seed` draws the initial weights
+    (`init_model`) and shuffles each epoch; `d` and `h` are the embedding
+    and LSTM hidden widths.  A setting no run can use is a ConfigError."""
+
     epochs: int = 30
     batch_size: int = 8
     lr: float = 0.1
     seed: int = 0
     patience: int | None = None  # early stop on dev accuracy when set
     clip_norm: float | None = 5.0
+    d: int = 16
+    h: int = 16
 
     def __post_init__(self):
         require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
@@ -234,6 +242,8 @@ class TrainConfig:
         require(
             patience is None or patience >= 0, f"patience must be None or >= 0, got {patience}"
         )
+        require(self.d >= 1, f"d must be >= 1, got {self.d}")
+        require(self.h >= 1, f"h must be >= 1, got {self.h}")
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:

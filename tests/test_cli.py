@@ -5,13 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rulefuse.cli import build_parser, main, run
-from rulefuse.data import load_dataset
+from rulefuse.cli import build_parser, config_from_flags, main, run
+from rulefuse.data import SyntheticSpec, load_dataset
 from rulefuse.encoding import encode_instance, encode_word_tags
 from rulefuse.errors import ConfigError, NumericalError, RulesMismatchError
-from rulefuse.experiment import compile_rules
+from rulefuse.experiment import ExperimentConfig, compile_rules
 from rulefuse.matching import run_trace
-from rulefuse.model import load_model, save_model
+from rulefuse.model import TrainConfig, load_model, save_model
 from rulefuse.rules import load_rules
 
 
@@ -561,6 +561,76 @@ def test_train_embeddings_are_loaded_into_the_checkpoint(corpus, tmp_path, capsy
     params = load_model(ckpt)
     for word, vals in rows.items():
         assert params.emb[params.vocab[word]].tolist() == vals
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "2", "--patience", "0"], ["--epochs", "0"]],
+                         ids=["patience-without-dev", "epochs0"])
+def test_train_with_embeddings_and_a_bad_setting_prints_nothing(corpus, tmp_path, capsys, flags):
+    # `loaded 1 pretrained embedding rows` used to come before the error
+    word = load_dataset(corpus / "train.tsv").samples[0][0].words[0]
+    emb = tmp_path / "emb.txt"
+    emb.write_text(f"{word} 0.5 0 0 0\n")
+    ckpt = tmp_path / "model.npz"
+    assert run([
+        "train", "--train", str(corpus / "train.tsv"), "--emb-dim", "4", "--hidden", "3",
+        "--embeddings", str(emb), "--out", str(ckpt), *flags,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rulefuse: error: ") and captured.err.count("\n") == 1
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_out_into_a_missing_directory_fails_before_reading_input(
+    corpus, tmp_path, capsys, monkeypatch, command
+):
+    # the run used to do all its work and only then fail to write its result
+    def read_input(*args, **kwargs):
+        raise AssertionError("read an input before checking --out")
+
+    monkeypatch.setattr("rulefuse.cli.load_dataset", read_input)
+    missing = tmp_path / "no" / "such"
+    argv = [command, "--train", str(corpus / "train.tsv"), "--test", str(corpus / "test.tsv"),
+            "--epochs", "1", "--emb-dim", "4", "--hidden", "3", "--out", str(missing / "out")]
+    if command == "experiment":
+        argv += ["--variant", "nnsc", "--q", "1", "--seeds", "0", "--train-seeds", "0"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rulefuse: error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["train", "--train", "t.tsv"], TrainConfig()),
+    (["experiment", "--train", "t.tsv", "--test", "x.tsv"], ExperimentConfig()),
+    (["synth-gen"], SyntheticSpec()),
+], ids=["train", "experiment", "synth-gen"])
+def test_flags_left_out_leave_the_config_defaults(argv, config):
+    assert config_from_flags(type(config), build_parser().parse_args(argv)) == config
+
+
+def test_fewshot_defaults_are_the_experiment_grid_defaults():
+    args = build_parser().parse_args(["fewshot", "--train", "t.tsv"])
+    assert (args.q, args.seeds) == (ExperimentConfig.q_values, ExperimentConfig.sample_seeds)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["train", "--train", "t.tsv", "--epochs", "7", "--lr", "0.25", "--batch-size", "4",
+      "--emb-dim", "6", "--hidden", "5", "--clip-norm", "none", "--seed", "3", "--patience", "2"],
+     TrainConfig(epochs=7, batch_size=4, lr=0.25, seed=3, patience=2, clip_norm=None, d=6, h=5)),
+    (["experiment", "--train", "t.tsv", "--test", "x.tsv", "--variant", "nnsc,word", "--q", "2,3",
+      "--seeds", "4,5", "--train-seeds", "6", "--augment-top3", "2", "--emb-dim", "6",
+      "--hidden", "5"],
+     ExperimentConfig(variants=("nnsc", "word"), q_values=(2, 3), sample_seeds=(4, 5),
+                      train_seeds=(6,), augment_top3=2, d=6, h=5)),
+    (["synth-gen", "--classes", "4", "--train-size", "10", "--test-size", "5", "--noise", "0.2",
+      "--seed", "7"],
+     SyntheticSpec(classes=4, train_size=10, test_size=5, noise=0.2, seed=7)),
+], ids=["train", "experiment", "synth-gen"])
+def test_every_config_flag_sets_its_field(argv, config):
+    assert config_from_flags(type(config), build_parser().parse_args(argv)) == config
 
 
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])

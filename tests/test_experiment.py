@@ -342,7 +342,7 @@ def test_run_experiment_checks_every_automaton(tmp_path):
 def test_init_model_equals_model_params_init(variant):
     ruleset, mdfas, train, _ = _tiny_experiment_setup()
     cache = FeatureCache(ruleset, mdfas)
-    params = init_model(variant, cache, train, d=4, h=3, seed=7)
+    params = init_model(variant, cache, train, TrainConfig(d=4, h=3, seed=7))
     expected = ModelParams.init(
         variant, build_vocab(s for s, _ in train.samples), d=4, h=3, C=train.C,
         p=ruleset.p, m_total=cache.m_total, seed=7,
@@ -358,7 +358,7 @@ def test_fit_run_trains_in_place_and_scores_the_test_set():
     # shifted gold labels, so scoring the training set instead shows
     test = Dataset([(s, (label + 1) % test.C) for s, label in test.samples], test.label_names)
     cache = FeatureCache(ruleset, mdfas)
-    params = init_model("instance", cache, train, d=4, h=4, seed=0)
+    params = init_model("instance", cache, train, TrainConfig(d=4, h=4, seed=0))
     before = params.theta.copy()
     history, accuracy = fit_run(params, cache, train, TrainConfig(epochs=2, seed=0),
                                 dev_set=test, test_set=test)

@@ -1,19 +1,26 @@
 """Leftover imports and exports in the package, found with `ast`.
 
-Every module under `src/rulefuse/` except `__init__.py` (whose imports are
-the package's exports) must use each name it imports, unless the import
-line carries a `# noqa: F401` marker (see test_bench_tracer_imports.py
-for what may carry one).  Every `__all__` entry of every module must name
-something the module defines or imports, and every module-level `_name`
-a module defines must be read somewhere else in that module.
+Every module under `src/rulefuse/` must use each name it imports, unless
+the import line carries a `# noqa: F401` marker (see
+test_bench_tracer_imports.py for what may carry one).  Every `__all__`
+entry of every module must name something the module defines or imports,
+and every module-level `_name` a module defines must be read somewhere
+else in that module.  The package root exports nothing: `__init__.py`
+imports nothing, and no file under `src/`, `bench/` or `tests/` takes a
+name from `rulefuse` itself rather than from one of its modules, so
+`import rulefuse.rules` loads the rule parser without numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rulefuse"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rulefuse"
 MODULES = sorted(PACKAGE.glob("*.py"))
 MARKER = "# noqa: F401"
 
@@ -105,3 +112,38 @@ def test_every_private_helper_is_read(path):
         ):
             dead.append(f"{path.name}:{definition.lineno} {name}")
     assert dead == [], f"module-level private names never read in their module: {dead}"
+
+
+def test_the_package_root_imports_nothing():
+    assert list(_imports(_tree(PACKAGE / "__init__.py"))) == []
+
+
+def _root_imports(path: Path):
+    """Each `from rulefuse import x`, `from . import x` in the package, and
+    `rulefuse.x` read as an attribute where x is not a module, in `path`."""
+    submodules = {module.stem for module in MODULES}
+    in_package = path.parent == PACKAGE
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 0 and node.module == "rulefuse")
+            or (in_package and node.level == 1 and node.module is None)
+        ):
+            yield f"{path.relative_to(ROOT)}:{node.lineno} from {node.module or '.'} import"
+        elif (
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "rulefuse" and node.attr not in submodules
+            and not node.attr.startswith("__")
+        ):
+            yield f"{path.relative_to(ROOT)}:{node.lineno} rulefuse.{node.attr}"
+
+
+def test_nothing_imports_from_the_package_root():
+    paths = [*MODULES, *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    found = [use for path in paths for use in _root_imports(path)]
+    assert found == [], f"names taken from the package root, not their module: {found}"
+
+
+def test_the_rule_parser_loads_without_numpy():
+    code = "import sys, rulefuse.rules; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

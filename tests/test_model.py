@@ -461,12 +461,19 @@ def test_tensors_are_views_into_one_parameter_vector():
     with pytest.raises(DimensionMismatchError):
         params.emb = params.emb.T
     assert params.theta.tobytes() == before.tobytes()
-    # each direction's LSTM tensors lie back to back: stacked, they are one view
+    # the two directions of each LSTM tensor lie back to back: stacked, they are one view
     stacked = params.views(params.theta)
     for name in ("wx", "wh", "b"):
         assert stacked[name][0].tobytes() == getattr(params, "fwd_" + name).tobytes()
         assert stacked[name][1].tobytes() == getattr(params, "bwd_" + name).tobytes()
         assert np.shares_memory(stacked[name], params.theta)
+    # so theta runs fwd_wx, bwd_wx, fwd_wh, bwd_wh, fwd_b, bwd_b, with no gaps
+    params.theta[:] = np.arange(params.theta.size)
+    order = ("fwd_wx", "bwd_wx", "fwd_wh", "bwd_wh", "fwd_b", "bwd_b")
+    starts = [int(getattr(params, name).flat[0]) for name in order]
+    ends = [start + getattr(params, name).size for start, name in zip(starts, order)]
+    assert starts[1:] == ends[:-1]
+    assert ends[-1] == params.att_w.flat[0]
 
 
 def test_init_keeps_its_draw_order():
