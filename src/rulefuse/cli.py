@@ -104,6 +104,7 @@ def _output(path: str | None):
 
 
 def cmd_compile(args) -> int:
+    _require_out_dir(args.out)
     known = set(load_labels(args.labels)) if args.labels else None
     ruleset = _load_ruleset(args, known)
     mdfas = compile_rules(ruleset)
@@ -134,6 +135,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _require_out_dir(args.out)
     dataset = load_dataset(args.train)
     ruleset = _load_ruleset(args, set(dataset.label_names))
     matcher = RuleMatcher(ruleset, compile_rules(ruleset))
@@ -264,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output path")
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", help="output path")
+    out_required = argparse.ArgumentParser(add_help=False)
+    out_required.add_argument("--out", required=True, help="output directory")
 
     rules_flag = argparse.ArgumentParser(add_help=False)
     rules_flag.add_argument("--rules", help="rules file (label<TAB>pattern)")
@@ -281,24 +285,24 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags.add_argument("--clip-norm", type=_or_none(float),
                              help="gradient-norm clip; none turns clipping off")
 
-    p = sub.add_parser("compile", parents=[common, rules_required], help="compile rules to automata")
+    p = sub.add_parser("compile", parents=[out_flag, rules_required], help="compile rules to automata")
     p.add_argument("--labels", help="optional label file for validation")
     p.add_argument("--dot", action="store_true", help="emit GraphViz DOT")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("trace", parents=[common, rules_required], help="trace a sentence through every rule")
+    p = sub.add_parser("trace", parents=[rules_required], help="trace a sentence through every rule")
     p.add_argument("--sentence", required=True)
     p.add_argument("--full-match", action="store_true", help="disable the early stop")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("encode", parents=[common, rules_flag], help="write JSONL features for a dataset")
+    p = sub.add_parser("encode", parents=[out_flag, rules_flag], help="write JSONL features for a dataset")
     p.add_argument("--train", required=True, help="dataset to encode")
     p.add_argument("--gate-instance", action="store_true",
                    help="zero instance vectors of rejecting rules")
     p.add_argument("--full-match", action="store_true")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("train", parents=[common, rules_flag, model_flags], help="train one model")
+    p = sub.add_parser("train", parents=[out_flag, rules_flag, model_flags], help="train one model")
     p.add_argument("--train", required=True)
     p.add_argument("--test")
     p.add_argument("--dev", help="dev set for early stopping")
@@ -308,21 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="pretrained embedding text file")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common, rules_flag], help="evaluate a checkpoint or the rule baseline")
+    p = sub.add_parser("eval", parents=[rules_flag], help="evaluate a checkpoint or the rule baseline")
     p.add_argument("--test", required=True)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--model", help="checkpoint path")
     which.add_argument("--rule-only", action="store_true", help="first-match rule classifier")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("fewshot", parents=[common], help="write few-shot subsets")
+    p = sub.add_parser("fewshot", parents=[out_required], help="write few-shot subsets")
     p.add_argument("--train", required=True)
     p.add_argument("--q", type=_int_list, default=ExperimentConfig.q_values)
     p.add_argument("--seeds", type=_int_list, default=ExperimentConfig.sample_seeds)
     p.add_argument("--augment-top3", type=_or_none(int))
     p.set_defaults(func=cmd_fewshot)
 
-    p = sub.add_parser("synth-gen", parents=[common], help="generate the synthetic corpus",
+    p = sub.add_parser("synth-gen", parents=[out_required], help="generate the synthetic corpus",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--classes", type=int)
     p.add_argument("--train-size", type=int)
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth_gen)
 
-    p = sub.add_parser("experiment", parents=[common, rules_flag, model_flags],
+    p = sub.add_parser("experiment", parents=[out_flag, rules_flag, model_flags],
                        help="run the seeded (variant, q) grid and write a CSV",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--train", required=True)

@@ -12,14 +12,17 @@ Three wiring modes:
 All math is plain numpy in float64 with hand-written backward passes so the
 analytic gradients can be checked against central finite differences.
 Training and scoring run on padded mini-batches: only the recurrence
-``h @ wh`` loops over time, and both LSTM directions advance together.
-Each layer (input, LSTM, attention, classifier MLP) is one forward and one
-backward function; a forward returns, as a tuple, what its backward reads.
-Inference keeps no LSTM gate or cell state.
+``h @ wh`` loops over time, and both LSTM directions advance together in
+a time-leading ``(T, 2, B, .)`` layout, one ``tanh`` over each step's gate
+row (the i, f and o weights are pre-halved).  Each layer (input, LSTM,
+attention, classifier MLP) is one forward and one backward function; a
+forward returns, as a tuple, what its backward reads.  Inference keeps no
+LSTM gate or cell state per step, and scores length-sorted batches.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -272,86 +275,113 @@ def _gather_features(params, sentence, feats):
     return feats
 
 
-def _input_forward(params, rows):
-    """Embeddings of the (sentence, feats) rows, `word` tags appended.
-
-    Sentences are zero-padded after their words to the longest; the
-    backward direction reads each reversed within its length, so its
-    padding also comes last.  Returns both directions stacked time-major,
-    `Xd` (2, T, B, d_in); the `instance` rows `U` (B, 0 for other
-    variants); and the batch layout (lengths, mask, rev, ids)."""
-    lengths = np.array([sentence.n for sentence, _ in rows])
+def _padded_ids(params, sentences):
+    """Vocabulary ids of the sentences, zero-padded after their words to
+    the longest, (B, T), and their lengths (B,)."""
+    lengths = np.array([sentence.n for sentence in sentences])
     if lengths.min() < 1:
         raise ValueError("forward requires a non-empty sentence")
-    feats = [_gather_features(params, *row) for row in rows]
-    B, T = len(rows), int(lengths.max())
+    words = itertools.chain.from_iterable(sentence.words for sentence in sentences)
+    ids = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
+    ids[np.arange(lengths.max()) < lengths[:, None]] = np.fromiter(
+        map(params.vocab.get, words, itertools.repeat(0)), np.intp, int(lengths.sum())
+    )
+    return ids, lengths
+
+
+def _input_forward(params, ids, lengths, feats):
+    """Embeddings of the padded ids (B, T), `word` tags appended.
+
+    `feats` holds each sentence's features as `_gather_features` checked
+    them.  The backward direction reads each sentence reversed within its
+    length, so its padding also comes last.  Returns both directions
+    stacked time-leading, `Xd` (T, 2, B, d_in); the `instance` rows `U`
+    (B, 0 for other variants); and the batch layout (lengths, mask, back,
+    ids).  `back` indexes a time-leading (T, B, ...) array into the
+    backward direction's order, and is its own inverse; when every
+    sentence has the same length it is a reversing slice, so no gather."""
+    B, T = ids.shape
     steps = np.arange(T)
     mask = steps < lengths[:, None]
-    ids = np.array([params.vocab.get(w, 0) for sentence, _ in rows for w in sentence.words])
-    X = np.zeros((B, T, params.input_width))
-    X[mask, : params.d] = params.emb[ids]
+    Xd = np.zeros((T, 2, B, params.input_width))
+    X = Xd[:, 0].swapaxes(0, 1)  # (B, T, d_in), a view
+    X[mask, : params.d] = params.emb[ids[mask]]
     if params.variant == "word":
         X[mask, params.d :] = np.concatenate(feats)
     U = np.stack(feats) if params.variant == "instance" else np.zeros((B, 0))
-    rev = np.where(mask, lengths[:, None] - 1 - steps, steps)  # its own inverse
-    Xd = np.ascontiguousarray(np.stack([X, X[np.arange(B)[:, None], rev]]).swapaxes(1, 2))
-    return Xd, U, (lengths, mask, rev, ids)
+    if lengths.min() == T:
+        back = np.s_[::-1]
+    else:
+        back = (np.where(mask, lengths[:, None] - 1 - steps, steps).T, np.arange(B))
+    Xd[:, 1] = Xd[:, 0][back]
+    return Xd, U, (lengths, mask, back, ids)
 
 
 def _input_backward(dXd, layout, demb):
-    """Un-reverse `dXd` and scatter-add its embedding columns into `demb`;
-    the `word` tags take no gradient."""
-    _, mask, rev, ids = layout
-    dX = dXd[0].swapaxes(0, 1) + dXd[1][rev, np.arange(len(rev))[:, None]]  # (B, T, d_in)
-    np.add.at(demb, ids, dX[mask, : demb.shape[1]])
+    """Un-reverse `dXd` (2, T, B, d_in) and scatter-add its embedding
+    columns into `demb`, word by word in batch order; the `word` tags take
+    no gradient."""
+    _, mask, back, ids = layout
+    dX = (dXd[0] + dXd[1][back]).swapaxes(0, 1)  # (B, T, d_in)
+    np.add.at(demb, ids[mask], dX[mask, : demb.shape[1]])
 
 
 def _lstm_forward(Xd, wx, wh, b, keep=False):
-    """Both LSTM directions, stacked on axis 0 of inputs and weights.
+    """Both LSTM directions, stacked on axis 1 of inputs and axis 0 of weights.
 
-    Xd is (2, T, B, d_in), the backward direction's sentences already
-    reversed within their lengths.  All timesteps are projected by one
-    matmul; only `h @ wh` runs per step.  Gates are ordered i, f, o, g.
-    Returns the hidden states (2, T, B, h) and what `_lstm_backward`
-    reads; only with `keep` (not at inference) are gates and cells stored.
+    Xd is (T, 2, B, d_in), time-leading so that every step's slice is
+    contiguous, the backward direction's sentences already reversed
+    within their lengths.  All timesteps are projected by one matmul;
+    only `h @ wh` runs per step.  Gates are ordered i, f, o, g.  The i, f
+    and o columns of the weights are halved first (exact, a power of
+    two), so one `tanh` over a step's gate row gives tanh(z/2) for them,
+    and sigmoid(z) = (1 + tanh(z/2)) / 2, and tanh(z) for g.  The gate
+    rows are computed in place in `Zx`.  Returns the hidden states
+    (T, 2, B, h) and what `_lstm_backward` reads; with `keep` (training)
+    every step's g and cell have their own slot, at inference one slot is
+    reused.
     """
-    Zx = Xd @ wx[:, None]
-    Zx += b[:, None, None]
-    D, T, B, four_h = Zx.shape
-    hdim = four_h // 4
-    hs = np.empty((D, T, B, hdim))
-    h = np.zeros((D, B, hdim))
-    c = np.zeros((D, B, hdim))
-    if keep:
-        gates = np.empty_like(Zx)
-        cells = np.empty_like(hs)
+    hdim = wh.shape[1]
+    half = np.where(np.arange(4 * hdim) < 3 * hdim, 0.5, 1.0)
+    Zx = Xd @ (wx * half)
+    Zx += (b * half)[:, None]
+    wh = wh * half
+    T, D, B, _ = Zx.shape
+    hs = np.empty((T, D, B, hdim))
+    slots = T if keep else 1
+    gs = np.empty((slots, D, B, hdim))
+    cells = np.empty((slots, D, B, hdim))
+    h = c = np.zeros((D, B, hdim))
     for t in range(T):
-        z = Zx[:, t] + h @ wh
-        s = 0.5 * (1.0 + np.tanh(z[..., : 3 * hdim] / 2))  # sigmoid of i, f, o at once
-        g = np.tanh(z[..., 3 * hdim :])
-        c = s[..., hdim : 2 * hdim] * c + s[..., :hdim] * g
-        h = s[..., 2 * hdim :] * np.tanh(c)
-        hs[:, t] = h
-        if keep:
-            gates[:, t, :, : 3 * hdim] = s
-            gates[:, t, :, 3 * hdim :] = g
-            cells[:, t] = c
-    return hs, ((Xd, hs, gates, cells) if keep else None)
+        k = t if keep else 0
+        z = Zx[t]
+        z += h @ wh
+        np.tanh(z, out=z)
+        g = gs[k]
+        g[...] = z[..., 3 * hdim :]
+        z += 1.0
+        z *= 0.5
+        c = np.multiply(z[..., hdim : 2 * hdim], c, out=cells[k])
+        c += z[..., :hdim] * g
+        h = np.tanh(c, out=hs[t])
+        h *= z[..., 2 * hdim : 3 * hdim]
+    return hs, ((Xd, hs, Zx, gs, cells) if keep else None)
 
 
 def _lstm_backward(dhs, saved, wx, wh):
     """BPTT through both stacked directions, from `_lstm_forward`'s saved tensors.
 
-    Returns (dXd, dwx, dwh, db), each stacked per direction like its
-    forward counterpart.  Padded steps receive zero upstream gradient and
-    follow every real step, so their dz is exactly zero and adds nothing.
+    `dhs` is time-leading like `hs`.  Returns (dXd, dwx, dwh, db), each
+    stacked per direction on axis 0; dXd is (2, T, B, d_in).  Padded steps
+    receive zero upstream gradient and follow every real step, so their dz
+    is exactly zero and adds nothing.
     """
-    Xd, hs, gates, cells = saved
-    hdim = wh.shape[1]
-    i, f, o, g = (gates[..., k * hdim : (k + 1) * hdim] for k in range(4))
+    Xd, hs, gates, g, cells = saved
+    T, D, B, four_h = gates.shape
+    hdim = four_h // 4
+    i, f, o = (gates[..., k * hdim : (k + 1) * hdim] for k in range(3))
     tanh_c = np.tanh(cells)
-    c_prev = np.concatenate([np.zeros_like(cells[:, :1]), cells[:, :-1]], axis=1)
-    h_prev = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], axis=1)
+    c_prev = np.concatenate([np.zeros_like(cells[:1]), cells[:-1]])
     # dz per gate i, f, o, g is coef * (dc, dc, dh, dc)
     coef = np.concatenate(
         [g * i * (1.0 - i), c_prev * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g * g)],
@@ -359,28 +389,31 @@ def _lstm_backward(dhs, saved, wx, wh):
     )
     dc_from_h = o * (1.0 - tanh_c * tanh_c)
     wh_t = wh.swapaxes(1, 2)
-    dZ = np.empty_like(gates)
-    dh_carry = np.zeros_like(hs[:, 0])
-    dc_carry = np.zeros_like(cells[:, 0])
-    for t in range(dZ.shape[1] - 1, -1, -1):
-        dh = dhs[:, t] + dh_carry
-        dc = dc_from_h[:, t] * dh + dc_carry
-        dz = np.multiply(np.concatenate((dc, dc, dh, dc), axis=-1), coef[:, t], out=dZ[:, t])
-        dc_carry = f[:, t] * dc
+    dZ = np.empty((D, T, B, four_h))  # direction-major, as the weight gradients read it
+    dh_carry = np.zeros_like(hs[0])
+    dc_carry = np.zeros_like(cells[0])
+    for t in range(T - 1, -1, -1):
+        dh = dhs[t] + dh_carry
+        dc = dc_from_h[t] * dh + dc_carry
+        dz = np.multiply(np.concatenate((dc, dc, dh, dc), axis=-1), coef[t], out=dZ[:, t])
+        dc_carry = f[t] * dc
         dh_carry = dz @ wh_t
-    D, d_in, four_h = wx.shape
+    d_in = wx.shape[1]
     flat_dz = dZ.reshape(D, -1, four_h)
-    dwx = Xd.reshape(D, -1, d_in).swapaxes(1, 2) @ flat_dz
-    dwh = h_prev.reshape(D, -1, hdim).swapaxes(1, 2) @ flat_dz
+    X = Xd.swapaxes(0, 1).reshape(D, -1, d_in)
+    h_prev = np.concatenate([np.zeros_like(hs[:1]), hs[:-1]]).swapaxes(0, 1).reshape(D, -1, hdim)
+    dwx = X.swapaxes(1, 2) @ flat_dz
+    dwh = h_prev.swapaxes(1, 2) @ flat_dz
     return dZ @ wx.swapaxes(1, 2)[:, None], dwx, dwh, flat_dz.sum(axis=1)
 
 
 def _attention_forward(hs, att_w, layout):
     """Bilinear attention over H (B, T, 2h), the query being the state at
-    the last word; padding scores -inf.  Returns f and (H, alpha, q, Wq)."""
-    lengths, mask, rev, _ = layout
+    the last word; padding scores -inf.  `hs` is the LSTM's time-leading
+    (T, 2, B, h).  Returns f and (H, alpha, q, Wq)."""
+    lengths, mask, back, _ = layout
     rows_b = np.arange(len(lengths))
-    H = np.concatenate([hs[0].swapaxes(0, 1), hs[1][rev, rows_b[:, None]]], axis=-1)
+    H = np.concatenate([hs[:, 0].swapaxes(0, 1), hs[:, 1][back].swapaxes(0, 1)], axis=-1)
     q = H[rows_b, lengths - 1]
     Wq = q @ att_w.T
     alpha = _softmax(np.where(mask, (H @ Wq[:, :, None])[..., 0], -np.inf))
@@ -389,10 +422,10 @@ def _attention_forward(hs, att_w, layout):
 
 
 def _attention_backward(df, saved, att_w, layout):
-    """Returns `dhs` (2, T, B, h) and `d att_w`.  f = alpha H, alpha =
+    """Returns `dhs` (T, 2, B, h) and `d att_w`.  f = alpha H, alpha =
     softmax(H (W q)), q = H[len - 1]; alpha is 0 on padding, so is its gradient."""
     H, alpha, q, Wq = saved
-    lengths, _, rev, _ = layout
+    lengths, _, back, _ = layout
     rows_b = np.arange(len(lengths))
     dalpha = (H @ df[:, :, None])[..., 0]
     dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
@@ -401,7 +434,8 @@ def _attention_backward(df, saved, att_w, layout):
     datt_w = dWq.T @ q
     dH[rows_b, lengths - 1] += dWq @ att_w
     h = df.shape[1] // 2
-    return np.stack([dH[:, :, :h], dH[rows_b[:, None], rev, h:]]).swapaxes(1, 2), datt_w
+    dH = dH.swapaxes(0, 1)  # (T, B, 2h)
+    return np.stack([dH[..., :h], dH[..., h:][back]], axis=1), datt_w
 
 
 def _classifier_forward(params, f, U):
@@ -426,10 +460,18 @@ def _classifier_backward(params, saved, labels):
 
 
 def _forward_batch(params, rows, keep=False):
-    """Forward pass over (sentence, feats) rows at once, layer by layer.
-    Returns (H, alpha, f, logits, y) with a leading batch axis, and what
-    each layer's backward reads (LSTM state only with `keep`)."""
-    Xd, U, layout = _input_forward(params, rows)
+    """Forward pass over (sentence, feats) rows at once: their ids padded
+    to the longest, then `_forward_padded`."""
+    ids, lengths = _padded_ids(params, [sentence for sentence, _ in rows])
+    feats = [_gather_features(params, *row) for row in rows]
+    return _forward_padded(params, ids, lengths, feats, keep)
+
+
+def _forward_padded(params, ids, lengths, feats, keep=False):
+    """Forward pass over padded ids (B, T), layer by layer.  Returns
+    (H, alpha, f, logits, y) with a leading batch axis, and what each
+    layer's backward reads (LSTM state only with `keep`)."""
+    Xd, U, layout = _input_forward(params, ids, lengths, feats)
     views = params._views
     hs, lstm = _lstm_forward(Xd, views["wx"], views["wh"], views["b"], keep)
     f, attention = _attention_forward(hs, params.att_w, layout)
@@ -503,17 +545,27 @@ def predict(params: ModelParams, sentence: Sentence, feats: np.ndarray | None = 
 def evaluate_items(params: ModelParams, items: Sequence[TrainItem]) -> float:
     """Fraction of items whose prediction matches the gold label.
 
-    Forward-only batches of at most INFER_CHUNK sentences, keeping no LSTM
-    state for a backward pass; argmax ties break toward the lowest class
-    index, as in `predict`.
+    Every item's words are mapped to ids in one pass, padded once.  The
+    items are then scored in order of length, in forward-only batches of
+    at most INFER_CHUNK sentences, each padded only to its own longest
+    and keeping no LSTM state for a backward pass.  Hits are counted per
+    batch, so the order does not change the result.  Argmax ties break
+    toward the lowest class index, as in `predict`.
     """
     if not items:
         return 0.0
+    feats = [_gather_features(params, item.sentence, item.feats) for item in items]
+    ids, lengths = _padded_ids(params, [item.sentence for item in items])
+    labels = np.array([item.label for item in items])
+    order = np.argsort(lengths, kind="stable")
     hits = 0
     for lo in range(0, len(items), INFER_CHUNK):
-        chunk = items[lo : lo + INFER_CHUNK]
-        y = _forward_batch(params, [(it.sentence, it.feats) for it in chunk])[0][-1]
-        hits += int((y.argmax(axis=1) == [it.label for it in chunk]).sum())
+        chunk = order[lo : lo + INFER_CHUNK]
+        T = lengths[chunk[-1]]  # the chunk's longest
+        outputs, _ = _forward_padded(
+            params, ids[chunk, :T], lengths[chunk], [feats[i] for i in chunk]
+        )
+        hits += int((outputs[-1].argmax(axis=1) == labels[chunk]).sum())
     return hits / len(items)
 
 

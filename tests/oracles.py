@@ -15,6 +15,9 @@ Nothing here reuses the package's NFA/DFA pipeline:
   automaton; with `oracle_minimize` (frozenset Hopcroft refinement) they
   form an independent reference pipeline whose `Mdfa` must equal
   `compile`'s byte for byte.
+* `oracle_lstm` steps both LSTM directions in the direction-major layout
+  with a separate sigmoid and `tanh` per step, for a byte-for-byte
+  check of the model's time-leading, one-`tanh` `_lstm_forward`.
 """
 
 from __future__ import annotations
@@ -380,6 +383,31 @@ def random_model_case(seed: int, variant: str):
             )
         batch.append(TrainItem(sentence, label, feats))
     return params, batch
+
+
+def oracle_lstm(Xd: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hidden states (2, T, B, h) of both LSTM directions, one step at a time.
+
+    `Xd` is direction-major, (2, T, B, d_in), the backward direction
+    already reversed within each sentence's length.  Gates are i, f, o, g:
+    sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for i, f and o, and a separate
+    tanh(z) for g, on unscaled weights.
+    """
+    Zx = Xd @ wx[:, None]
+    Zx += b[:, None, None]
+    D, T, B, four_h = Zx.shape
+    hdim = four_h // 4
+    hs = np.empty((D, T, B, hdim))
+    h = np.zeros((D, B, hdim))
+    c = np.zeros((D, B, hdim))
+    for t in range(T):
+        z = Zx[:, t] + h @ wh
+        s = 0.5 * (1.0 + np.tanh(z[..., : 3 * hdim] / 2))
+        g = np.tanh(z[..., 3 * hdim :])
+        c = s[..., hdim : 2 * hdim] * c + s[..., :hdim] * g
+        h = s[..., 2 * hdim :] * np.tanh(c)
+        hs[:, t] = h
+    return hs
 
 
 # ---------------------------------------------------------------------------

@@ -602,17 +602,58 @@ def test_out_into_a_missing_directory_fails_before_reading_input(
     assert not (tmp_path / "no").exists()
 
 
+@pytest.mark.parametrize("command", ["compile", "encode"])
+def test_compile_and_encode_check_out_before_reading_rules(tmp_path, capsys, command):
+    # the error named the missing rules file: --out was checked after all the work
+    missing = tmp_path / "no"
+    argv = [command, "--rules", str(tmp_path / "absent.tsv"), "--out", str(missing / "x")]
+    if command == "encode":
+        argv += ["--train", str(tmp_path / "absent_train.tsv")]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rulefuse: error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth-gen", "--classes", "3", "--train-size", "20", "--test-size", "10"],
+    ["fewshot", "--train", "t.tsv", "--q", "1"],
+], ids=["synth-gen", "fewshot"])
+def test_synth_gen_and_fewshot_need_out(tmp_path, capsys, monkeypatch, argv):
+    # without --out, synth-gen generated and then ended in a raw TypeError traceback
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--test", "x.tsv", "--rule-only", "--rules", "r.tsv"],
+    ["trace", "--rules", "r.tsv", "--sentence", "w01 alpha"],
+], ids=["eval", "trace"])
+def test_eval_and_trace_reject_out(tmp_path, capsys, monkeypatch, argv):
+    # both accepted --out, ignored it and printed to stdout
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", "ev.txt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out ev.txt" in capsys.readouterr().err
+    assert not (tmp_path / "ev.txt").exists()
+
+
 @pytest.mark.parametrize("argv, config", [
     (["train", "--train", "t.tsv"], TrainConfig()),
     (["experiment", "--train", "t.tsv", "--test", "x.tsv"], ExperimentConfig()),
-    (["synth-gen"], SyntheticSpec()),
+    (["synth-gen", "--out", "syn"], SyntheticSpec()),
 ], ids=["train", "experiment", "synth-gen"])
 def test_flags_left_out_leave_the_config_defaults(argv, config):
     assert config_from_flags(type(config), build_parser().parse_args(argv)) == config
 
 
 def test_fewshot_defaults_are_the_experiment_grid_defaults():
-    args = build_parser().parse_args(["fewshot", "--train", "t.tsv"])
+    args = build_parser().parse_args(["fewshot", "--train", "t.tsv", "--out", "fs"])
     assert (args.q, args.seeds) == (ExperimentConfig.q_values, ExperimentConfig.sample_seeds)
 
 
@@ -626,7 +667,7 @@ def test_fewshot_defaults_are_the_experiment_grid_defaults():
      ExperimentConfig(variants=("nnsc", "word"), q_values=(2, 3), sample_seeds=(4, 5),
                       train_seeds=(6,), augment_top3=2, d=6, h=5)),
     (["synth-gen", "--classes", "4", "--train-size", "10", "--test-size", "5", "--noise", "0.2",
-      "--seed", "7"],
+      "--seed", "7", "--out", "syn"],
      SyntheticSpec(classes=4, train_size=10, test_size=5, noise=0.2, seed=7)),
 ], ids=["train", "experiment", "synth-gen"])
 def test_every_config_flag_sets_its_field(argv, config):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import max_grad_relative_error, random_model_case
+from oracles import max_grad_relative_error, oracle_lstm, random_model_case
 from rulefuse.errors import (
     CheckpointError,
     ConfigError,
@@ -32,7 +32,7 @@ from rulefuse.model import (
     save_model,
     train,
 )
-from rulefuse.model import _forward_batch
+from rulefuse.model import _forward_batch, _input_forward, _lstm_forward, _padded_ids
 
 
 def _vocab(*words):
@@ -202,6 +202,34 @@ def test_batched_evaluation_equals_per_item_predict(variant):
     differ = [TrainItem(it.sentence, (c + 1) % 3, it.feats) for it, c in zip(items, predicted)]
     assert evaluate_items(params, agree) == 1.0
     assert evaluate_items(params, differ) == 0.0
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["inference", "training"])
+@pytest.mark.parametrize("variant", ["nnsc", "word"])
+def test_lstm_forward_equals_the_step_by_step_oracle_byte_for_byte(variant, keep):
+    # halved i/f/o weights and one tanh per step must not change a bit
+    params, batch = _mixed_length_case(variant, seed=12)
+    ids, lengths = _padded_ids(params, [it.sentence for it in batch])
+    Xd, _, _ = _input_forward(params, ids, lengths, [it.feats for it in batch])
+    wx, wh, b = (params._views[name] for name in ("wx", "wh", "b"))
+    hs, saved = _lstm_forward(Xd, wx, wh, b, keep=keep)
+    expected = oracle_lstm(np.ascontiguousarray(Xd.swapaxes(0, 1)), wx, wh, b)
+    assert hs.shape == (max(MIXED_LENGTHS), 2, len(batch), params.h)
+    assert hs.swapaxes(0, 1).tobytes() == expected.tobytes()
+    assert (saved is None) != keep
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_evaluation_does_not_depend_on_item_order(variant):
+    # over three chunk boundaries; a run of 130 equal lengths fills whole
+    # chunks, so the equal-length path (a reversed view) runs too
+    lengths = [4] * 130 + [1 + (i * 5) % 12 for i in range(3 * INFER_CHUNK - 130 + 20)]
+    params, items = _mixed_length_case(variant, seed=13, lengths=lengths)
+    hits = sum(predict(params, it.sentence, it.feats) == it.label for it in items)
+    shuffled = [items[i] for i in np.random.default_rng(0).permutation(len(items))]
+    by_length = sorted(items, key=lambda it: it.sentence.n)
+    for order in (items, shuffled, items[::-1], by_length, by_length[::-1]):
+        assert evaluate_items(params, order) == hits / len(items)
 
 
 def test_wrong_shape_feature_arrays_raise():
