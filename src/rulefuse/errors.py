@@ -79,3 +79,7 @@ class MalformedLineError(RulefuseError):
 
 class EmptyDatasetError(RulefuseError, ValueError):
     """A dataset file or a training set contained no usable samples."""
+
+
+class EmptySentenceError(RulefuseError, ValueError):
+    """The model was given a sentence with no words."""

@@ -28,7 +28,10 @@ class Sentence:
 
     @classmethod
     def from_text(cls, text: str) -> "Sentence":
-        return cls(tuple(text.lower().split()))
+        # str.split() never yields an empty word, so skip __init__'s check
+        sentence = object.__new__(cls)
+        object.__setattr__(sentence, "words", tuple(text.lower().split()))
+        return sentence
 
     @property
     def n(self) -> int:

@@ -11,10 +11,11 @@ Three wiring modes:
 
 All math is plain numpy in float64 with hand-written backward passes so the
 analytic gradients can be checked against central finite differences.
-Training and scoring run on padded mini-batches: only the recurrence
-``h @ wh`` loops over time, and both LSTM directions advance together in
-a time-leading ``(T, 2, B, .)`` layout, one ``tanh`` over each step's gate
-row (the i, f and o weights are pre-halved).  Each layer (input, LSTM,
+Training and scoring run on padded mini-batches, row gathers from a set
+padded once (`_padded_ids`): only the recurrence ``h @ wh`` loops over
+time, and both LSTM directions advance together in a time-leading
+``(T, 2, B, .)`` layout, one ``tanh`` over each step's gate row (the i,
+f and o weights are pre-halved).  Each layer (input, LSTM,
 attention, classifier MLP) is one forward and one backward function; a
 forward returns, as a tuple, what its backward reads.  Inference keeps no
 LSTM gate or cell state per step, and scores length-sorted batches.
@@ -37,6 +38,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyDatasetError,
+    EmptySentenceError,
     MalformedLineError,
     MissingFeaturesError,
     NumericalError,
@@ -255,51 +257,106 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _gather_features(params, sentence, feats):
-    """The rule features the variant reads, after one shape check: an
-    `(n, p)` tag matrix for `word`, an `(m_total,)` state indicator for
-    `instance`, None for `nnsc`.  At p = 0 missing features read as
-    zero-width."""
-    if params.variant == "nnsc":
-        return None
-    word = params.variant == "word"
-    what = "tag matrix" if word else "state indicator"
-    if feats is None:
-        if params.p:
-            raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
-        feats = np.zeros((sentence.n, 0) if word else 0)
-    shape = (sentence.n, params.p) if word else (params.m_total,)
-    got = getattr(feats, "shape", type(feats).__name__)
-    if got != shape:
-        raise DimensionMismatchError(f"{what} is {got}, expected an array of shape {shape}")
-    return feats
+def _padded_ids(params, sentences, feats):
+    """A set of N sentences and their rule features as the arrays the model
+    reads, each item checked once.
 
-
-def _padded_ids(params, sentences):
-    """Vocabulary ids of the sentences, zero-padded after their words to
-    the longest, (B, T), and their lengths (B,)."""
-    lengths = np.array([sentence.n for sentence in sentences])
-    if lengths.min() < 1:
-        raise ValueError("forward requires a non-empty sentence")
+    Returns the vocabulary ids (N, T), zero-padded after each sentence's
+    words to the longest; the lengths (N,); and the features the variant
+    reads as one array: the `word` tags (N, T, p), zero on padding, the
+    `instance` state indicators (N, m_total), None for `nnsc`.  At p = 0
+    missing features read as zero-width.  An empty sentence raises
+    EmptySentenceError naming its position; a missing feature array,
+    MissingFeaturesError, and one of the wrong shape,
+    DimensionMismatchError.
+    """
+    lengths = np.array([sentence.n for sentence in sentences], dtype=np.intp)
+    if (lengths < 1).any():
+        raise EmptySentenceError(
+            f"item {int(lengths.argmin())} has no words; the model reads non-empty sentences"
+        )
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
     words = itertools.chain.from_iterable(sentence.words for sentence in sentences)
-    ids = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
-    ids[np.arange(lengths.max()) < lengths[:, None]] = np.fromiter(
+    ids = np.zeros(mask.shape, dtype=np.intp)
+    ids[mask] = np.fromiter(
         map(params.vocab.get, words, itertools.repeat(0)), np.intp, int(lengths.sum())
     )
-    return ids, lengths
+    if params.variant == "nnsc":
+        return ids, lengths, None
+    word = params.variant == "word"
+    what = "tag matrix" if word else "state indicator"
+    checked = []
+    for n, array in zip(lengths.tolist(), feats):
+        if array is None:
+            if params.p:
+                raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
+            array = np.zeros((n, 0) if word else 0)
+        shape = (n, params.p) if word else (params.m_total,)
+        got = getattr(array, "shape", type(array).__name__)
+        if got != shape:
+            raise DimensionMismatchError(f"{what} is {got}, expected an array of shape {shape}")
+        checked.append(array)
+    if not word:
+        indicators = np.array(checked, dtype=np.float64)
+        return ids, lengths, indicators.reshape(len(checked), params.m_total)
+    tags = np.zeros((*mask.shape, params.p))
+    if checked:
+        tags[mask] = np.concatenate(checked)
+    return ids, lengths, tags
+
+
+class _ItemSet:
+    """Items as `_padded_ids` gives them, plus their labels (N,), padded
+    once and read many times: per batch in `train`, per chunk in
+    `evaluate_items`."""
+
+    def __init__(self, params: ModelParams, items: Sequence[TrainItem]):
+        self.items = items
+        self.ids, self.lengths, self.feats = _padded_ids(
+            params, [item.sentence for item in items], [item.feats for item in items]
+        )
+        self.labels = np.array([item.label for item in items], dtype=np.intp)
+
+    def rows(self, rows: np.ndarray) -> tuple:
+        """(ids, lengths, feats, labels) of the given rows, in that order,
+        padded only to their own longest."""
+        lengths = self.lengths[rows]
+        T = lengths.max()
+        feats = self.feats
+        if feats is not None:
+            feats = feats[rows, :T] if feats.ndim == 3 else feats[rows]
+        return self.ids[rows, :T], lengths, feats, self.labels[rows]
+
+
+class _Batch:
+    """Rows of a padded item set, and the gradient buffer `loss_and_grads`
+    overwrites for them.  `train` passes these in the place of item lists,
+    all rows of one set padded once per run, all sharing one buffer; like
+    an item list, a batch iterates as its TrainItems and has a length."""
+
+    __slots__ = ("data", "rows", "grads")
+
+    def __init__(self, data: _ItemSet, rows: np.ndarray, grads: _Gradients):
+        self.data, self.rows, self.grads = data, rows, grads
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(self.data.items.__getitem__, self.rows)
 
 
 def _input_forward(params, ids, lengths, feats):
     """Embeddings of the padded ids (B, T), `word` tags appended.
 
-    `feats` holds each sentence's features as `_gather_features` checked
-    them.  The backward direction reads each sentence reversed within its
-    length, so its padding also comes last.  Returns both directions
-    stacked time-leading, `Xd` (T, 2, B, d_in); the `instance` rows `U`
-    (B, 0 for other variants); and the batch layout (lengths, mask, back,
-    ids).  `back` indexes a time-leading (T, B, ...) array into the
-    backward direction's order, and is its own inverse; when every
-    sentence has the same length it is a reversing slice, so no gather."""
+    `feats` is the batch's feature array as `_padded_ids` gives it.  The
+    backward direction reads each sentence reversed within its length, so
+    its padding also comes last.  Returns both directions stacked
+    time-leading, `Xd` (T, 2, B, d_in); the `instance` rows `U` (B, 0 for
+    other variants); and the batch layout (lengths, mask, back, ids).
+    `back` indexes a time-leading (T, B, ...) array into the backward
+    direction's order, and is its own inverse; when every sentence has
+    the same length it is a reversing slice, so no gather."""
     B, T = ids.shape
     steps = np.arange(T)
     mask = steps < lengths[:, None]
@@ -307,8 +364,8 @@ def _input_forward(params, ids, lengths, feats):
     X = Xd[:, 0].swapaxes(0, 1)  # (B, T, d_in), a view
     X[mask, : params.d] = params.emb[ids[mask]]
     if params.variant == "word":
-        X[mask, params.d :] = np.concatenate(feats)
-    U = np.stack(feats) if params.variant == "instance" else np.zeros((B, 0))
+        X[..., params.d :] = feats
+    U = feats if params.variant == "instance" else np.zeros((B, 0))
     if lengths.min() == T:
         back = np.s_[::-1]
     else:
@@ -318,12 +375,12 @@ def _input_forward(params, ids, lengths, feats):
 
 
 def _input_backward(dXd, layout, demb):
-    """Un-reverse `dXd` (2, T, B, d_in) and scatter-add its embedding
-    columns into `demb`, word by word in batch order; the `word` tags take
-    no gradient."""
+    """Un-reverse `dXd` (2, T, B, d), the embedding columns' gradient;
+    zero `demb` and scatter-add it there, word by word in batch order."""
     _, mask, back, ids = layout
-    dX = (dXd[0] + dXd[1][back]).swapaxes(0, 1)  # (B, T, d_in)
-    np.add.at(demb, ids[mask], dX[mask, : demb.shape[1]])
+    dX = (dXd[0] + dXd[1][back]).swapaxes(0, 1)  # (B, T, d)
+    demb[...] = 0.0
+    np.add.at(demb, ids[mask], dX[mask])
 
 
 def _lstm_forward(Xd, wx, wh, b, keep=False):
@@ -368,13 +425,14 @@ def _lstm_forward(Xd, wx, wh, b, keep=False):
     return hs, ((Xd, hs, Zx, gs, cells) if keep else None)
 
 
-def _lstm_backward(dhs, saved, wx, wh):
+def _lstm_backward(dhs, saved, wx, wh, d):
     """BPTT through both stacked directions, from `_lstm_forward`'s saved tensors.
 
     `dhs` is time-leading like `hs`.  Returns (dXd, dwx, dwh, db), each
-    stacked per direction on axis 0; dXd is (2, T, B, d_in).  Padded steps
-    receive zero upstream gradient and follow every real step, so their dz
-    is exactly zero and adds nothing.
+    stacked per direction on axis 0; dXd is (2, T, B, d), the gradient of
+    the first `d` input columns only (the embeddings; the `word` tags take
+    none).  Padded steps receive zero upstream gradient and follow every
+    real step, so their dz is exactly zero and adds nothing.
     """
     Xd, hs, gates, g, cells = saved
     T, D, B, four_h = gates.shape
@@ -404,7 +462,7 @@ def _lstm_backward(dhs, saved, wx, wh):
     h_prev = np.concatenate([np.zeros_like(hs[:1]), hs[:-1]]).swapaxes(0, 1).reshape(D, -1, hdim)
     dwx = X.swapaxes(1, 2) @ flat_dz
     dwh = h_prev.swapaxes(1, 2) @ flat_dz
-    return dZ @ wx.swapaxes(1, 2)[:, None], dwx, dwh, flat_dz.sum(axis=1)
+    return dZ @ wx[:, :d].swapaxes(1, 2)[:, None], dwx, dwh, flat_dz.sum(axis=1)
 
 
 def _attention_forward(hs, att_w, layout):
@@ -460,11 +518,10 @@ def _classifier_backward(params, saved, labels):
 
 
 def _forward_batch(params, rows, keep=False):
-    """Forward pass over (sentence, feats) rows at once: their ids padded
-    to the longest, then `_forward_padded`."""
-    ids, lengths = _padded_ids(params, [sentence for sentence, _ in rows])
-    feats = [_gather_features(params, *row) for row in rows]
-    return _forward_padded(params, ids, lengths, feats, keep)
+    """Forward pass over (sentence, feats) rows at once: `_padded_ids`,
+    then `_forward_padded`."""
+    sentences, feats = zip(*rows)
+    return _forward_padded(params, *_padded_ids(params, sentences, feats), keep)
 
 
 def _forward_padded(params, ids, lengths, feats, keep=False):
@@ -490,27 +547,30 @@ def forward(
 
 
 class _Gradients(dict):
-    """Gradients by tensor name, as views into the flat vector `flat`."""
+    """Gradients by tensor name, as views into the flat vector `flat`, laid
+    out like `params.theta`; `views` also holds the stacked LSTM views."""
 
-    def __init__(self, views: dict[str, np.ndarray], flat: np.ndarray):
-        super().__init__((name, views[name]) for name in _TENSOR_NAMES)
-        self.flat = flat
+    def __init__(self, params: ModelParams):
+        self.flat = np.empty_like(params.theta)
+        self.views = params.views(self.flat)
+        super().__init__((name, self.views[name]) for name in _TENSOR_NAMES)
 
 
-def _backward(params, saved, labels: np.ndarray) -> _Gradients:
-    """Gradient of the batch-mean cross-entropy, laid out like `theta`:
-    each layer's backward, from the classifier down to the input."""
+def _backward(params, saved, labels: np.ndarray, grads: _Gradients) -> _Gradients:
+    """Gradient of the batch-mean cross-entropy, written over all of
+    `grads`: each layer's backward, from the classifier down to the input."""
     layout, lstm, attention, classifier = saved
-    flat = np.zeros_like(params.theta)
-    grads = params.views(flat)
+    views = grads.views
     mlp, df = _classifier_backward(params, classifier, labels)
     for name, grad in zip(("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"), mlp):
-        grads[name][...] = grad
-    dhs, grads["att_w"][...] = _attention_backward(df, attention, params.att_w, layout)
+        views[name][...] = grad
+    dhs, views["att_w"][...] = _attention_backward(df, attention, params.att_w, layout)
     wx, wh = params._views["wx"], params._views["wh"]
-    dXd, grads["wx"][...], grads["wh"][...], grads["b"][...] = _lstm_backward(dhs, lstm, wx, wh)
-    _input_backward(dXd, layout, grads["emb"])
-    return _Gradients(grads, flat)
+    dXd, views["wx"][...], views["wh"][...], views["b"][...] = _lstm_backward(
+        dhs, lstm, wx, wh, params.d
+    )
+    _input_backward(dXd, layout, views["emb"])
+    return grads
 
 
 def loss_and_grads(
@@ -521,19 +581,24 @@ def loss_and_grads(
     One padded forward and backward pass covers the whole batch.
     Gradients mirror params.tensors(), as views into one vector laid out
     like `params.theta` (their `flat` attribute); raises NumericalError if
-    the loss goes non-finite.
+    the loss goes non-finite.  A plain item list is padded and checked
+    here, and gets a fresh gradient vector; the batches `train` passes
+    are rows of a set it padded once per run, and all write into the
+    run's one gradient vector.
     """
-    if not batch:
-        raise ValueError("empty batch")
-    outputs, saved = _forward_batch(params, [(it.sentence, it.feats) for it in batch], keep=True)
-    labels = np.array([item.label for item in batch])
-    probs = outputs[-1][np.arange(len(batch)), labels]
+    if not isinstance(batch, _Batch):
+        if not batch:
+            raise ValueError("empty batch")
+        batch = _Batch(_ItemSet(params, batch), np.arange(len(batch)), _Gradients(params))
+    *inputs, labels = batch.data.rows(batch.rows)
+    outputs, saved = _forward_padded(params, *inputs, keep=True)
+    probs = outputs[-1][np.arange(len(labels)), labels]
     if not (np.isfinite(probs).all() and (probs > 0.0).all()):
         raise NumericalError("class probability underflowed or went non-finite")
-    loss = float(-np.log(probs).sum()) / len(batch)
+    loss = float(-np.log(probs).sum()) / len(labels)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss}")
-    return loss, _backward(params, saved, labels)
+    return loss, _backward(params, saved, labels, batch.grads)
 
 
 def predict(params: ModelParams, sentence: Sentence, feats: np.ndarray | None = None) -> int:
@@ -545,28 +610,26 @@ def predict(params: ModelParams, sentence: Sentence, feats: np.ndarray | None = 
 def evaluate_items(params: ModelParams, items: Sequence[TrainItem]) -> float:
     """Fraction of items whose prediction matches the gold label.
 
-    Every item's words are mapped to ids in one pass, padded once.  The
+    The set is padded once: every item's words are mapped to ids in one
+    pass, and its features checked and gathered into one array.  The
     items are then scored in order of length, in forward-only batches of
-    at most INFER_CHUNK sentences, each padded only to its own longest
-    and keeping no LSTM state for a backward pass.  Hits are counted per
-    batch, so the order does not change the result.  Argmax ties break
-    toward the lowest class index, as in `predict`.
+    at most INFER_CHUNK sentences, each a row gather padded only to its
+    own longest and keeping no LSTM state for a backward pass.  Hits are
+    counted per batch, so the order does not change the result.  Argmax
+    ties break toward the lowest class index, as in `predict`.
     """
-    if not items:
-        return 0.0
-    feats = [_gather_features(params, item.sentence, item.feats) for item in items]
-    ids, lengths = _padded_ids(params, [item.sentence for item in items])
-    labels = np.array([item.label for item in items])
-    order = np.argsort(lengths, kind="stable")
+    return _evaluate(params, _ItemSet(params, items))
+
+
+def _evaluate(params: ModelParams, data: _ItemSet) -> float:
+    """`evaluate_items` on a set padded beforehand; 0.0 when it is empty."""
+    order = np.argsort(data.lengths, kind="stable")
     hits = 0
-    for lo in range(0, len(items), INFER_CHUNK):
-        chunk = order[lo : lo + INFER_CHUNK]
-        T = lengths[chunk[-1]]  # the chunk's longest
-        outputs, _ = _forward_padded(
-            params, ids[chunk, :T], lengths[chunk], [feats[i] for i in chunk]
-        )
-        hits += int((outputs[-1].argmax(axis=1) == labels[chunk]).sum())
-    return hits / len(items)
+    for lo in range(0, len(order), INFER_CHUNK):
+        *inputs, labels = data.rows(order[lo : lo + INFER_CHUNK])
+        outputs, _ = _forward_padded(params, *inputs)
+        hits += int((outputs[-1].argmax(axis=1) == labels).sum())
+    return hits / len(order) if len(order) else 0.0
 
 
 def _sgd_step(params: ModelParams, flat: np.ndarray, config: TrainConfig) -> None:
@@ -597,6 +660,12 @@ def train(
     `EmptyDatasetError`; a label outside `0..C-1`, or patience without
     dev_items, raises `ConfigError`; non-finite initial weights raise
     `NumericalError`.
+
+    The training and dev sets are each padded once per call, before the
+    first step (`_padded_ids`): an empty sentence or a bad feature array
+    in either raises then, with `theta` unchanged.  Every batch is a row
+    gather from the padded training set, passed to `loss_and_grads`, and
+    writes its gradients into one buffer allocated once per call.
     """
     if not items:
         raise EmptyDatasetError("empty training set")
@@ -607,6 +676,9 @@ def train(
     for item in items:
         if not 0 <= item.label < params.C:
             raise ConfigError(f"label {item.label} outside 0..{params.C - 1}")
+    data = _ItemSet(params, items)
+    dev = None if dev_items is None else _ItemSet(params, dev_items)
+    grads = _Gradients(params)
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
     best_theta = None
@@ -618,9 +690,10 @@ def train(
         total_loss = 0.0
         try:
             for lo in range(0, len(order), config.batch_size):
-                batch = [items[i] for i in order[lo : lo + config.batch_size]]
-                loss, grads = loss_and_grads(params, batch)
-                _sgd_step(params, grads.flat, config)
+                batch = _Batch(data, order[lo : lo + config.batch_size], grads)
+                # the module attribute, so a wrapper around it sees every batch
+                loss, batch_grads = loss_and_grads(params, batch)
+                _sgd_step(params, batch_grads.flat, config)
                 total_loss += loss * len(batch)
         except NumericalError:
             blew_up = True
@@ -633,8 +706,8 @@ def train(
             )
             break
         entry = {"epoch": epoch, "loss": total_loss / len(items), "dev_accuracy": None}
-        if dev_items is not None:
-            acc = evaluate_items(params, dev_items)
+        if dev is not None:
+            acc = _evaluate(params, dev)
             entry["dev_accuracy"] = acc
             if config.patience is not None:
                 if acc > best_acc:

@@ -9,6 +9,8 @@ checks every target without running the benchmark.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -40,15 +42,32 @@ def test_tracer_patches_and_restores_every_target():
 
 
 def test_traced_training_counts_one_loss_and_grads_call_per_batch():
+    _check_traced_training_counts("nnsc")
+
+
+@pytest.mark.parametrize("variant", ["instance", "word"])
+def test_traced_training_with_rule_features_counts_one_call_per_batch(variant):
+    _check_traced_training_counts(variant)
+
+
+def _check_traced_training_counts(variant):
     # `model.batches` and `model.train_words` count `loss_and_grads` calls;
     # a `train` that bypassed it would read 0 for them
     import math
 
+    import numpy as np
+
     from rulefuse.matching import Sentence
     from rulefuse.model import ModelParams, TrainConfig, TrainItem, build_vocab, train
 
-    items = [TrainItem(Sentence(("a", "b", "c")[: 1 + k % 3]), k % 2) for k in range(10)]
-    params = ModelParams.init("nnsc", build_vocab(it.sentence for it in items), d=3, h=2, C=2)
+    p, m_total = 2, 5
+    items = []
+    for k in range(10):
+        sentence = Sentence(("a", "b", "c")[: 1 + k % 3])
+        feats = {"nnsc": None, "instance": np.ones(m_total), "word": np.ones((sentence.n, p))}
+        items.append(TrainItem(sentence, k % 2, feats[variant]))
+    vocab = build_vocab(it.sentence for it in items)
+    params = ModelParams.init(variant, vocab, d=3, h=2, C=2, p=p, m_total=m_total)
     config = TrainConfig(epochs=2, batch_size=4, seed=0)
     tracer = _load_tracer().Tracer()
     tracer.activate(0)

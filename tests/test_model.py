@@ -10,6 +10,7 @@ from rulefuse.errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyDatasetError,
+    EmptySentenceError,
     MalformedLineError,
     MissingFeaturesError,
     NumericalError,
@@ -32,7 +33,15 @@ from rulefuse.model import (
     save_model,
     train,
 )
-from rulefuse.model import _forward_batch, _input_forward, _lstm_forward, _padded_ids
+from rulefuse.model import (
+    _Batch,
+    _forward_batch,
+    _Gradients,
+    _input_forward,
+    _ItemSet,
+    _lstm_forward,
+    _padded_ids,
+)
 
 
 def _vocab(*words):
@@ -209,8 +218,8 @@ def test_batched_evaluation_equals_per_item_predict(variant):
 def test_lstm_forward_equals_the_step_by_step_oracle_byte_for_byte(variant, keep):
     # halved i/f/o weights and one tanh per step must not change a bit
     params, batch = _mixed_length_case(variant, seed=12)
-    ids, lengths = _padded_ids(params, [it.sentence for it in batch])
-    Xd, _, _ = _input_forward(params, ids, lengths, [it.feats for it in batch])
+    padded = _padded_ids(params, [it.sentence for it in batch], [it.feats for it in batch])
+    Xd, _, _ = _input_forward(params, *padded)
     wx, wh, b = (params._views[name] for name in ("wx", "wh", "b"))
     hs, saved = _lstm_forward(Xd, wx, wh, b, keep=keep)
     expected = oracle_lstm(np.ascontiguousarray(Xd.swapaxes(0, 1)), wx, wh, b)
@@ -230,6 +239,14 @@ def test_evaluation_does_not_depend_on_item_order(variant):
     by_length = sorted(items, key=lambda it: it.sentence.n)
     for order in (items, shuffled, items[::-1], by_length, by_length[::-1]):
         assert evaluate_items(params, order) == hits / len(items)
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_an_empty_item_set_scores_zero(variant):
+    params, items = _mixed_length_case(variant, seed=15, lengths=(2, 3))
+    assert evaluate_items(params, []) == 0.0
+    _, history = train(params, items, TrainConfig(epochs=1), dev_items=[])
+    assert history[0]["dev_accuracy"] == 0.0
 
 
 def test_wrong_shape_feature_arrays_raise():
@@ -528,6 +545,42 @@ def test_gradients_share_the_parameter_layout(variant):
     assert sum(g.size for g in grads.values()) == grads.flat.size
 
 
+@pytest.mark.parametrize("rows", [(1, 3, 0, 7), (2, 4, 6)], ids=["mixed", "equal"])
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_padded_rows_give_the_item_lists_loss_and_gradient_bytes(variant, rows):
+    # rows 2, 4 and 6 all have 3 words, against 12 for the longest in the
+    # set: re-padded to 3, they take the reversing-slice path
+    lengths = (1, 12, 3, 7, 3, 12, 3, 9, 4, 1)
+    params, items = _mixed_length_case(variant, seed=14, lengths=lengths)
+    data = _ItemSet(params, items)
+    grads = _Gradients(params)
+    # another batch first, so the buffer holds its gradients, `emb` included
+    loss_and_grads(params, _Batch(data, np.array([5, 8, 9]), grads))
+    batch = _Batch(data, np.array(rows), grads)
+    assert len(batch) == len(rows) and list(batch) == [items[i] for i in rows]
+    loss, got = loss_and_grads(params, batch)
+    expected_loss, expected = loss_and_grads(params, [items[i] for i in rows])
+    assert got is grads
+    assert loss == expected_loss
+    assert got.flat.tobytes() == expected.flat.tobytes()
+
+
+class _CountingVocab(dict):
+    lookups = 0
+
+    def get(self, word, default=None):
+        self.lookups += 1
+        return super().get(word, default)
+
+
+def test_train_maps_the_training_words_to_ids_once_per_call():
+    items = _toy_items()
+    params = ModelParams.init("nnsc", build_vocab(it.sentence for it in items), d=4, h=3, C=2)
+    params.vocab = _CountingVocab(params.vocab)
+    train(params, items, TrainConfig(epochs=3, batch_size=4, seed=3))
+    assert params.vocab.lookups == sum(it.sentence.n for it in items)
+
+
 def _resaved(tmp_path, name, change):
     """An instance checkpoint whose tensor `name` is changed (None: dropped)."""
     params = ModelParams.init(
@@ -645,6 +698,25 @@ def test_label_out_of_range_is_config_error(label):
     with pytest.raises(ConfigError, match=f"label {label} outside 0..1"):
         train(params, items, TrainConfig(epochs=1))
     assert params.theta.tobytes() == before.tobytes()
+
+
+def test_empty_sentence_is_a_typed_error_before_the_first_step():
+    # it was a bare ValueError from the batch that held it, mid-epoch; with
+    # seed 1 the empty item falls in the last of five batches
+    items = _toy_items()[:19] + [TrainItem(Sentence(()), 0)]
+    params = ModelParams.init("nnsc", build_vocab(it.sentence for it in items), d=4, h=3, C=2)
+    before = params.theta.tobytes()
+    with pytest.raises(EmptySentenceError, match="item 19 has no words") as info:
+        train(params, items, TrainConfig(epochs=1, batch_size=4, seed=1))
+    assert isinstance(info.value, RulefuseError) and isinstance(info.value, ValueError)
+    assert params.theta.tobytes() == before
+    with pytest.raises(EmptySentenceError, match="item 19 has no words"):
+        train(params, items[:19], TrainConfig(epochs=1, batch_size=4, seed=1), items)
+    assert params.theta.tobytes() == before
+    with pytest.raises(EmptySentenceError, match="item 1 has no words"):
+        loss_and_grads(params, items[-2:])
+    with pytest.raises(EmptySentenceError, match="item 19 has no words"):
+        evaluate_items(params, items)
 
 
 def test_boundary_training_settings_stay_legal():
