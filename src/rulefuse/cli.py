@@ -32,7 +32,7 @@ from .data import (
     write_dataset,
 )
 from .encoding import RuleMatcher
-from .errors import NumericalError, RulefuseError, require
+from .errors import CheckpointError, NumericalError, RulefuseError, require
 from .experiment import (
     ExperimentConfig,
     FeatureCache,
@@ -191,6 +191,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = None if args.rule_only else load_model(args.model)
+    if params is not None and params.labels is None:
+        raise CheckpointError(
+            f"checkpoint {args.model} records no label names, so the test labels "
+            "cannot be matched to its classes"
+        )
     dataset = load_dataset(args.test, label_names=params.labels if params else None)
     ruleset = _load_ruleset(args, set(dataset.label_names))
     mdfas = compile_rules(ruleset)

@@ -10,19 +10,21 @@ Two encodings per (sentence, rule) pair:
   accepts the sentence; on acceptance the consumed prefix is tagged 1 and
   any words after the early stop stay 0.
 
-`RuleMatcher` computes both for a whole rule set at once: it stacks every
+`RuleMatcher` computes them for a whole rule set at once: it stacks every
 rule's automaton into one flat transition table and advances all of them
-together, one array lookup per word, in one stepping loop that both of its
-paths share.  `encode_batch` gives a whole padded dataset's features as the
-arrays the model reads, for any gate/full-match setting.  `encode` gives
-one sentence's `(m_total,)` state indicator (rule k's states are the slice
+together, one array lookup per word, in one stepping loop that all of its
+paths share.  `encode_batch` gives a whole dataset's features of both
+kinds, for any gate/full-match setting; `state_indicators` and
+`word_tags` each give one kind, padded, at the default settings (no
+gate, early stop), as the model reads it.  `encode` gives one sentence's
+`(m_total,)` state indicator (rule k's states are the slice
 `bounds[k]:bounds[k + 1]`) and per-rule `WordTagSeq`s at the default
-settings (no gate, early stop); the indicator is a fresh array, equal to
-the sentence's `encode_batch` row.  Tag lists are in rule order, so entry
-k belongs to `ruleset.rules[k]`.  Each accepting rule gets a fresh tag
-array, and every rejecting rule one `WordTagSeq` shared by all sentences
-of that length, whose tags are a read-only zero array.  `run_trace` with
-`encode_instance` and `encode_word_tags` is the one-rule path both must
+settings; the indicator is a fresh array, equal to the sentence's
+`encode_batch` row.  Tag lists are in rule order, so entry k belongs to
+`ruleset.rules[k]`.  Each accepting rule gets a fresh tag array, and
+every rejecting rule one `WordTagSeq` shared by all sentences of that
+length, whose tags are a read-only zero array.  `run_trace` with
+`encode_instance` and `encode_word_tags` is the one-rule path all must
 agree with.
 """
 
@@ -46,6 +48,7 @@ from .rules import RuleSet
 __all__ = [
     "WordTagSeq",
     "RuleMatcher",
+    "state_bounds",
     "encode_instance",
     "encode_word_tags",
     "encode_all",
@@ -86,6 +89,15 @@ def encode_word_tags(trace: Trace, n: int) -> WordTagSeq:
     return WordTagSeq(tags)
 
 
+def state_bounds(ruleset: RuleSet, mdfas: list[Mdfa]) -> list[int]:
+    """The global id of each rule's first state, then `m_total`: rule k's
+    states are `bounds[k] .. bounds[k + 1] - 1`.  Raises
+    DimensionMismatchError unless there is one automaton per rule."""
+    if len(mdfas) != ruleset.p:
+        raise DimensionMismatchError(f"expected {ruleset.p} automata, got {len(mdfas)}")
+    return [0, *itertools.accumulate(m.state_count for m in mdfas)]
+
+
 class RuleMatcher:
     """Every rule's automaton in one table, stepped together.
 
@@ -101,9 +113,7 @@ class RuleMatcher:
     """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
-        if len(mdfas) != ruleset.p:
-            raise DimensionMismatchError(f"expected {ruleset.p} automata, got {len(mdfas)}")
-        self.bounds = [0, *itertools.accumulate(m.state_count for m in mdfas)]
+        self.bounds = state_bounds(ruleset, mdfas)
         self.m_total = self.bounds[-1]
         words = sorted({word for m in mdfas for word in m.symbols})
         self.word_ids = {word: g for g, word in enumerate(words)}
@@ -209,32 +219,62 @@ class RuleMatcher:
         consumed = np.where(reached, hit.argmax(axis=0) + 1, lengths[:, None])
         return states, consumed, reached | (empty & self.final[self.start])
 
+    def _visited(
+        self, sentences: Sequence[Sentence], full_match: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`run_batch`'s `(T, N, p)` states and `(N, p)` acceptance, with the
+        `(T, N, p)` mask of the steps each rule consumed."""
+        states, consumed, accepted = self.run_batch(sentences, full_match=full_match)
+        # consumed never exceeds a sentence's length, so padding is never visited
+        return states, np.arange(len(states))[:, None, None] < consumed, accepted
+
+    def _indicator(self, states: np.ndarray, visited: np.ndarray) -> np.ndarray:
+        """The `(N, m_total)` float64 indicator of the visited states."""
+        indicator = np.zeros((states.shape[1], self.m_total), dtype=np.float64)
+        rows = np.broadcast_to(np.arange(states.shape[1])[:, None], states.shape)
+        indicator[rows[visited], states[visited]] = 1.0
+        return indicator
+
+    @staticmethod
+    def _tagged(visited: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+        """The `(N, T, p)` float64 tags: 1 on the consumed prefix of an
+        accepting rule, 0 elsewhere and on padding."""
+        return (visited & accepted).swapaxes(0, 1).astype(np.float64, order="C")
+
     def encode_batch(
         self,
         sentences: Sequence[Sentence],
         gate_instance: bool = False,
         full_match: bool = False,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Both feature kinds of N sentences, as the arrays the model reads.
+        """Both feature kinds of N sentences.
 
         Returns the `(N, m_total)` float64 state indicator and each
         sentence's `(n, p)` float64 tag matrix (views into one padded
         array).  Row i, split at `bounds`, and tags[i].T equal, bit for bit,
         `run_trace` followed by `encode_instance` (gated as asked) and
         `encode_word_tags` per rule; at the default settings, `encode`'s
-        features of sentence i.
+        features of sentence i, and the rows of `state_indicators` and
+        `word_tags`.
         """
-        states, consumed, accepted = self.run_batch(sentences, full_match=full_match)
-        T, N, p = states.shape
-        # consumed never exceeds a sentence's length, so padding is never visited
-        visited = np.arange(T)[:, None, None] < consumed
-        if gate_instance:
-            visited &= accepted
-        indicator = np.zeros((N, self.m_total), dtype=np.float64)
-        rows = np.broadcast_to(np.arange(N)[:, None], states.shape)
-        indicator[rows[visited], states[visited]] = 1.0
-        tagged = (visited & accepted).swapaxes(0, 1).astype(np.float64, order="C")
+        states, visited, accepted = self._visited(sentences, full_match)
+        tagged = self._tagged(visited, accepted)
+        indicator = self._indicator(states, visited & accepted if gate_instance else visited)
         return indicator, [tagged[i, : s.n] for i, s in enumerate(sentences)]
+
+    def state_indicators(self, sentences: Sequence[Sentence]) -> np.ndarray:
+        """The `(N, m_total)` float64 state indicators of N sentences at the
+        default settings, the only kind the `instance` variant reads."""
+        states, visited, _ = self._visited(sentences, full_match=False)
+        return self._indicator(states, visited)
+
+    def word_tags(self, sentences: Sequence[Sentence]) -> np.ndarray:
+        """The `(N, T, p)` float64 tags of N sentences at the default
+        settings, T the longest sentence's length and zero past each
+        sentence's own: the only kind the `word` variant reads."""
+        _, visited, accepted = self._visited(sentences, full_match=False)
+        longest = max((s.n for s in sentences), default=0)
+        return self._tagged(visited, accepted)[:, :longest]
 
     def records(
         self,

@@ -9,12 +9,17 @@ rows, one aggregate row per (variant, q) carries the mean accuracy and the
 the wall_secs column is reproducible bit-for-bit for fixed seeds.  A
 run's wall_secs covers its `init_model` + `fit_run` call: vocabulary and
 weights, train and test items from the shared feature cache (encoding only
-sentences not seen before), training, and scoring.
+datasets not seen before), training, and scoring.
+
+`build_items` hands the model each dataset as one `PaddedItems`: labels,
+lengths and the one feature array the variant reads, straight from one
+`RuleMatcher` pass that computes only that kind.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import time
@@ -27,14 +32,15 @@ from .data import Dataset, FewShotConfig, sample_fewshot
 from .encoding import (
     RuleMatcher,
     encode_all,  # noqa: F401 - bench/tracer.py patches rulefuse.experiment.encode_all
+    state_bounds,
 )
 from .errors import ConfigError, RulesMismatchError, UnknownLabelError, require
 from .matching import Sentence
 from .model import (
     VARIANTS,
     ModelParams,
+    PaddedItems,
     TrainConfig,
-    TrainItem,
     build_vocab,
     evaluate_items,
     predict,  # noqa: F401 - bench/tracer.py patches rulefuse.experiment.predict
@@ -125,42 +131,53 @@ def check_rule_binding(params: ModelParams, ruleset: RuleSet, mdfas: list[Mdfa])
 class FeatureCache:
     """Rule features, computed lazily and shared across runs.
 
-    `arrays` gives many sentences' `(m_total,)` indicator and `(n, p)` tag
-    matrix, encoding the ones not yet cached in one batched matcher call.
-    `features` gives one sentence's `(m_total,)` indicator and per-rule
-    tags, uncached (see `RuleMatcher.encode`).  The rules and automata it
-    encodes with stay readable as `ruleset` and `mdfas`, so a model built
-    on the cache can record them.
+    `dataset_features` gives the one feature array a variant reads for a
+    whole dataset, from one batched matcher pass that computes only that
+    kind, and keeps it for the next call with the same dataset object:
+    the grid's shared test set is encoded once per cache and kind.  A
+    dataset is read as unchanged once it is encoded, and the cache keeps
+    it.  `features` gives one sentence's `(m_total,)` indicator
+    and per-rule tags, uncached (see `RuleMatcher.encode`).  The matcher
+    is built on first use, so a cache only `nnsc` reads builds none.  The
+    rules and automata it encodes with stay readable as `ruleset` and
+    `mdfas`, so a model built on the cache can record them.
     """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
         self.ruleset = ruleset
         self.mdfas = mdfas
-        self.matcher = RuleMatcher(ruleset, mdfas)
-        self.m_total = self.matcher.m_total
-        self._arrays: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self.m_total = state_bounds(ruleset, mdfas)[-1]
+        # (id(dataset), variant) -> (dataset, features); holding the dataset
+        # keeps its id from passing to another object
+        self._encoded: dict[tuple[int, str], tuple[Dataset, np.ndarray]] = {}
+
+    @functools.cached_property
+    def matcher(self) -> RuleMatcher:
+        return RuleMatcher(self.ruleset, self.mdfas)
 
     def features(self, sentence: Sentence):
         return self.matcher.encode(sentence)
 
-    def arrays(self, sentences: list[Sentence]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(indicator, tag matrix) of each sentence, in order."""
-        missing = {s.words: s for s in sentences if s.words not in self._arrays}
-        if missing:
-            indicator, tags = self.matcher.encode_batch(list(missing.values()))
-            self._arrays.update(zip(missing, zip(indicator, tags)))
-        return [self._arrays[s.words] for s in sentences]
+    def dataset_features(self, dataset: Dataset, variant: str) -> np.ndarray:
+        """The `instance` state indicators `(N, m_total)` or the `word` tags
+        `(N, T, p)` of the dataset's sentences (see `PaddedItems`)."""
+        key = (id(dataset), variant)
+        if key not in self._encoded:
+            matcher = self.matcher
+            encode = matcher.state_indicators if variant == "instance" else matcher.word_tags
+            features = encode([sentence for sentence, _ in dataset.samples])
+            self._encoded[key] = (dataset, features)
+        return self._encoded[key][1]
 
 
-def build_items(dataset: Dataset, variant: str, cache: FeatureCache | None) -> list[TrainItem]:
-    """TrainItems carrying exactly the features the variant reads, as the
-    arrays the model consumes: the `(m_total,)` state indicator for
-    `instance`, the `(n, p)` tag matrix for `word`."""
+def build_items(dataset: Dataset, variant: str, cache: FeatureCache | None) -> PaddedItems:
+    """The dataset as one padded item set, carrying only the feature array
+    the variant reads (none for `nnsc`, which needs no cache)."""
+    sentences = [sentence for sentence, _ in dataset.samples]
+    labels = [label for _, label in dataset.samples]
     if variant not in ("instance", "word"):
-        return [TrainItem(sentence, label) for sentence, label in dataset.samples]
-    k = 0 if variant == "instance" else 1
-    pairs = cache.arrays([sentence for sentence, _ in dataset.samples])
-    return [TrainItem(s, label, pair[k]) for (s, label), pair in zip(dataset.samples, pairs)]
+        return PaddedItems(sentences, labels)
+    return PaddedItems(sentences, labels, cache.dataset_features(dataset, variant))
 
 
 def evaluate_accuracy(

@@ -12,8 +12,9 @@ Three wiring modes:
 All math is plain numpy in float64 with hand-written backward passes so the
 analytic gradients can be checked against central finite differences.
 Training and scoring run on padded mini-batches, row gathers from a set
-padded once (`_padded_ids`): only the recurrence ``h @ wh`` loops over
-time, and both LSTM directions advance together in a time-leading
+padded once (a `PaddedItems`, as `build_items` makes it or `_padded_set`
+stacks a hand-built item list into one): only the recurrence ``h @ wh``
+loops over time, and both LSTM directions advance together in a time-leading
 ``(T, 2, B, .)`` layout, one ``tanh`` over each step's gate row (the i,
 f and o weights are pre-halved).  Each layer (input, LSTM,
 attention, classifier MLP) is one forward and one backward function; a
@@ -28,8 +29,9 @@ import json
 import math
 import os
 import zipfile
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from .matching import Sentence
 
 __all__ = [
     "VARIANTS", "UNK", "CHECKPOINT_VERSION", "ModelParams", "ActivationRecord", "TrainItem",
-    "TrainConfig", "build_vocab", "forward", "loss_and_grads", "predict", "train",
+    "PaddedItems", "TrainConfig", "build_vocab", "forward", "loss_and_grads", "predict", "train",
     "evaluate_items", "save_model", "load_model", "load_pretrained_embeddings",
 ]
 
@@ -212,13 +214,45 @@ class TrainItem:
     """A labelled sentence with the rule features its variant reads.
 
     `feats` is the `(m_total,)` state indicator for `instance` or the
-    `(n, p)` tag matrix for `word`, as `build_items` gives them; `nnsc`
+    `(n, p)` tag matrix for `word`, as a `PaddedItems` gives them; `nnsc`
     reads none.
     """
 
     sentence: Sentence
     label: int
     feats: np.ndarray | None = None
+
+
+class PaddedItems(Sequence):
+    """N labelled sentences and the one feature array their variant reads,
+    padded once: the `word` tags `(N, T, p)`, T the longest sentence's
+    length and zero past each sentence's own; the `instance` state
+    indicators `(N, m_total)`; None for `nnsc`.  `labels` and `lengths`
+    are `(N,)` arrays.  `build_items` makes these; `train`,
+    `evaluate_items` and `loss_and_grads` read one as it is (after one
+    check of its shapes) and stack a list of TrainItems into one.  As a
+    sequence it yields, on indexing or iteration, TrainItems whose `feats`
+    are views into the one array.
+    """
+
+    def __init__(self, sentences: list[Sentence], labels, feats: np.ndarray | None = None):
+        self.sentences = sentences
+        self.labels = np.asarray(labels, dtype=np.intp)
+        if self.labels.shape != (len(sentences),):
+            raise DimensionMismatchError(
+                f"labels of shape {self.labels.shape} for {len(sentences)} sentences"
+            )
+        self.lengths = np.fromiter((s.n for s in sentences), np.intp, len(sentences))
+        self.feats = feats
+
+    def __len__(self) -> int:
+        return len(self.sentences)
+
+    def __getitem__(self, i) -> TrainItem:
+        sentence, feats = self.sentences[i], self.feats
+        if feats is not None:
+            feats = feats[i, : sentence.n] if feats.ndim == 3 else feats[i]
+        return TrainItem(sentence, int(self.labels[i]), feats)
 
 
 @dataclass
@@ -257,36 +291,42 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _padded_ids(params, sentences, feats):
-    """A set of N sentences and their rule features as the arrays the model
-    reads, each item checked once.
+def _padded_set(params, items) -> PaddedItems:
+    """`items` as one PaddedItems, checked against `params`: a PaddedItems
+    passes as it is, after one check of its feature array's shape; a list
+    of TrainItems is checked item by item and its features stacked.
 
-    Returns the vocabulary ids (N, T), zero-padded after each sentence's
-    words to the longest; the lengths (N,); and the features the variant
-    reads as one array: the `word` tags (N, T, p), zero on padding, the
-    `instance` state indicators (N, m_total), None for `nnsc`.  At p = 0
-    missing features read as zero-width.  An empty sentence raises
+    A label outside `0..C-1` raises ConfigError; an empty sentence,
     EmptySentenceError naming its position; a missing feature array,
-    MissingFeaturesError, and one of the wrong shape,
-    DimensionMismatchError.
+    MissingFeaturesError (at p = 0 missing features read as zero-width);
+    one of the wrong shape, DimensionMismatchError.
     """
-    lengths = np.array([sentence.n for sentence in sentences], dtype=np.intp)
+    padded = items
+    if not isinstance(items, PaddedItems):
+        padded = PaddedItems([item.sentence for item in items], [item.label for item in items])
+    labels, lengths = padded.labels, padded.lengths
+    bad = (labels < 0) | (labels >= params.C)
+    if bad.any():
+        raise ConfigError(f"label {labels[bad][0]} outside 0..{params.C - 1}")
     if (lengths < 1).any():
         raise EmptySentenceError(
             f"item {int(lengths.argmin())} has no words; the model reads non-empty sentences"
         )
-    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    words = itertools.chain.from_iterable(sentence.words for sentence in sentences)
-    ids = np.zeros(mask.shape, dtype=np.intp)
-    ids[mask] = np.fromiter(
-        map(params.vocab.get, words, itertools.repeat(0)), np.intp, int(lengths.sum())
-    )
     if params.variant == "nnsc":
-        return ids, lengths, None
+        return padded
     word = params.variant == "word"
     what = "tag matrix" if word else "state indicator"
+    longest = int(lengths.max(initial=0))
+    if padded.feats is not None:
+        shape = (len(padded), longest, params.p) if word else (len(padded), params.m_total)
+        if padded.feats.shape != shape:
+            raise DimensionMismatchError(
+                f"{what} array is {padded.feats.shape}, expected one of shape {shape}"
+            )
+        return padded
     checked = []
-    for n, array in zip(lengths.tolist(), feats):
+    for n, item in zip(lengths.tolist(), items):
+        array = item.feats
         if array is None:
             if params.p:
                 raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
@@ -296,26 +336,40 @@ def _padded_ids(params, sentences, feats):
         if got != shape:
             raise DimensionMismatchError(f"{what} is {got}, expected an array of shape {shape}")
         checked.append(array)
-    if not word:
-        indicators = np.array(checked, dtype=np.float64)
-        return ids, lengths, indicators.reshape(len(checked), params.m_total)
-    tags = np.zeros((*mask.shape, params.p))
-    if checked:
-        tags[mask] = np.concatenate(checked)
-    return ids, lengths, tags
+    if word:
+        feats = np.zeros((len(checked), longest, params.p))
+        if checked:
+            feats[np.arange(longest) < lengths[:, None]] = np.concatenate(checked)
+    else:
+        feats = np.array(checked, dtype=np.float64).reshape(len(checked), params.m_total)
+    return PaddedItems(padded.sentences, labels, feats)
+
+
+def _padded_ids(params, sentences, lengths):
+    """The vocabulary ids (N, T) of N sentences of the given lengths,
+    zero-padded after each sentence's words to the longest."""
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    words = itertools.chain.from_iterable(sentence.words for sentence in sentences)
+    ids = np.zeros(mask.shape, dtype=np.intp)
+    ids[mask] = np.fromiter(
+        map(params.vocab.get, words, itertools.repeat(0)), np.intp, int(lengths.sum())
+    )
+    return ids
 
 
 class _ItemSet:
-    """Items as `_padded_ids` gives them, plus their labels (N,), padded
-    once and read many times: per batch in `train`, per chunk in
-    `evaluate_items`."""
+    """A set of items as the arrays the model reads, padded once and read
+    many times: per batch in `train`, per chunk in `evaluate_items`.  It
+    holds the `_padded_set` labels, lengths and features and the
+    `_padded_ids` ids; `items` is the set as given, which a `_Batch`
+    iterates."""
 
     def __init__(self, params: ModelParams, items: Sequence[TrainItem]):
         self.items = items
-        self.ids, self.lengths, self.feats = _padded_ids(
-            params, [item.sentence for item in items], [item.feats for item in items]
-        )
-        self.labels = np.array([item.label for item in items], dtype=np.intp)
+        padded = _padded_set(params, items)
+        self.labels, self.lengths = padded.labels, padded.lengths
+        self.feats = None if params.variant == "nnsc" else padded.feats
+        self.ids = _padded_ids(params, padded.sentences, padded.lengths)
 
     def rows(self, rows: np.ndarray) -> tuple:
         """(ids, lengths, feats, labels) of the given rows, in that order,
@@ -349,7 +403,7 @@ class _Batch:
 def _input_forward(params, ids, lengths, feats):
     """Embeddings of the padded ids (B, T), `word` tags appended.
 
-    `feats` is the batch's feature array as `_padded_ids` gives it.  The
+    `feats` is the batch's rows of the set's feature array.  The
     backward direction reads each sentence reversed within its length, so
     its padding also comes last.  Returns both directions stacked
     time-leading, `Xd` (T, 2, B, d_in); the `instance` rows `U` (B, 0 for
@@ -518,10 +572,9 @@ def _classifier_backward(params, saved, labels):
 
 
 def _forward_batch(params, rows, keep=False):
-    """Forward pass over (sentence, feats) rows at once: `_padded_ids`,
-    then `_forward_padded`."""
-    sentences, feats = zip(*rows)
-    return _forward_padded(params, *_padded_ids(params, sentences, feats), keep)
+    """Forward pass over (sentence, feats) rows at once, padded as one set."""
+    data = _ItemSet(params, [TrainItem(sentence, 0, feats) for sentence, feats in rows])
+    return _forward_padded(params, data.ids, data.lengths, data.feats, keep)
 
 
 def _forward_padded(params, ids, lengths, feats, keep=False):
@@ -581,10 +634,10 @@ def loss_and_grads(
     One padded forward and backward pass covers the whole batch.
     Gradients mirror params.tensors(), as views into one vector laid out
     like `params.theta` (their `flat` attribute); raises NumericalError if
-    the loss goes non-finite.  A plain item list is padded and checked
-    here, and gets a fresh gradient vector; the batches `train` passes
-    are rows of a set it padded once per run, and all write into the
-    run's one gradient vector.
+    the loss goes non-finite.  Any other item sequence (a list, or a
+    `PaddedItems`) is padded and checked here, and gets a fresh gradient
+    vector; the batches `train` passes are rows of a set it padded once
+    per run, and all write into the run's one gradient vector.
     """
     if not isinstance(batch, _Batch):
         if not batch:
@@ -611,10 +664,12 @@ def evaluate_items(params: ModelParams, items: Sequence[TrainItem]) -> float:
     """Fraction of items whose prediction matches the gold label.
 
     The set is padded once: every item's words are mapped to ids in one
-    pass, and its features checked and gathered into one array.  The
-    items are then scored in order of length, in forward-only batches of
-    at most INFER_CHUNK sentences, each a row gather padded only to its
-    own longest and keeping no LSTM state for a backward pass.  Hits are
+    pass, and a `PaddedItems` (as `build_items` makes it) is read as it
+    is, a list of TrainItems checked and stacked (`_padded_set`).  A label
+    outside `0..C-1` raises ConfigError.  The items are then scored in
+    order of length, in forward-only batches of at most INFER_CHUNK
+    sentences, each a row gather padded only to its own longest and
+    keeping no LSTM state for a backward pass.  Hits are
     counted per batch, so the order does not change the result.  Argmax
     ties break toward the lowest class index, as in `predict`.
     """
@@ -662,8 +717,9 @@ def train(
     `NumericalError`.
 
     The training and dev sets are each padded once per call, before the
-    first step (`_padded_ids`): an empty sentence or a bad feature array
-    in either raises then, with `theta` unchanged.  Every batch is a row
+    first step (`_padded_set`; a `PaddedItems` from `build_items` is read
+    as it is): a bad label, an empty sentence or a bad feature array in
+    either raises then, with `theta` unchanged.  Every batch is a row
     gather from the padded training set, passed to `loss_and_grads`, and
     writes its gradients into one buffer allocated once per call.
     """
@@ -673,9 +729,6 @@ def train(
         raise ConfigError("patience needs a dev set to stop on")
     if not params.all_finite():
         raise NumericalError("initial weights are not finite")
-    for item in items:
-        if not 0 <= item.label < params.C:
-            raise ConfigError(f"label {item.label} outside 0..{params.C - 1}")
     data = _ItemSet(params, items)
     dev = None if dev_items is None else _ItemSet(params, dev_items)
     grads = _Gradients(params)

@@ -7,11 +7,11 @@ import pytest
 
 from rulefuse.cli import build_parser, config_from_flags, main, run
 from rulefuse.data import SyntheticSpec, load_dataset
-from rulefuse.encoding import encode_instance, encode_word_tags
+from rulefuse.encoding import RuleMatcher, encode_instance, encode_word_tags
 from rulefuse.errors import ConfigError, NumericalError, RulesMismatchError
 from rulefuse.experiment import ExperimentConfig, compile_rules
 from rulefuse.matching import run_trace
-from rulefuse.model import TrainConfig, load_model, save_model
+from rulefuse.model import ModelParams, TrainConfig, load_model, save_model
 from rulefuse.rules import load_rules
 
 
@@ -167,6 +167,37 @@ def test_unbound_v1_checkpoint_still_evaluates(corpus, tmp_path, capsys):
     assert main(["eval", "--rules", str(reordered), "--test", str(corpus / "test.tsv"),
                  "--model", str(ckpt)]) == 0
     assert capsys.readouterr().out.startswith("accuracy=")
+
+
+def test_eval_of_a_checkpoint_without_label_names_is_a_one_line_error(corpus, tmp_path, capsys):
+    # labels were numbered in test-file order: a 4-label test file against a
+    # 3-class model printed accuracy=0.2500 and exited 0
+    ckpt = tmp_path / "model.npz"
+    params = ModelParams.init("nnsc", {"<unk>": 0, "a": 1}, d=4, h=3, C=3, seed=0)
+    save_model(params, ckpt)
+    assert load_model(ckpt).labels is None
+    test = tmp_path / "test.tsv"
+    test.write_text("w\ta\nx\ta\ny\ta\nz\ta\n")
+    for test_path in (test, tmp_path / "missing.tsv"):  # before --test is read
+        assert run(["eval", "--test", str(test_path), "--model", str(ckpt)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"rulefuse: error: checkpoint {ckpt} records no label names")
+        assert len(err.splitlines()) == 1
+
+
+def test_nnsc_train_and_eval_build_no_matcher(corpus, tmp_path, capsys, monkeypatch):
+    def no_matcher(*args):
+        raise AssertionError("an nnsc run built a RuleMatcher")
+
+    monkeypatch.setattr(RuleMatcher, "__init__", no_matcher)
+    ckpt = tmp_path / "model.npz"
+    rules, test = str(corpus / "rules.tsv"), str(corpus / "test.tsv")
+    assert main(["train", "--rules", rules, "--train", str(corpus / "train.tsv"),
+                 "--test", test, "--epochs", "1", "--emb-dim", "4", "--hidden", "4",
+                 "--out", str(ckpt)]) == 0
+    assert main(["eval", "--rules", rules, "--test", test, "--model", str(ckpt)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("accuracy=")
 
 
 def test_eval_rule_only(corpus, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rulefuse.data import Dataset, SyntheticSpec, generate_synthetic
+from rulefuse.encoding import RuleMatcher
 from rulefuse.errors import ConfigError, RulesMismatchError, UnknownLabelError
 from rulefuse.experiment import (
     CSV_HEADER,
@@ -22,7 +23,7 @@ from rulefuse.experiment import (
     run_experiment,
 )
 from rulefuse.matching import Sentence
-from rulefuse.model import ModelParams, TrainConfig, build_vocab
+from rulefuse.model import ModelParams, TrainConfig, TrainItem, _padded_set, build_vocab
 from rulefuse.rules import RuleSet, parse_rule_lines
 
 
@@ -78,9 +79,14 @@ def test_rule_only_with_a_label_the_dataset_lacks_names_it():
 def test_feature_cache_reuses_entries():
     ruleset, mdfas = _ruleset()
     cache = FeatureCache(ruleset, mdfas)
-    s = Sentence.from_text("show me flights")
-    first = cache.arrays([s])[0]
-    assert cache.arrays([Sentence.from_text("show me flights")])[0] is first
+    ds = Dataset([(Sentence.from_text("show me flights"), 0)], ["flight", "airline"])
+    first = cache.dataset_features(ds, "instance")
+    assert cache.dataset_features(ds, "instance") is first
+    assert cache.dataset_features(ds, "word") is not first
+    # another dataset object is encoded afresh, to the same values
+    again = Dataset(list(ds.samples), ds.label_names)
+    assert cache.dataset_features(again, "instance") is not first
+    assert cache.dataset_features(again, "instance").tobytes() == first.tobytes()
     assert cache.m_total == sum(m.state_count for m in mdfas)
 
 
@@ -88,13 +94,116 @@ def test_build_items_feature_coherence():
     ruleset, mdfas = _ruleset()
     cache = FeatureCache(ruleset, mdfas)
     ds = Dataset([(Sentence.from_text("show me flights"), 0)], ["flight", "airline"])
-    nnsc = build_items(ds, "nnsc", cache)[0]
-    inst = build_items(ds, "instance", cache)[0]
-    word = build_items(ds, "word", cache)[0]
-    indicator, tags = cache.arrays([ds.samples[0][0]])[0]
-    assert nnsc.feats is None
-    assert inst.feats is indicator and inst.feats.shape == (cache.m_total,)
-    assert word.feats is tags and word.feats.shape == (3, ruleset.p)
+    nnsc = build_items(ds, "nnsc", cache)
+    inst = build_items(ds, "instance", cache)
+    word = build_items(ds, "word", cache)
+    assert nnsc.feats is None and nnsc[0].feats is None
+    assert inst.feats is cache.dataset_features(ds, "instance")
+    assert inst.feats.shape == (1, cache.m_total) and inst[0].feats.shape == (cache.m_total,)
+    assert word.feats is cache.dataset_features(ds, "word")
+    assert word.feats.shape == (1, 3, ruleset.p) and word[0].feats.shape == (3, ruleset.p)
+    for items in (nnsc, inst, word):
+        assert len(items) == 1 and items.labels.tolist() == [0]
+        assert items[0].sentence is ds.samples[0][0] and items[0].label == 0
+    assert np.shares_memory(inst[0].feats, inst.feats)
+    assert np.shares_memory(word[0].feats, word.feats)
+
+
+def _coverage_dataset():
+    """Mixed lengths with a run of equal ones, and a duplicated sentence."""
+    texts = [
+        "show me flights", "which airline", "list flights", "show cheap late flights now",
+        "a b c", "d e f", "g h i", "which airline", "flights", "list all the flights",
+    ]
+    samples = [(Sentence.from_text(text), k % 2) for k, text in enumerate(texts)]
+    return Dataset(samples, ["flight", "airline"])
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+@pytest.mark.parametrize("rules", ["rules", "p0"])
+@pytest.mark.parametrize("size", ["mixed", "empty"])
+def test_build_items_equals_the_stacked_per_sentence_features(variant, rules, size):
+    ruleset, mdfas = _ruleset() if rules == "rules" else (RuleSet(()), [])
+    ds = _coverage_dataset()
+    if size == "empty":
+        ds = Dataset([], ds.label_names)
+    cache = FeatureCache(ruleset, mdfas)
+    params = ModelParams.init(
+        variant, build_vocab(s for s, _ in ds.samples), d=2, h=2, C=ds.C, p=ruleset.p,
+        m_total=cache.m_total,
+    )
+    sentences = [sentence for sentence, _ in ds.samples]
+    indicator, tags = RuleMatcher(ruleset, mdfas).encode_batch(sentences)
+    per_sentence = {"nnsc": [None] * len(ds), "instance": list(indicator), "word": tags}[variant]
+    listed = [TrainItem(s, label, f) for (s, label), f in zip(ds.samples, per_sentence)]
+    built = build_items(ds, variant, cache)
+    stacked = _padded_set(params, listed)
+    assert _padded_set(params, built) is built
+    assert built.sentences == stacked.sentences == sentences
+    assert built.labels.tobytes() == stacked.labels.tobytes()
+    assert built.lengths.tobytes() == stacked.lengths.tobytes()
+    if variant == "nnsc":
+        assert built.feats is None
+    else:
+        assert built.feats.dtype == stacked.feats.dtype == np.float64
+        assert built.feats.shape == stacked.feats.shape
+        assert built.feats.tobytes() == stacked.feats.tobytes()
+    assert len(built) == len(listed)
+    for got, want in zip(built, listed):
+        assert got.sentence is want.sentence and got.label == want.label
+        if variant == "nnsc":
+            assert got.feats is None
+        else:
+            assert got.feats.shape == want.feats.shape
+            assert got.feats.tobytes() == want.feats.tobytes()
+
+
+def _count_matcher_passes(monkeypatch):
+    """The sentence lists RuleMatcher.run_batch is given, and the number of
+    RuleMatchers built, from here on."""
+    passes, built = [], []
+    run_batch, init = RuleMatcher.run_batch, RuleMatcher.__init__
+
+    def counted_run_batch(self, sentences, *args, **kwargs):
+        passes.append(list(sentences))
+        return run_batch(self, sentences, *args, **kwargs)
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RuleMatcher, "run_batch", counted_run_batch)
+    monkeypatch.setattr(RuleMatcher, "__init__", counted_init)
+    return passes, built
+
+
+@pytest.mark.parametrize("variant", ["instance", "word"])
+def test_the_shared_test_set_is_encoded_once_per_cache(monkeypatch, variant):
+    ruleset, mdfas, train, test = _tiny_experiment_setup()
+    passes, built = _count_matcher_passes(monkeypatch)
+    config = ExperimentConfig(
+        variants=(variant,), q_values=(2,), sample_seeds=(0, 1), train_seeds=(0, 1),
+        epochs=1, d=4, h=4,
+    )
+    run_experiment(ruleset, mdfas, train, test, config)
+    test_sentences = [sentence for sentence, _ in test.samples]
+    assert sum(sentences == test_sentences for sentences in passes) == 1
+    # one pass per training subset too, and one matcher for the whole grid
+    assert len(passes) == 1 + 2 and len(built) == 1
+
+
+def test_an_nnsc_run_and_eval_build_no_matcher(monkeypatch, tmp_path):
+    ruleset, mdfas, train, test = _tiny_experiment_setup()
+    passes, built = _count_matcher_passes(monkeypatch)
+    cache = FeatureCache(ruleset, mdfas)
+    params = init_model("nnsc", cache, train, TrainConfig(d=4, h=4))
+    fit_run(params, cache, train, TrainConfig(epochs=1, d=4, h=4), dev_set=test, test_set=test)
+    evaluate_accuracy(params, ruleset, mdfas, test)
+    run_experiment(ruleset, mdfas, train, test, ExperimentConfig(
+        variants=("nnsc",), q_values=(2,), sample_seeds=(0,), train_seeds=(0, 1), epochs=1,
+        d=4, h=4,
+    ))
+    assert built == [] and passes == []
 
 
 def test_constant_predictor_scores_one_over_C():
@@ -230,7 +339,7 @@ def test_trained_instance_model_recovers_rule_identity():
     # class 3's keywords with unseen filler words around them
     first, second = train_set.label_names[3].split("_")
     sentence = Sentence.from_text(f"brandnew {first} unseen fillers {second} tail")
-    indicator, _ = cache.arrays([sentence])[0]
+    indicator, _ = cache.features(sentence)
     assert predict(params, sentence, indicator) == 3
 
 

@@ -20,6 +20,7 @@ from rulefuse.matching import Sentence
 from rulefuse.model import (
     INFER_CHUNK,
     ModelParams,
+    PaddedItems,
     TrainConfig,
     TrainItem,
     UNK,
@@ -218,8 +219,9 @@ def test_batched_evaluation_equals_per_item_predict(variant):
 def test_lstm_forward_equals_the_step_by_step_oracle_byte_for_byte(variant, keep):
     # halved i/f/o weights and one tanh per step must not change a bit
     params, batch = _mixed_length_case(variant, seed=12)
-    padded = _padded_ids(params, [it.sentence for it in batch], [it.feats for it in batch])
-    Xd, _, _ = _input_forward(params, *padded)
+    data = _ItemSet(params, batch)
+    ids = _padded_ids(params, [it.sentence for it in batch], data.lengths)
+    Xd, _, _ = _input_forward(params, ids, data.lengths, data.feats)
     wx, wh, b = (params._views[name] for name in ("wx", "wh", "b"))
     hs, saved = _lstm_forward(Xd, wx, wh, b, keep=keep)
     expected = oracle_lstm(np.ascontiguousarray(Xd.swapaxes(0, 1)), wx, wh, b)
@@ -265,6 +267,25 @@ def test_wrong_shape_feature_arrays_raise():
             forward(params_i, items_i[0].sentence, bad)
         with pytest.raises(DimensionMismatchError):
             evaluate_items(params_i, [TrainItem(items_i[0].sentence, 0, bad)])
+
+
+def test_a_padded_set_of_the_wrong_shape_raises():
+    params_i, items_i = _mixed_length_case("instance", seed=11, lengths=(3, 5))
+    params_w, items_w = _mixed_length_case("word", seed=11, lengths=(3, 5))
+    sentences = [it.sentence for it in items_w]
+    with pytest.raises(DimensionMismatchError, match=r"labels of shape \(3,\) for 2 sentences"):
+        PaddedItems(sentences, [0, 1, 2])
+    tags = np.zeros((2, 5, 2))
+    for bad in (tags[:, :4], tags[:, :, :1], tags[:1], np.zeros((2, 6, 2)), np.zeros((2, 6))):
+        with pytest.raises(DimensionMismatchError, match="tag matrix array is"):
+            evaluate_items(params_w, PaddedItems(sentences, [0, 1], bad))
+    for bad in (np.zeros((2, 5)), np.zeros((1, 6)), np.zeros((2, 5, 2))):
+        with pytest.raises(DimensionMismatchError, match="state indicator array is"):
+            evaluate_items(params_i, PaddedItems(sentences, [0, 1], bad))
+    for params in (params_i, params_w):
+        with pytest.raises(MissingFeaturesError):
+            evaluate_items(params, PaddedItems(sentences, [0, 1]))
+    assert evaluate_items(params_w, PaddedItems(sentences, [0, 1], tags)) in (0.0, 0.5, 1.0)
 
 
 def test_uniform_logits_loss_is_log_C():
@@ -698,6 +719,24 @@ def test_label_out_of_range_is_config_error(label):
     with pytest.raises(ConfigError, match=f"label {label} outside 0..1"):
         train(params, items, TrainConfig(epochs=1))
     assert params.theta.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("label", [-1, 3, 7])
+def test_scoring_a_label_outside_the_classes_is_config_error(label):
+    # evaluate_items counted it as a miss: 0.0 for a lone item
+    params = _nnsc_params(C=3)
+    bad = [TrainItem(Sentence.from_text("a b"), 1), TrainItem(Sentence.from_text("alpha"), label)]
+    message = f"label {label} outside 0..2"
+    with pytest.raises(ConfigError, match=message):
+        evaluate_items(params, bad[1:])
+    with pytest.raises(ConfigError, match=message):
+        evaluate_items(params, PaddedItems([it.sentence for it in bad], [1, label]))
+    with pytest.raises(ConfigError, match=message):
+        loss_and_grads(params, bad)
+    before = params.theta.tobytes()
+    with pytest.raises(ConfigError, match=message):
+        train(params, bad[:1], TrainConfig(epochs=1), dev_items=bad)
+    assert params.theta.tobytes() == before
 
 
 def test_empty_sentence_is_a_typed_error_before_the_first_step():
