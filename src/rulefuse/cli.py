@@ -198,11 +198,15 @@ def cmd_eval(args) -> int:
         )
     dataset = load_dataset(args.test, label_names=params.labels if params else None)
     ruleset = _load_ruleset(args, set(dataset.label_names))
-    mdfas = compile_rules(ruleset)
     if params is None:
+        mdfas = compile_rules(ruleset)
         print(f"rule_only_accuracy={rule_baseline_accuracy(ruleset, mdfas, dataset):.4f}")
-    else:
-        print(f"accuracy={evaluate_accuracy(params, ruleset, mdfas, dataset):.4f}")
+        return 0
+    if params.variant == "nnsc":
+        # it reads no rule features: the rules are parsed and label-checked
+        # above, but never compiled
+        ruleset = RuleSet(())
+    print(f"accuracy={evaluate_accuracy(params, ruleset, compile_rules(ruleset), dataset):.4f}")
     return 0
 
 

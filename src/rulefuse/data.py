@@ -69,25 +69,34 @@ def load_dataset(
     names = list(label_names) if label_names is not None else []
     index = {name: i for i, name in enumerate(names)}
     fixed = label_names is not None
+    # the class of each label field as written, so each spelling is
+    # stripped, lowercased and checked once
+    classes: dict[str, int] = {}
+    from_text = Sentence.from_text
     samples: list[tuple[Sentence, int]] = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
+        # each line keeps its "\n", which splitting the text drops
+        for line_no, line in enumerate(fh, start=1):
+            label, tab, text = line.partition("\t")
+            if not tab:
+                if line.strip():
+                    raise MalformedLineError("expected label<TAB>text", line=line_no)
                 continue
-            if "\t" not in line:
-                raise MalformedLineError("expected label<TAB>text", line=line_no)
-            label, text = line.split("\t", 1)
-            label = label.strip().lower()
-            sentence = Sentence.from_text(text)
-            if not label or sentence.n == 0:
-                raise MalformedLineError("empty label or text", line=line_no)
-            if label not in index:
-                if fixed:
-                    raise MalformedLineError(f"unknown label {label!r}", line=line_no)
-                index[label] = len(names)
-                names.append(label)
-            samples.append((sentence, index[label]))
+            sentence = from_text(text)
+            c = classes.get(label)
+            if c is None or not sentence.words:
+                name = label.strip().lower()
+                if not (name and sentence.words):
+                    if not line.strip():
+                        continue
+                    raise MalformedLineError("empty label or text", line=line_no)
+                if name not in index:
+                    if fixed:
+                        raise MalformedLineError(f"unknown label {name!r}", line=line_no)
+                    index[name] = len(names)
+                    names.append(name)
+                c = classes[label] = index[name]
+            samples.append((sentence, c))
     if not samples:
         raise EmptyDatasetError(f"no samples in {path}")
     return Dataset(samples, names)

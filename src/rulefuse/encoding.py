@@ -13,26 +13,30 @@ Two encodings per (sentence, rule) pair:
 `RuleMatcher` computes them for a whole rule set at once: it stacks every
 rule's automaton into one flat transition table and advances all of them
 together, one array lookup per word, in one stepping loop that all of its
-paths share.  `encode_batch` gives a whole dataset's features of both
+paths share.  Its batched pass, `run_batch`, steps all N x p automata one
+word position at a time and keeps only `(N, p)` state between steps (the
+words consumed and the acceptance flags), marking visited states straight
+into the `(N, m_total)` indicator when asked; no array of every step's
+states is built.  `encode_batch` gives a whole dataset's features of both
 kinds, for any gate/full-match setting; `state_indicators` and
 `word_tags` each give one kind, padded, at the default settings (no
-gate, early stop), as the model reads it.  `encode` gives one sentence's
-`(m_total,)` state indicator (rule k's states are the slice
-`bounds[k]:bounds[k + 1]`) and per-rule `WordTagSeq`s at the default
-settings; the indicator is a fresh array, equal to the sentence's
-`encode_batch` row.  Tag lists are in rule order, so entry k belongs to
-`ruleset.rules[k]`.  Each accepting rule gets a fresh tag array, and
-every rejecting rule one `WordTagSeq` shared by all sentences of that
-length, whose tags are a read-only zero array.  `run_trace` with
-`encode_instance` and `encode_word_tags` is the one-rule path all must
-agree with.
+gate, early stop), as the model reads it.  Each calls `run_batch` once.
+`encode` gives one sentence's `(m_total,)` state indicator (rule k's
+states are the slice `bounds[k]:bounds[k + 1]`) and per-rule
+`WordTagSeq`s at the default settings; the indicator is a fresh array,
+equal to the sentence's `encode_batch` row.  Tag lists are in rule
+order, so entry k belongs to `ruleset.rules[k]`.  Each accepting rule
+gets a fresh tag array, and every rejecting rule one `WordTagSeq` shared
+by all sentences of that length, whose tags are a read-only zero array.
+`run_trace` with `encode_instance` and `encode_word_tags` is the
+one-rule path all must agree with.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,7 +113,10 @@ class RuleMatcher:
     `offsets`, and each entry holds the target state's row offset
     (state * width), so a vector of the p current offsets advances with
     one 1-D lookup per word.  The tables hold native index integers
-    (`np.intp`): indexing with them skips a cast on every step.
+    (`np.intp`): indexing with them skips a cast on every step.  One
+    generator, `_steps`, does the stepping for the per-sentence `encode`
+    and the batched `run_batch` alike; `run_batch` reads each step's
+    `(N, p)` states as they come and keeps none of them.
     """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
@@ -139,17 +146,18 @@ class RuleMatcher:
         # WordTagSeq of a read-only zeros(n)
         self._rejected: dict[int, list[WordTagSeq]] = {}
 
-    def _walk(self, syms: np.ndarray) -> np.ndarray:
-        """Global states after each step, for `(steps, ..., p)` local symbol
-        ids: every rule starts in its start state, and step i advances it by
-        `syms[i]`.  The states keep stepping past a rule's early stop."""
-        width, offsets = self.width, self.offsets
-        states = np.empty(syms.shape, dtype=np.intp)
-        state = self.start * width
-        for i, row in enumerate(syms):
-            state = states[i] = offsets[state + row]
-        states //= width
-        return states
+    def _steps(self, syms: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """The row offsets (global state x `width`) after each step, one array
+        per row of `syms`, for rows of `(..., p)` local symbol ids: every rule
+        starts in its start state, and step i advances it by row i.  The
+        states keep stepping past a rule's early stop.  Each row is
+        overwritten, so that a step allocates only the offsets it yields."""
+        offsets = self.offsets
+        offset = self.start * self.width
+        for row in syms:
+            row += offset
+            offset = offsets[row]
+            yield offset
 
     def encode(self, sentence: Sentence) -> tuple[np.ndarray, list[WordTagSeq]]:
         """Both feature kinds for every rule at the default settings (no gate,
@@ -164,8 +172,11 @@ class RuleMatcher:
         call.
         """
         n = sentence.n
-        gids = [self.word_ids.get(word, self.other) for word in sentence.words]
-        states = self._walk(self.symbols[gids])
+        syms = self.symbols[[self.word_ids.get(word, self.other) for word in sentence.words]]
+        states = np.empty(syms.shape, dtype=np.intp)
+        for i, offset in enumerate(self._steps(syms)):
+            states[i] = offset
+        states //= self.width
         hit = self.final[states]
         # an empty sentence visits no state and has no tags, so it counts as
         # rejected by every rule here, even one that accepts the empty string
@@ -186,60 +197,72 @@ class RuleMatcher:
         return indicator, tag_seqs
 
     def run_batch(
-        self, sentences: Sequence[Sentence], full_match: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """States, words consumed and acceptance of every rule in N sentences
-        (see run_trace).
+        self,
+        sentences: Sequence[Sentence],
+        full_match: bool = False,
+        visited: bool = False,
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """Words consumed and acceptance of every rule in N sentences (see
+        run_trace), and with `visited` the indicator of the states visited.
 
-        Word ids are padded to `(N, T)` and all N x p automata advance with
-        one table lookup per word position.  Returns the `(T, N, p)` global
-        states (steps past a sentence's length are padding and read as
-        nothing), the `(N, p)` words consumed and the `(N, p)` acceptance
-        flags, each row equal to what `run_trace` gives for that sentence
-        and rule.
+        Word ids are mapped once into a time-major `(T, N)` array, and all
+        N x p automata advance together one word position at a time; each
+        step reads only that position's `(N, p)` local symbols and updates
+        the `(N, p)` words consumed and acceptance flags in place.  A
+        (sentence, rule) pair consumes a step while the sentence has words
+        left and, at the early stop, the rule has not yet accepted; with
+        `visited`, each step marks the states of those pairs.  Returns the
+        `(N, m_total)` float64 indicator of the visited states (None without
+        `visited`; not gated), the `(N, p)` words consumed and the `(N, p)`
+        acceptance flags, each row equal to what `run_trace` gives for that
+        sentence and rule.
         """
         N, p = len(sentences), len(self.start)
         lengths = np.fromiter((s.n for s in sentences), dtype=np.intp, count=N)
-        T = max(1, int(lengths.max(initial=0)))
-        live = np.arange(T) < lengths[:, None]  # (N, T)
-        gids = np.full((N, T), self.other, dtype=np.intp)
-        gids[live] = np.fromiter(
+        T = int(lengths.max(initial=0))
+        gids = np.full((T, N), self.other, dtype=np.intp)
+        gids.T[np.arange(T) < lengths[:, None]] = np.fromiter(
             (self.word_ids.get(w, self.other) for s in sentences for w in s.words),
             dtype=np.intp,
             count=int(lengths.sum()),
         )
-        states = self._walk(self.symbols[gids.T])  # (T, N, p), time-major
-        empty = (lengths == 0)[:, None]
+        # an empty sentence takes no step: its rules accept iff they start final
+        accepted = np.zeros((N, p), dtype=bool)
+        accepted[lengths == 0] = self.final[self.start]
         if full_match:
-            last = states[np.maximum(lengths - 1, 0), np.arange(N)]
-            accepted = self.final[np.where(empty, self.start, last)]
-            return states, np.repeat(lengths[:, None], p, axis=1), accepted
-        hit = self.final[states] & live.T[..., None]
-        reached = hit.any(axis=0)
-        consumed = np.where(reached, hit.argmax(axis=0) + 1, lengths[:, None])
-        return states, consumed, reached | (empty & self.final[self.start])
-
-    def _visited(
-        self, sentences: Sequence[Sentence], full_match: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`run_batch`'s `(T, N, p)` states and `(N, p)` acceptance, with the
-        `(T, N, p)` mask of the steps each rule consumed."""
-        states, consumed, accepted = self.run_batch(sentences, full_match=full_match)
-        # consumed never exceeds a sentence's length, so padding is never visited
-        return states, np.arange(len(states))[:, None, None] < consumed, accepted
-
-    def _indicator(self, states: np.ndarray, visited: np.ndarray) -> np.ndarray:
-        """The `(N, m_total)` float64 indicator of the visited states."""
-        indicator = np.zeros((states.shape[1], self.m_total), dtype=np.float64)
-        rows = np.broadcast_to(np.arange(states.shape[1])[:, None], states.shape)
-        indicator[rows[visited], states[visited]] = 1.0
-        return indicator
+            consumed = np.repeat(lengths[:, None], p, axis=1)
+        else:
+            consumed = np.zeros((N, p), dtype=np.intp)
+        indicator = np.zeros((N, self.m_total), dtype=np.float64) if visited else None
+        flat = indicator.reshape(-1) if visited else None
+        rows = np.arange(N)[:, None] * self.m_total  # each sentence's first flat index
+        state = np.empty((N, p), dtype=np.intp)
+        for t, offset in enumerate(self._steps(self.symbols[row] for row in gids)):
+            np.floor_divide(offset, self.width, out=state)
+            words_left = (t < lengths)[:, None]
+            if full_match:
+                last = lengths == t + 1
+                accepted[last] = self.final[state[last]]
+                live = np.broadcast_to(words_left, state.shape)
+            else:
+                live = words_left & ~accepted
+                consumed += live
+                accepted |= live & self.final[state]
+            if visited:
+                state += rows
+                flat[state[live]] = 1.0
+        return indicator, consumed, accepted
 
     @staticmethod
-    def _tagged(visited: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-        """The `(N, T, p)` float64 tags: 1 on the consumed prefix of an
-        accepting rule, 0 elsewhere and on padding."""
-        return (visited & accepted).swapaxes(0, 1).astype(np.float64, order="C")
+    def _tags(
+        sentences: Sequence[Sentence], consumed: np.ndarray, accepted: np.ndarray
+    ) -> np.ndarray:
+        """The `(N, T, p)` float64 tags, T the longest sentence's length: 1 on
+        the consumed prefix of an accepting rule, 0 elsewhere and on padding."""
+        T = max((s.n for s in sentences), default=0)
+        tags = np.empty((len(consumed), T, consumed.shape[1]), dtype=np.float64)
+        tagged = np.where(accepted, consumed, 0)[:, None, :]
+        return np.less(np.arange(T)[:, None], tagged, out=tags)
 
     def encode_batch(
         self,
@@ -247,7 +270,7 @@ class RuleMatcher:
         gate_instance: bool = False,
         full_match: bool = False,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Both feature kinds of N sentences.
+        """Both feature kinds of N sentences, from one `run_batch` pass.
 
         Returns the `(N, m_total)` float64 state indicator and each
         sentence's `(n, p)` float64 tag matrix (views into one padded
@@ -257,24 +280,24 @@ class RuleMatcher:
         features of sentence i, and the rows of `state_indicators` and
         `word_tags`.
         """
-        states, visited, accepted = self._visited(sentences, full_match)
-        tagged = self._tagged(visited, accepted)
-        indicator = self._indicator(states, visited & accepted if gate_instance else visited)
-        return indicator, [tagged[i, : s.n] for i, s in enumerate(sentences)]
+        indicator, consumed, accepted = self.run_batch(sentences, full_match, visited=True)
+        if gate_instance:
+            owner = np.repeat(np.arange(len(self.start)), np.diff(self.bounds))
+            indicator *= accepted[:, owner]
+        tags = self._tags(sentences, consumed, accepted)
+        return indicator, [tags[i, : s.n] for i, s in enumerate(sentences)]
 
     def state_indicators(self, sentences: Sequence[Sentence]) -> np.ndarray:
         """The `(N, m_total)` float64 state indicators of N sentences at the
         default settings, the only kind the `instance` variant reads."""
-        states, visited, _ = self._visited(sentences, full_match=False)
-        return self._indicator(states, visited)
+        return self.run_batch(sentences, visited=True)[0]
 
     def word_tags(self, sentences: Sequence[Sentence]) -> np.ndarray:
         """The `(N, T, p)` float64 tags of N sentences at the default
         settings, T the longest sentence's length and zero past each
         sentence's own: the only kind the `word` variant reads."""
-        _, visited, accepted = self._visited(sentences, full_match=False)
-        longest = max((s.n for s in sentences), default=0)
-        return self._tagged(visited, accepted)[:, :longest]
+        _, consumed, accepted = self.run_batch(sentences)
+        return self._tags(sentences, consumed, accepted)
 
     def records(
         self,

@@ -16,9 +16,9 @@ from .automata import Mdfa
 __all__ = ["Sentence", "Trace", "run_trace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
-    """An ordered sequence of lowercased words."""
+    """An ordered sequence of lowercased words, with no per-instance `__dict__`."""
 
     words: tuple[str, ...]
 

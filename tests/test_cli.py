@@ -5,11 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rulefuse.experiment
 from rulefuse.cli import build_parser, config_from_flags, main, run
 from rulefuse.data import SyntheticSpec, load_dataset
 from rulefuse.encoding import RuleMatcher, encode_instance, encode_word_tags
-from rulefuse.errors import ConfigError, NumericalError, RulesMismatchError
-from rulefuse.experiment import ExperimentConfig, compile_rules
+from rulefuse.errors import (
+    CapacityExceededError,
+    ConfigError,
+    NumericalError,
+    RulesMismatchError,
+    UnknownLabelError,
+)
+from rulefuse.experiment import ExperimentConfig, compile_rules, evaluate_accuracy
 from rulefuse.matching import run_trace
 from rulefuse.model import ModelParams, TrainConfig, load_model, save_model
 from rulefuse.rules import load_rules
@@ -198,6 +205,33 @@ def test_nnsc_train_and_eval_build_no_matcher(corpus, tmp_path, capsys, monkeypa
                  "--out", str(ckpt)]) == 0
     assert main(["eval", "--rules", rules, "--test", test, "--model", str(ckpt)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("accuracy=")
+
+
+def test_nnsc_eval_parses_the_rules_but_compiles_none(corpus, tmp_path, capsys, monkeypatch):
+    ckpt = tmp_path / "model.npz"
+    rules, test = str(corpus / "rules.tsv"), str(corpus / "test.tsv")
+    assert main(["train", "--rules", rules, "--train", str(corpus / "train.tsv"),
+                 "--epochs", "1", "--emb-dim", "4", "--hidden", "4", "--out", str(ckpt)]) == 0
+    params = load_model(ckpt)
+    ruleset = load_rules(rules)
+    dataset = load_dataset(test, params.labels)
+    want = evaluate_accuracy(params, ruleset, compile_rules(ruleset), dataset)
+    # one more rule whose DFA exceeds the state budget: only compiling it fails
+    too_big = tmp_path / "rules.tsv"
+    label = ruleset.rules[0].label
+    too_big.write_text((corpus / "rules.tsv").read_text() + f"{label}\t( . )* a{' .' * 14}\n")
+    with pytest.raises(CapacityExceededError):
+        compile_rules(load_rules(too_big))
+    compiled = []
+    monkeypatch.setattr(rulefuse.experiment, "compile_ast", compiled.append)
+    capsys.readouterr()
+    for rules_file in (rules, str(too_big)):
+        assert main(["eval", "--rules", rules_file, "--test", test, "--model", str(ckpt)]) == 0
+        assert capsys.readouterr().out == f"accuracy={want:.4f}\n"
+    assert compiled == []
+    too_big.write_text("no-such-label\t( . )* a\n")  # still label-checked
+    with pytest.raises(UnknownLabelError):
+        main(["eval", "--rules", str(too_big), "--test", test, "--model", str(ckpt)])
 
 
 def test_eval_rule_only(corpus, capsys):

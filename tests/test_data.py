@@ -47,6 +47,71 @@ def test_load_dataset_malformed(tmp_path):
     assert exc_info.value.line == 1
 
 
+def _load_bytes(tmp_path, data: bytes, label_names=None):
+    path = tmp_path / "data.tsv"
+    path.write_bytes(data)
+    return load_dataset(path, label_names=label_names)
+
+
+def _samples(ds):
+    return [(s.words, label) for s, label in ds.samples]
+
+
+def _malformed(tmp_path, data: bytes, label_names=None) -> str:
+    with pytest.raises(MalformedLineError) as exc_info:
+        _load_bytes(tmp_path, data, label_names)
+    return str(exc_info.value)
+
+
+def test_load_dataset_counts_blank_lines_in_line_numbers(tmp_path):
+    blank = b"a\tx\n\n   \n\t \n \t\t\n"
+    assert _malformed(tmp_path, blank + b"no tab here\n") == (
+        "expected label<TAB>text (line 6)"
+    )
+    ds = _load_bytes(tmp_path, blank + b"b\ty z")  # no final newline
+    assert _samples(ds) == [(("x",), 0), (("y", "z"), 1)]
+
+
+def test_load_dataset_unknown_label_under_fixed_names(tmp_path):
+    data = b"b\tx\n\nc\ty\n"
+    assert _malformed(tmp_path, data, ["a", "b"]) == "unknown label 'c' (line 3)"
+    assert _load_bytes(tmp_path, data).label_names == ["b", "c"]
+
+
+def test_load_dataset_tab_then_only_spaces_is_empty_text(tmp_path):
+    assert _malformed(tmp_path, b"a\tx\nb\t   \n") == "empty label or text (line 2)"
+    assert _malformed(tmp_path, b"   \tx\n") == "empty label or text (line 1)"
+
+
+def test_load_dataset_extra_tabs_split_the_text(tmp_path):
+    ds = _load_bytes(tmp_path, b"a\tFoo\tbar\t baz\t\n")
+    assert _samples(ds) == [(("foo", "bar", "baz"), 0)]
+
+
+def test_load_dataset_line_breaks(tmp_path):
+    # CRLF and a lone CR end a line; other characters str.splitlines would
+    # split on (\x0b, \x1c, U+2028) only separate words
+    data = "a\tFoo Bar\r\n\r\nb\tbaz\rb\tq\x0br\x1cs t\r\n".encode()
+    ds = _load_bytes(tmp_path, data)
+    assert _samples(ds) == [
+        (("foo", "bar"), 0),
+        (("baz",), 1),
+        (("q", "r", "s", "t"), 1),
+    ]
+    assert _malformed(tmp_path, b"a\tx\r\n\r\nbad\r\n") == "expected label<TAB>text (line 3)"
+    assert _malformed(tmp_path, b"a\tx\rbad\r") == "expected label<TAB>text (line 2)"
+
+
+def test_load_dataset_labels_are_stripped_and_lowercased(tmp_path):
+    data = b" Flight \tx\nFLIGHT\ty\nflight\tz\n  AirLine\tw\n\tAirLine \tv\n"
+    assert _malformed(tmp_path, data) == "empty label or text (line 5)"
+    data = data[: data.rindex(b"\n\t") + 1]
+    assert _load_bytes(tmp_path, data).label_names == ["flight", "airline"]
+    ds = _load_bytes(tmp_path, data, ["airline", "flight"])
+    assert [label for _, label in ds.samples] == [1, 1, 1, 0]
+    assert _malformed(tmp_path, data, ["Flight", "airline"]) == "unknown label 'flight' (line 1)"
+
+
 def test_load_dataset_empty(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("\n\n")

@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -396,3 +397,48 @@ def test_feature_records_are_positional():
     assert list(inspect.signature(encode_all).parameters) == ["ruleset", "mdfas", "sentence"]
     assert type(encode_instance(Trace((0,), 1, True), 2)) is np.ndarray
     assert type(matcher.encode(Sentence.from_text("a"))[0]) is np.ndarray
+
+
+def _many_rules_case(p: int, n_sentences: int, longest: int):
+    """p rules of the many-rule shape `( . )* a ( . )? ( b | c ) ( . )* d`, each
+    with its own words, and seeded sentences of 3..longest words (one of
+    exactly `longest`) of filler and rule words; half of them hold one
+    rule's match."""
+    ruleset = parse_rule_lines(
+        [f"l{k % 18}\t( . )* a{k} ( . )? ( b{k} | c{k} ) ( . )* d{k}" for k in range(p)]
+    )
+    rng = random.Random(24)
+    vocab = [f"{w}{k}" for k in range(p) for w in "abcd"] + [f"w{i}" for i in range(40)]
+    sentences = []
+    for n in [longest] + [rng.randint(3, longest) for _ in range(n_sentences - 1)]:
+        words = [rng.choice(vocab) for _ in range(n)]
+        if rng.random() < 0.5:
+            k, i = rng.randrange(p), rng.randrange(n - 2)
+            j = min(i + rng.randint(1, 2), n - 2)
+            words[i], words[j], words[rng.randint(j + 1, n - 1)] = f"a{k}", f"c{k}", f"d{k}"
+        sentences.append(Sentence(tuple(words)))
+    return RuleMatcher(ruleset, compile_rules(ruleset)), sentences
+
+
+def _traced_peak(encode, sentences):
+    """encode(sentences) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = encode(sentences)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matcher_memory_stays_near_its_output():
+    # the matcher steps one word position at a time; a single (T, N, p) intp
+    # array, 25 x 400 x 200 x 8 B = 16 MB here, exceeds either margin
+    matcher, sentences = _many_rules_case(p=200, n_sentences=400, longest=25)
+    every_step_states = 25 * 400 * 200 * np.dtype(np.intp).itemsize
+    indicator, peak = _traced_peak(matcher.state_indicators, sentences)
+    assert peak < indicator.nbytes + 5e6 < indicator.nbytes + every_step_states
+    tags, peak = _traced_peak(matcher.word_tags, sentences)
+    assert tags.shape == (400, 25, 200)
+    assert peak < 1.25 * tags.nbytes < tags.nbytes + every_step_states
+    # about half the sentences hold a match, so the tags are not all zero
+    assert (tags.any(axis=(1, 2))).mean() > 0.4

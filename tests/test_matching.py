@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -18,6 +20,24 @@ def test_sentence_from_text():
 def test_sentence_rejects_empty_words():
     with pytest.raises(ValueError):
         Sentence(("a", "", "b"))
+
+
+def test_sentence_has_no_instance_dict_and_keeps_its_value_semantics():
+    built, parsed = Sentence(("show", "me")), Sentence.from_text("Show ME")
+    for s in (built, parsed):
+        assert not hasattr(s, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.words = ("other",)
+        # a new name is refused too: FrozenInstanceError (an AttributeError),
+        # or on Python 3.11 a TypeError from the slotted class's __setattr__
+        with pytest.raises((AttributeError, TypeError)):
+            s.extra = 1
+        assert s.words == ("show", "me")
+    assert built == parsed and hash(built) == hash(parsed)
+    assert built != Sentence(("show",)) and len({built, parsed}) == 1
+    assert pickle.loads(pickle.dumps(parsed)) == built
+    with pytest.raises(ValueError, match="sentences cannot contain empty words"):
+        Sentence(("",))
 
 
 def test_trace_through_wildcard_pattern():
