@@ -258,11 +258,12 @@ def cmd_experiment(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that splits each line of an `@FILE` like a shell would."""
+    """argparse that splits each line of an `@FILE` like a shell would,
+    dropping a leading UTF-8 byte-order mark."""
 
     def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
         try:
-            return shlex.split(arg_line, comments=True)
+            return shlex.split(arg_line.removeprefix("\ufeff"), comments=True)
         except ValueError as exc:  # an unclosed quote
             self.error(f"{exc} in flags file line {arg_line!r}")
 

@@ -47,8 +47,9 @@ class Dataset:
 
 
 def load_labels(path: str | os.PathLike) -> list[str]:
-    """One label per line; order defines the class indices."""
-    with open(path, encoding="utf-8") as fh:
+    """One label per line; order defines the class indices.  A leading
+    UTF-8 byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         labels = [line.strip().lower() for line in fh if line.strip()]
     seen = set()
     for label in labels:
@@ -64,7 +65,10 @@ def load_dataset(
     """Load a `label<TAB>text` TSV; text is lowercased and split on whitespace.
 
     Labels map to indices in first-appearance order unless `label_names`
-    pins the order (then unknown labels are malformed lines).
+    pins the order (then unknown labels are malformed lines).  A leading
+    UTF-8 byte-order mark is dropped.  Words are interned
+    (`Sentence.from_text`): every dataset loaded in the process shares
+    one string per distinct word.
     """
     names = list(label_names) if label_names is not None else []
     index = {name: i for i, name in enumerate(names)}
@@ -74,7 +78,7 @@ def load_dataset(
     classes: dict[str, int] = {}
     from_text = Sentence.from_text
     samples: list[tuple[Sentence, int]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         # each line keeps its "\n", which splitting the text drops
         for line_no, line in enumerate(fh, start=1):
             label, tab, text = line.partition("\t")

@@ -205,10 +205,13 @@ class RuleMatcher:
         """Words consumed and acceptance of every rule in N sentences (see
         run_trace), and with `visited` the indicator of the states visited.
 
-        Word ids are mapped once into a time-major `(T, N)` array, and all
-        N x p automata advance together one word position at a time; each
-        step reads only that position's `(N, p)` local symbols and updates
-        the `(N, p)` words consumed and acceptance flags in place.  A
+        Word ids are mapped once into a time-major `(T, N)` array, by one
+        `map` of `word_ids.get` over every word (an identity hit for words
+        interned by `Sentence.from_text`, as the rule literals keyed in
+        `word_ids` are), and all N x p automata advance together one word
+        position at a time; each step reads only that position's `(N, p)`
+        local symbols and updates the `(N, p)` words consumed and
+        acceptance flags in place.  A
         (sentence, rule) pair consumes a step while the sentence has words
         left and, at the early stop, the rule has not yet accepted; with
         `visited`, each step marks the states of those pairs.  Returns the
@@ -221,8 +224,9 @@ class RuleMatcher:
         lengths = np.fromiter((s.n for s in sentences), dtype=np.intp, count=N)
         T = int(lengths.max(initial=0))
         gids = np.full((T, N), self.other, dtype=np.intp)
+        words = itertools.chain.from_iterable(s.words for s in sentences)
         gids.T[np.arange(T) < lengths[:, None]] = np.fromiter(
-            (self.word_ids.get(w, self.other) for s in sentences for w in s.words),
+            map(self.word_ids.get, words, itertools.repeat(self.other)),
             dtype=np.intp,
             count=int(lengths.sum()),
         )

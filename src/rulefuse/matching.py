@@ -9,6 +9,7 @@ classical whole-sentence membership instead.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .automata import Mdfa
@@ -28,9 +29,16 @@ class Sentence:
 
     @classmethod
     def from_text(cls, text: str) -> "Sentence":
+        """The sentence of `text` lowercased and split on whitespace.
+
+        Each word is interned (`sys.intern`), so every sentence read from
+        text, rule literals and checkpoint vocabularies hold one shared
+        string per distinct word: a corpus costs one pointer per word, and
+        each dict lookup of a word hits by identity on a cached hash.
+        """
         # str.split() never yields an empty word, so skip __init__'s check
         sentence = object.__new__(cls)
-        object.__setattr__(sentence, "words", tuple(text.lower().split()))
+        object.__setattr__(sentence, "words", tuple(map(sys.intern, text.lower().split())))
         return sentence
 
     @property

@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -801,6 +802,9 @@ def save_model(params: ModelParams, path: str | os.PathLike) -> None:
 def load_model(path: str | os.PathLike) -> ModelParams:
     """Read a `rulefuse-v2` or `rulefuse-v1` checkpoint (v1 has no rule binding).
 
+    Vocabulary words are interned (`sys.intern`), so they are the strings
+    that sentences read by `Sentence.from_text` and rule literals hold.
+
     A file that exists but is not a readable rulefuse checkpoint, or holds
     a NaN or infinite weight, raises `CheckpointError` naming the path; a
     missing one, `FileNotFoundError`.
@@ -812,7 +816,7 @@ def load_model(path: str | os.PathLike) -> ModelParams:
                 raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
             params = ModelParams(
                 variant=meta["variant"],
-                vocab={word: int(idx) for word, idx in meta["vocab"].items()},
+                vocab={sys.intern(word): int(idx) for word, idx in meta["vocab"].items()},
                 **{key: int(meta[key]) for key in _SIZES},
                 labels=meta.get("labels"),
                 rules=meta.get("rules"),
@@ -834,12 +838,13 @@ def load_model(path: str | os.PathLike) -> ModelParams:
 def load_pretrained_embeddings(params: ModelParams, path: str | os.PathLike) -> int:
     """Overwrite embedding rows from a `word v1 .. vd` text file.
 
-    Unknown words are skipped; returns the number of rows loaded.  A value
+    Unknown words are skipped, and a leading UTF-8 byte-order mark is
+    dropped; returns the number of rows loaded.  A value
     that is not a finite number (`nan` and `inf` included) raises
     `MalformedLineError` with its line number.
     """
     loaded = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:

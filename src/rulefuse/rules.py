@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -98,7 +99,9 @@ _NOT_ATOM = ("", "|", ")", *_POSTFIX)
 
 
 def parse_regex(source: str) -> RegexNode:
-    """Parse a word-level pattern into its AST; literals are lowercased.
+    """Parse a word-level pattern into its AST; literals are lowercased and
+    interned (`sys.intern`), so they are the very strings that sentences
+    read by `Sentence.from_text` hold.
 
     Raises RegexSyntaxError (with a character offset into `source` as
     written) for unbalanced parentheses, dangling operators, empty groups,
@@ -145,7 +148,7 @@ def _atom(tokens: list, i: int) -> tuple[RegexNode, int]:
     if text == ".":
         return AnyWord(), i + 1
     if text != "(":
-        return Literal(text.lower()), i + 1
+        return Literal(sys.intern(text.lower())), i + 1
     if tokens[i + 1][0] == ")":
         raise RegexSyntaxError("empty group", offset=offset)
     node, i = _alternation(tokens, i + 1)
@@ -224,6 +227,7 @@ def parse_rule_lines(
 
 
 def load_rules(path: str | os.PathLike, known_labels: set[str] | None = None) -> RuleSet:
-    """Load a rules file (UTF-8, one `label<TAB>pattern` per line)."""
-    with open(path, encoding="utf-8") as fh:
+    """Load a rules file (UTF-8, one `label<TAB>pattern` per line; a leading
+    byte-order mark is dropped)."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_rule_lines(fh, known_labels)

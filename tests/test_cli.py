@@ -292,6 +292,12 @@ def test_flags_after_a_flags_file_override_it(tmp_path):
     assert (args.command, args.train, args.epochs, args.lr) == ("train", "t.tsv", 5, 0.3)
 
 
+def test_a_flags_file_may_start_with_a_byte_order_mark(tmp_path):
+    flags = _flags_file(tmp_path, "\ufeff--epochs 1\n--lr 0.3\n")
+    args = build_parser().parse_args(["train", "--train", "t.tsv", flags])
+    assert (args.epochs, args.lr) == (1, 0.3)
+
+
 def test_unknown_config_key_errors(corpus, tmp_path, capsys):
     flags = _flags_file(tmp_path, "--no-such-flag 3\n")
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
+import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -112,6 +114,42 @@ def test_load_dataset_labels_are_stripped_and_lowercased(tmp_path):
     assert _malformed(tmp_path, data, ["Flight", "airline"]) == "unknown label 'flight' (line 1)"
 
 
+def test_load_dataset_drops_a_byte_order_mark(tmp_path):
+    data = "\ufeffflight\tShow flights\nfare\tcheap fares\n".encode()
+    assert _load_bytes(tmp_path, data).label_names == ["flight", "fare"]
+    ds = _load_bytes(tmp_path, data, ["fare", "flight"])
+    assert _samples(ds) == [(("show", "flights"), 1), (("cheap", "fares"), 0)]
+
+
+def test_load_dataset_shares_one_string_per_distinct_word(tmp_path):
+    first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    first.write_text("flight\tShow me the flights\n")
+    second.write_text("fare\tflights and FARES\nfare\tthe fares\n")
+    (a,), (b, c) = ([s.words for s, _ in load_dataset(p).samples] for p in (first, second))
+    assert a[3] == b[0] == "flights" and a[3] is b[0]
+    assert a[2] is c[0] and b[2] is c[1]
+
+
+def test_a_loaded_corpus_holds_one_string_per_distinct_word(tmp_path):
+    # 5,000 sentences of 16 words over 200 distinct ones: about 1.4 MB with
+    # one string per distinct word, 5.8 MB with each of the 80,000 its own
+    rng = random.Random(0)
+    vocab = [f"word{i:03d}" for i in range(200)]
+    path = tmp_path / "corpus.tsv"
+    path.write_text(
+        "".join(f"c{i % 18}\t{' '.join(rng.choices(vocab, k=16))}\n" for i in range(5000))
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = load_dataset(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 5000 and {w for s, _ in ds.samples for w in s.words} <= set(vocab)
+    assert held < 2_000_000, f"loading held {held / 1e6:.2f} MB"
+
+
 def test_load_dataset_empty(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("\n\n")
@@ -140,6 +178,12 @@ def test_load_labels(tmp_path):
     dup.write_text("a\na\n")
     with pytest.raises(ValueError):
         load_labels(dup)
+
+
+def test_load_labels_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_bytes("\ufeffFlight\nfare\n".encode())
+    assert load_labels(path) == ["flight", "fare"]
 
 
 def test_duplicate_label_is_config_error(tmp_path):

@@ -17,6 +17,20 @@ def test_sentence_from_text():
     assert s.text() == "show me flights"
 
 
+def test_sentence_from_text_interns_its_words_and_keeps_its_value_semantics():
+    # a directly built sentence keeps the strings it is given; equality,
+    # hashing and frozenness do not depend on which strings a sentence holds
+    words = tuple("".join(pair) for pair in (("sh", "ow"), ("fli", "ghts")))
+    built = Sentence(words)
+    parsed, again = Sentence.from_text("SHOW flights"), Sentence.from_text("show FLIGHTS")
+    assert all(a is b for a, b in zip(built.words, words))
+    assert all(a is b for a, b in zip(parsed.words, again.words))
+    assert built == parsed == again and hash(built) == hash(parsed) == hash(again)
+    assert parsed != Sentence(words[:1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.words = words
+
+
 def test_sentence_rejects_empty_words():
     with pytest.raises(ValueError):
         Sentence(("a", "", "b"))

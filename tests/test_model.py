@@ -43,6 +43,7 @@ from rulefuse.model import (
     _lstm_forward,
     _padded_ids,
 )
+from rulefuse.rules import parse_regex
 
 
 def _vocab(*words):
@@ -417,6 +418,19 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
         assert arr.tobytes() == other.tobytes()
 
 
+def test_checkpoint_vocabulary_shares_its_words_with_rules_and_sentences(tmp_path):
+    # words built at run time, so no compiled-in constant is shared by chance
+    words = ["".join(pair) for pair in (("fli", "ghts"), ("far", "es"))]
+    path = tmp_path / "model.npz"
+    save_model(ModelParams.init("nnsc", _vocab(*words), d=4, h=3, C=2, seed=0), path)
+    vocab = list(load_model(path).vocab)
+    literal = parse_regex("show FLIGHTS").children[1]
+    sentence = Sentence.from_text("Fares for flights")
+    assert vocab[1] == literal.word == sentence.words[2] == "flights"
+    assert vocab[1] is literal.word is sentence.words[2]
+    assert vocab[2] is sentence.words[0]
+
+
 def test_checkpoint_version_field(tmp_path):
     import json
     import zipfile
@@ -456,6 +470,14 @@ def test_pretrained_embedding_hook(tmp_path):
     bad.write_text("a 1 2\n")
     with pytest.raises(DimensionMismatchError):
         load_pretrained_embeddings(params, bad)
+
+
+def test_pretrained_embeddings_may_start_with_a_byte_order_mark(tmp_path):
+    params = _nnsc_params()
+    path = tmp_path / "vectors.txt"
+    path.write_bytes("\ufeffa 1 2 3 4\nb 5 6 7 8\n".encode())
+    assert load_pretrained_embeddings(params, path) == 2
+    assert params.emb[params.vocab["a"]].tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 @pytest.mark.parametrize("line", ["a 0.1 zz", "b 1 2 zz 4", "a 1 2 3 four"])

@@ -185,6 +185,13 @@ def test_load_rules(tmp_path):
     assert [r.label for r in ruleset.rules] == ["flight", "airline", "flight"]  # case folded
 
 
+def test_load_rules_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "rules.tsv"
+    path.write_bytes("\ufeffflight\tshow flights\nfare\tcheap fares\n".encode())
+    ruleset = load_rules(path, {"flight", "fare"})
+    assert [r.label for r in ruleset.rules] == ["flight", "fare"]
+
+
 def test_load_rules_empty_file(tmp_path):
     path = tmp_path / "rules.tsv"
     path.write_text("# nothing here\n\n")
