@@ -159,6 +159,8 @@ class RuleMatcher:
             offset = offsets[row]
             yield offset
 
+    # Kept for `FeatureCache.features`, which the benchmark's `rules_atis` op calls
+    # per sentence: a one-row `encode_batch` is about 5 times slower (README).
     def encode(self, sentence: Sentence) -> tuple[np.ndarray, list[WordTagSeq]]:
         """Both feature kinds for every rule at the default settings (no gate,
         early stop): the fresh `(m_total,)` float64 state indicator, equal

@@ -155,6 +155,8 @@ class FeatureCache:
     def matcher(self) -> RuleMatcher:
         return RuleMatcher(self.ruleset, self.mdfas)
 
+    # Kept for the benchmark's `rules_atis` op, which calls it per sentence: a
+    # one-row `encode_batch` is about 5 times slower.  It goes once that op is batched.
     def features(self, sentence: Sentence):
         return self.matcher.encode(sentence)
 

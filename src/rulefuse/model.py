@@ -11,15 +11,15 @@ Three wiring modes:
 
 All math is plain numpy in float64 with hand-written backward passes so the
 analytic gradients can be checked against central finite differences.
-Training and scoring run on padded mini-batches, row gathers from a set
-padded once (a `PaddedItems`, as `build_items` makes it or `_padded_set`
-stacks a hand-built item list into one): only the recurrence ``h @ wh``
-loops over time, and both LSTM directions advance together in a time-leading
-``(T, 2, B, .)`` layout, one ``tanh`` over each step's gate row (the i,
-f and o weights are pre-halved).  Each layer (input, LSTM,
-attention, classifier MLP) is one forward and one backward function; a
-forward returns, as a tuple, what its backward reads.  Inference keeps no
-LSTM gate or cell state per step, and scores length-sorted batches.
+Training and scoring read one input type, a `PaddedItems` (as
+`build_items` makes it), and run on padded mini-batches, row gathers from
+it: only the recurrence ``h @ wh`` loops over time, and both LSTM
+directions advance together in a time-leading ``(T, 2, B, .)`` layout, one
+``tanh`` over each step's gate row (the i, f and o weights are
+pre-halved).  Each layer (input, LSTM, attention, classifier MLP) is one
+forward and one backward function; a forward returns, as a tuple, what its
+backward reads.  Inference keeps no LSTM gate or cell state per step, and
+scores length-sorted batches.
 """
 
 from __future__ import annotations
@@ -212,11 +212,11 @@ class ActivationRecord:
 
 @dataclass(frozen=True)
 class TrainItem:
-    """A labelled sentence with the rule features its variant reads.
+    """One row of a `PaddedItems`: a labelled sentence with the rule
+    features its variant reads.
 
-    `feats` is the `(m_total,)` state indicator for `instance` or the
-    `(n, p)` tag matrix for `word`, as a `PaddedItems` gives them; `nnsc`
-    reads none.
+    `feats` is a view of the `(m_total,)` state indicator for `instance` or
+    the `(n, p)` tag matrix for `word`; `nnsc` reads none.
     """
 
     sentence: Sentence
@@ -229,11 +229,11 @@ class PaddedItems(Sequence):
     padded once: the `word` tags `(N, T, p)`, T the longest sentence's
     length and zero past each sentence's own; the `instance` state
     indicators `(N, m_total)`; None for `nnsc`.  `labels` and `lengths`
-    are `(N,)` arrays.  `build_items` makes these; `train`,
-    `evaluate_items` and `loss_and_grads` read one as it is (after one
-    check of its shapes) and stack a list of TrainItems into one.  As a
-    sequence it yields, on indexing or iteration, TrainItems whose `feats`
-    are views into the one array.
+    are `(N,)` arrays.  `build_items` makes these, and they are the only
+    item set `train`, `evaluate_items` and `loss_and_grads` accept: each
+    reads one as it is, after one check of its shapes.  As a sequence it
+    yields, on indexing or iteration, TrainItem rows whose `feats` are
+    views into the one array.
     """
 
     def __init__(self, sentences: list[Sentence], labels, feats: np.ndarray | None = None):
@@ -292,20 +292,17 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _padded_set(params, items) -> PaddedItems:
-    """`items` as one PaddedItems, checked against `params`: a PaddedItems
-    passes as it is, after one check of its feature array's shape; a list
-    of TrainItems is checked item by item and its features stacked.
+def _padded_set(params, items: PaddedItems) -> PaddedItems:
+    """`items`, checked against `params`.
 
-    A label outside `0..C-1` raises ConfigError; an empty sentence,
-    EmptySentenceError naming its position; a missing feature array,
-    MissingFeaturesError (at p = 0 missing features read as zero-width);
-    one of the wrong shape, DimensionMismatchError.
+    Anything but a PaddedItems raises TypeError; a label outside `0..C-1`,
+    ConfigError; an empty sentence, EmptySentenceError naming its
+    position; a missing feature array, MissingFeaturesError (at p = 0 it
+    reads as zero-width); one of the wrong shape, DimensionMismatchError.
     """
-    padded = items
     if not isinstance(items, PaddedItems):
-        padded = PaddedItems([item.sentence for item in items], [item.label for item in items])
-    labels, lengths = padded.labels, padded.lengths
+        raise TypeError(f"expected a PaddedItems (see build_items), got {type(items).__name__}")
+    labels, lengths = items.labels, items.lengths
     bad = (labels < 0) | (labels >= params.C)
     if bad.any():
         raise ConfigError(f"label {labels[bad][0]} outside 0..{params.C - 1}")
@@ -314,36 +311,20 @@ def _padded_set(params, items) -> PaddedItems:
             f"item {int(lengths.argmin())} has no words; the model reads non-empty sentences"
         )
     if params.variant == "nnsc":
-        return padded
+        return items
     word = params.variant == "word"
     what = "tag matrix" if word else "state indicator"
     longest = int(lengths.max(initial=0))
-    if padded.feats is not None:
-        shape = (len(padded), longest, params.p) if word else (len(padded), params.m_total)
-        if padded.feats.shape != shape:
-            raise DimensionMismatchError(
-                f"{what} array is {padded.feats.shape}, expected one of shape {shape}"
-            )
-        return padded
-    checked = []
-    for n, item in zip(lengths.tolist(), items):
-        array = item.feats
-        if array is None:
-            if params.p:
-                raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
-            array = np.zeros((n, 0) if word else 0)
-        shape = (n, params.p) if word else (params.m_total,)
-        got = getattr(array, "shape", type(array).__name__)
-        if got != shape:
-            raise DimensionMismatchError(f"{what} is {got}, expected an array of shape {shape}")
-        checked.append(array)
-    if word:
-        feats = np.zeros((len(checked), longest, params.p))
-        if checked:
-            feats[np.arange(longest) < lengths[:, None]] = np.concatenate(checked)
-    else:
-        feats = np.array(checked, dtype=np.float64).reshape(len(checked), params.m_total)
-    return PaddedItems(padded.sentences, labels, feats)
+    shape = (len(items), longest, params.p) if word else (len(items), params.m_total)
+    if items.feats is None:
+        if params.p:
+            raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
+        items = PaddedItems(items.sentences, labels, np.zeros(shape[:-1] + (0,)))
+    if items.feats.shape != shape:
+        raise DimensionMismatchError(
+            f"{what} array is {items.feats.shape}, expected one of shape {shape}"
+        )
+    return items
 
 
 def _padded_ids(params, sentences, lengths):
@@ -359,18 +340,17 @@ def _padded_ids(params, sentences, lengths):
 
 
 class _ItemSet:
-    """A set of items as the arrays the model reads, padded once and read
+    """A PaddedItems as the arrays the model reads, checked once and read
     many times: per batch in `train`, per chunk in `evaluate_items`.  It
     holds the `_padded_set` labels, lengths and features and the
-    `_padded_ids` ids; `items` is the set as given, which a `_Batch`
-    iterates."""
+    `_padded_ids` ids; `items` is the checked PaddedItems, whose rows a
+    `_Batch` iterates."""
 
-    def __init__(self, params: ModelParams, items: Sequence[TrainItem]):
-        self.items = items
-        padded = _padded_set(params, items)
-        self.labels, self.lengths = padded.labels, padded.lengths
-        self.feats = None if params.variant == "nnsc" else padded.feats
-        self.ids = _padded_ids(params, padded.sentences, padded.lengths)
+    def __init__(self, params: ModelParams, items: PaddedItems):
+        self.items = _padded_set(params, items)
+        self.labels, self.lengths = self.items.labels, self.items.lengths
+        self.feats = None if params.variant == "nnsc" else self.items.feats
+        self.ids = _padded_ids(params, self.items.sentences, self.lengths)
 
     def rows(self, rows: np.ndarray) -> tuple:
         """(ids, lengths, feats, labels) of the given rows, in that order,
@@ -384,10 +364,10 @@ class _ItemSet:
 
 
 class _Batch:
-    """Rows of a padded item set, and the gradient buffer `loss_and_grads`
-    overwrites for them.  `train` passes these in the place of item lists,
-    all rows of one set padded once per run, all sharing one buffer; like
-    an item list, a batch iterates as its TrainItems and has a length."""
+    """Rows of a checked item set, and the gradient buffer `loss_and_grads`
+    overwrites for them.  `train` passes these in the place of a
+    PaddedItems, all rows of one set checked once per run, all sharing one
+    buffer; a batch iterates as its TrainItem rows and has a length."""
 
     __slots__ = ("data", "rows", "grads")
 
@@ -572,12 +552,6 @@ def _classifier_backward(params, saved, labels):
     return mlp, (dz1 @ params.mlp_w1.T)[:, : 2 * params.h]
 
 
-def _forward_batch(params, rows, keep=False):
-    """Forward pass over (sentence, feats) rows at once, padded as one set."""
-    data = _ItemSet(params, [TrainItem(sentence, 0, feats) for sentence, feats in rows])
-    return _forward_padded(params, data.ids, data.lengths, data.feats, keep)
-
-
 def _forward_padded(params, ids, lengths, feats, keep=False):
     """Forward pass over padded ids (B, T), layer by layer.  Returns
     (H, alpha, f, logits, y) with a leading batch axis, and what each
@@ -594,9 +568,12 @@ def _forward_padded(params, ids, lengths, feats, keep=False):
 def forward(
     params: ModelParams, sentence: Sentence, feats: np.ndarray | None = None
 ) -> ActivationRecord:
-    """Run the classifier on one sentence (a batch of one) with the feature
-    array its variant reads, as in `TrainItem`."""
-    H, alpha, f, logits, y = _forward_batch(params, [(sentence, feats)])[0]
+    """Run the classifier on one sentence (a one-row PaddedItems) with the
+    feature array its variant reads, as in `TrainItem`."""
+    if not (feats is None or isinstance(feats, np.ndarray)):
+        raise DimensionMismatchError(f"features are a {type(feats).__name__}, expected an array")
+    data = _ItemSet(params, PaddedItems([sentence], [0], None if feats is None else feats[None]))
+    H, alpha, f, logits, y = _forward_padded(params, data.ids, data.lengths, data.feats)[0]
     return ActivationRecord(H=H[0], alpha=alpha[0], f=f[0], logits=logits[0], y=y[0])
 
 
@@ -628,22 +605,22 @@ def _backward(params, saved, labels: np.ndarray, grads: _Gradients) -> _Gradient
 
 
 def loss_and_grads(
-    params: ModelParams, batch: Sequence[TrainItem]
+    params: ModelParams, batch: PaddedItems
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus analytic gradients.
 
     One padded forward and backward pass covers the whole batch.
     Gradients mirror params.tensors(), as views into one vector laid out
     like `params.theta` (their `flat` attribute); raises NumericalError if
-    the loss goes non-finite.  Any other item sequence (a list, or a
-    `PaddedItems`) is padded and checked here, and gets a fresh gradient
-    vector; the batches `train` passes are rows of a set it padded once
-    per run, and all write into the run's one gradient vector.
+    the loss goes non-finite.  A `PaddedItems` is checked here (its errors
+    as in `train`; an empty one raises EmptyDatasetError) and gets a fresh
+    gradient vector; the batches `train` passes are rows of a set it
+    checked once per run, and all write into the run's one gradient vector.
     """
     if not isinstance(batch, _Batch):
-        if not batch:
-            raise ValueError("empty batch")
         batch = _Batch(_ItemSet(params, batch), np.arange(len(batch)), _Gradients(params))
+    if not len(batch):
+        raise EmptyDatasetError("empty batch")
     *inputs, labels = batch.data.rows(batch.rows)
     outputs, saved = _forward_padded(params, *inputs, keep=True)
     probs = outputs[-1][np.arange(len(labels)), labels]
@@ -661,18 +638,17 @@ def predict(params: ModelParams, sentence: Sentence, feats: np.ndarray | None = 
     return int(np.argmax(forward(params, sentence, feats).y))
 
 
-def evaluate_items(params: ModelParams, items: Sequence[TrainItem]) -> float:
+def evaluate_items(params: ModelParams, items: PaddedItems) -> float:
     """Fraction of items whose prediction matches the gold label.
 
-    The set is padded once: every item's words are mapped to ids in one
-    pass, and a `PaddedItems` (as `build_items` makes it) is read as it
-    is, a list of TrainItems checked and stacked (`_padded_set`).  A label
-    outside `0..C-1` raises ConfigError.  The items are then scored in
-    order of length, in forward-only batches of at most INFER_CHUNK
-    sentences, each a row gather padded only to its own longest and
-    keeping no LSTM state for a backward pass.  Hits are
-    counted per batch, so the order does not change the result.  Argmax
-    ties break toward the lowest class index, as in `predict`.
+    The `PaddedItems` (as `build_items` makes it) is checked once
+    (`_padded_set`) and every item's words are mapped to ids in one pass.
+    A label outside `0..C-1` raises ConfigError.  The items are then
+    scored in order of length, in forward-only batches of at most
+    INFER_CHUNK sentences, each a row gather padded only to its own longest
+    and keeping no LSTM state for a backward pass.  Hits are counted per
+    batch, so the order does not change the result.  Argmax ties break
+    toward the lowest class index, as in `predict`.
     """
     return _evaluate(params, _ItemSet(params, items))
 
@@ -700,9 +676,9 @@ def _sgd_step(params: ModelParams, flat: np.ndarray, config: TrainConfig) -> Non
 
 def train(
     params: ModelParams,
-    items: Sequence[TrainItem],
+    items: PaddedItems,
     config: TrainConfig,
-    dev_items: Sequence[TrainItem] | None = None,
+    dev_items: PaddedItems | None = None,
 ) -> tuple[ModelParams, list[dict]]:
     """Plain SGD with per-epoch shuffling; deterministic for a given seed.
 
@@ -717,20 +693,20 @@ def train(
     dev_items, raises `ConfigError`; non-finite initial weights raise
     `NumericalError`.
 
-    The training and dev sets are each padded once per call, before the
-    first step (`_padded_set`; a `PaddedItems` from `build_items` is read
-    as it is): a bad label, an empty sentence or a bad feature array in
-    either raises then, with `theta` unchanged.  Every batch is a row
-    gather from the padded training set, passed to `loss_and_grads`, and
+    Both sets are `PaddedItems` (as `build_items` makes them); anything
+    else raises TypeError.  Each is checked once per call, before the first
+    step (`_padded_set`): a bad label, an empty sentence or a bad feature
+    array in either raises then, with `theta` unchanged.  Every batch is a
+    row gather from the training set, passed to `loss_and_grads`, and
     writes its gradients into one buffer allocated once per call.
     """
-    if not items:
+    data = _ItemSet(params, items)
+    if not len(items):
         raise EmptyDatasetError("empty training set")
     if config.patience is not None and dev_items is None:
         raise ConfigError("patience needs a dev set to stop on")
     if not params.all_finite():
         raise NumericalError("initial weights are not finite")
-    data = _ItemSet(params, items)
     dev = None if dev_items is None else _ItemSet(params, dev_items)
     grads = _Gradients(params)
     rng = np.random.default_rng(config.seed)

@@ -349,10 +349,27 @@ def max_grad_relative_error(params, batch, eps: float = 1e-5) -> float:
     return worst
 
 
+def padded_items(sentences, labels, rows):
+    """A `PaddedItems` from per-sentence feature rows: `(m_total,)` state
+    indicators, stacked, or `(n, p)` tag matrices, zero-padded to the
+    longest sentence.  No rows (the `nnsc` case) give no feature array."""
+    from rulefuse.model import PaddedItems
+
+    feats = None
+    if rows and rows[0].ndim == 1:
+        feats = np.array(rows)
+    elif rows:
+        feats = np.zeros((len(rows), max(len(tags) for tags in rows), rows[0].shape[1]))
+        for b, tags in enumerate(rows):
+            feats[b, : len(tags)] = tags
+    return PaddedItems(sentences, labels, feats)
+
+
 def random_model_case(seed: int, variant: str):
-    """Small random (params, batch) pair for gradient checking."""
+    """Small random (params, batch) pair for gradient checking; the batch
+    is a `PaddedItems`."""
     from rulefuse.matching import Sentence
-    from rulefuse.model import ModelParams, TrainItem, UNK
+    from rulefuse.model import ModelParams, UNK
 
     rng = np.random.default_rng(seed)
     d, h, C, p = 4, 3, 3, 2
@@ -365,24 +382,23 @@ def random_model_case(seed: int, variant: str):
     params = ModelParams.init(
         variant, vocab, d=d, h=h, C=C, p=p, m_total=m_total, seed=seed
     )
-    batch = []
+    sentences, labels, rows = [], [], []
     for _ in range(int(rng.integers(1, 3))):
         n = int(rng.integers(1, 6))
         sentence = Sentence(
             tuple(rng.choice(words + ["oovword"]) for _ in range(n))
         )
-        label = int(rng.integers(0, C))
-        feats = None
+        sentences.append(sentence)
+        labels.append(int(rng.integers(0, C)))
         if variant == "instance":
-            feats = np.concatenate(
+            rows.append(np.concatenate(
                 [rng.integers(0, 2, size=m_sizes[k]).astype(float) for k in range(p)]
-            )
+            ))
         elif variant == "word":
-            feats = np.stack(
+            rows.append(np.stack(
                 [rng.integers(0, 2, size=n).astype(float) for _ in range(p)], axis=1
-            )
-        batch.append(TrainItem(sentence, label, feats))
-    return params, batch
+            ))
+    return params, padded_items(sentences, labels, rows)
 
 
 def oracle_lstm(Xd: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> np.ndarray:

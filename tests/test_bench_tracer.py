@@ -58,15 +58,15 @@ def _check_traced_training_counts(variant):
     import numpy as np
 
     from rulefuse.matching import Sentence
-    from rulefuse.model import ModelParams, TrainConfig, TrainItem, build_vocab, train
+    from rulefuse.model import ModelParams, PaddedItems, TrainConfig, build_vocab, train
 
     p, m_total = 2, 5
-    items = []
-    for k in range(10):
-        sentence = Sentence(("a", "b", "c")[: 1 + k % 3])
-        feats = {"nnsc": None, "instance": np.ones(m_total), "word": np.ones((sentence.n, p))}
-        items.append(TrainItem(sentence, k % 2, feats[variant]))
-    vocab = build_vocab(it.sentence for it in items)
+    sentences = [Sentence(("a", "b", "c")[: 1 + k % 3]) for k in range(10)]
+    lengths = np.array([s.n for s in sentences])
+    tags = (np.arange(3) < lengths[:, None])[..., None] * np.ones(p)
+    feats = {"nnsc": None, "instance": np.ones((10, m_total)), "word": tags}
+    items = PaddedItems(sentences, [k % 2 for k in range(10)], feats[variant])
+    vocab = build_vocab(sentences)
     params = ModelParams.init(variant, vocab, d=3, h=2, C=2, p=p, m_total=m_total)
     config = TrainConfig(epochs=2, batch_size=4, seed=0)
     tracer = _load_tracer().Tracer()

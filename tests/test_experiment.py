@@ -23,7 +23,7 @@ from rulefuse.experiment import (
     run_experiment,
 )
 from rulefuse.matching import Sentence
-from rulefuse.model import ModelParams, TrainConfig, TrainItem, _padded_set, build_vocab
+from rulefuse.model import ModelParams, TrainConfig, _padded_set, build_vocab
 from rulefuse.rules import RuleSet, parse_rule_lines
 
 
@@ -133,29 +133,41 @@ def test_build_items_equals_the_stacked_per_sentence_features(variant, rules, si
         m_total=cache.m_total,
     )
     sentences = [sentence for sentence, _ in ds.samples]
-    indicator, tags = RuleMatcher(ruleset, mdfas).encode_batch(sentences)
-    per_sentence = {"nnsc": [None] * len(ds), "instance": list(indicator), "word": tags}[variant]
-    listed = [TrainItem(s, label, f) for (s, label), f in zip(ds.samples, per_sentence)]
+    labels = [label for _, label in ds.samples]
+    # each sentence's own rows from the one-sentence encoder, stacked here
+    encoded = [cache.features(s) for s in sentences]
+    rows = [None] * len(ds)
+    stacked = None
+    if variant == "instance":
+        rows = [indicator for indicator, _ in encoded]
+        stacked = np.array(rows).reshape(len(ds), cache.m_total)
+    elif variant == "word":
+        rows = [
+            np.array([seq.tags for seq in seqs]).T.reshape(s.n, ruleset.p)
+            for s, (_, seqs) in zip(sentences, encoded)
+        ]
+        stacked = np.zeros((len(ds), max((s.n for s in sentences), default=0), ruleset.p))
+        for b, tags in enumerate(rows):
+            stacked[b, : len(tags)] = tags
     built = build_items(ds, variant, cache)
-    stacked = _padded_set(params, listed)
     assert _padded_set(params, built) is built
-    assert built.sentences == stacked.sentences == sentences
-    assert built.labels.tobytes() == stacked.labels.tobytes()
-    assert built.lengths.tobytes() == stacked.lengths.tobytes()
+    assert built.sentences == sentences
+    assert built.labels.tolist() == labels
+    assert built.lengths.tolist() == [s.n for s in sentences]
     if variant == "nnsc":
         assert built.feats is None
     else:
-        assert built.feats.dtype == stacked.feats.dtype == np.float64
-        assert built.feats.shape == stacked.feats.shape
-        assert built.feats.tobytes() == stacked.feats.tobytes()
-    assert len(built) == len(listed)
-    for got, want in zip(built, listed):
-        assert got.sentence is want.sentence and got.label == want.label
+        assert built.feats.dtype == stacked.dtype == np.float64
+        assert built.feats.shape == stacked.shape
+        assert built.feats.tobytes() == stacked.tobytes()
+    assert len(built) == len(ds)
+    for got, sentence, label, want in zip(built, sentences, labels, rows):
+        assert got.sentence is sentence and got.label == label
         if variant == "nnsc":
             assert got.feats is None
         else:
-            assert got.feats.shape == want.feats.shape
-            assert got.feats.tobytes() == want.feats.tobytes()
+            assert got.feats.shape == want.shape
+            assert got.feats.tobytes() == want.tobytes()
 
 
 def _count_matcher_passes(monkeypatch):

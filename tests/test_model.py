@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import max_grad_relative_error, oracle_lstm, random_model_case
+from oracles import max_grad_relative_error, oracle_lstm, padded_items, random_model_case
 from rulefuse.errors import (
     CheckpointError,
     ConfigError,
@@ -22,7 +22,6 @@ from rulefuse.model import (
     ModelParams,
     PaddedItems,
     TrainConfig,
-    TrainItem,
     UNK,
     build_vocab,
     evaluate_items,
@@ -36,7 +35,7 @@ from rulefuse.model import (
 )
 from rulefuse.model import (
     _Batch,
-    _forward_batch,
+    _forward_padded,
     _Gradients,
     _input_forward,
     _ItemSet,
@@ -51,6 +50,16 @@ def _vocab(*words):
     for w in words:
         vocab[w] = len(vocab)
     return vocab
+
+
+def _subset(items, rows):
+    """The given rows of a PaddedItems, as one padded to their own longest."""
+    rows = np.asarray(rows, dtype=np.intp)
+    feats = items.feats
+    if feats is not None:
+        longest = items.lengths[rows].max(initial=0)
+        feats = feats[rows, :longest] if feats.ndim == 3 else feats[rows]
+    return PaddedItems([items.sentences[i] for i in rows], items.labels[rows], feats)
 
 
 def _nnsc_params(seed=0, **kw):
@@ -124,15 +133,22 @@ def test_instance_with_zero_block_matches_nnsc():
 
 
 def test_variant_reduction_at_p_zero():
+    # at p = 0 a missing feature array reads as zero-width, as a given one does
     vocab = _vocab("a", "b", "c")
     s = Sentence.from_text("a c b b")
-    outs = []
-    for variant in ("nnsc", "instance", "word"):
+    given = {"instance": np.zeros(0), "word": np.zeros((s.n, 0))}
+    nnsc = ModelParams.init("nnsc", vocab, d=5, h=4, C=3, p=0, m_total=0, seed=11)
+    y = forward(nnsc, s).y
+    best = int(np.argmax(y))
+    items = PaddedItems([s, s, s], [0, 1, 2])
+    loss, _ = loss_and_grads(nnsc, items)
+    for variant in ("instance", "word"):
         params = ModelParams.init(variant, vocab, d=5, h=4, C=3, p=0, m_total=0, seed=11)
-        feats = {"nnsc": None, "instance": np.zeros(0), "word": np.zeros((s.n, 0))}[variant]
-        outs.append(forward(params, s, feats).y)
-    assert np.max(np.abs(outs[0] - outs[1])) == 0.0
-    assert np.max(np.abs(outs[0] - outs[2])) == 0.0
+        for feats in (given[variant], None):
+            assert np.max(np.abs(forward(params, s, feats).y - y)) == 0.0
+        assert evaluate_items(params, PaddedItems([s], [best])) == 1.0
+        assert evaluate_items(params, PaddedItems([s], [(best + 1) % 3])) == 0.0
+        assert loss_and_grads(params, items)[0] == loss
 
 
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
@@ -158,18 +174,17 @@ def _mixed_length_case(variant, seed=0, lengths=MIXED_LENGTHS):
     # misplaced zero padding would not show
     for bias in (params.fwd_b, params.bwd_b, params.mlp_b1, params.mlp_b2):
         bias[:] = rng.uniform(-0.3, 0.3, size=bias.shape)
-    batch = []
+    sentences, labels, rows = [], [], []
     for n in lengths:
-        sentence = Sentence(tuple(rng.choice(words + ["oovword"]) for _ in range(n)))
-        feats = None
+        sentences.append(Sentence(tuple(rng.choice(words + ["oovword"]) for _ in range(n))))
         if variant == "instance":
-            feats = np.concatenate([rng.integers(0, 2, size=m).astype(float) for m in m_sizes])
+            rows.append(np.concatenate([rng.integers(0, 2, size=m).astype(float) for m in m_sizes]))
         elif variant == "word":
-            feats = np.stack(
+            rows.append(np.stack(
                 [rng.integers(0, 2, size=n).astype(float) for _ in m_sizes], axis=1
-            )
-        batch.append(TrainItem(sentence, int(rng.integers(0, 3)), feats))
-    return params, batch
+            ))
+        labels.append(int(rng.integers(0, 3)))
+    return params, padded_items(sentences, labels, rows)
 
 
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
@@ -181,7 +196,8 @@ def test_mixed_length_batch_gradients_match_finite_differences(variant):
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
 def test_padding_leaves_each_sentence_unchanged(variant):
     params, batch = _mixed_length_case(variant, seed=8)
-    (H, alpha, f, _, y), _ = _forward_batch(params, [(it.sentence, it.feats) for it in batch])
+    data = _ItemSet(params, batch)
+    (H, alpha, f, _, y), _ = _forward_padded(params, data.ids, data.lengths, data.feats)
     for b, item in enumerate(batch):
         n = item.sentence.n
         alone = forward(params, item.sentence, item.feats)
@@ -195,9 +211,10 @@ def test_padding_leaves_each_sentence_unchanged(variant):
 def test_inference_and_training_forward_agree_bit_for_bit(variant):
     # inference stores no LSTM gates or cells; that must not change a bit
     params, batch = _mixed_length_case(variant, seed=10)
-    rows = [(it.sentence, it.feats) for it in batch]
-    inferred, (_, lstm_state, *_) = _forward_batch(params, rows)
-    trained, _ = _forward_batch(params, rows, keep=True)
+    data = _ItemSet(params, batch)
+    inputs = (data.ids, data.lengths, data.feats)
+    inferred, (_, lstm_state, *_) = _forward_padded(params, *inputs)
+    trained, _ = _forward_padded(params, *inputs, keep=True)
     assert lstm_state is None
     for name, a, b in zip(("H", "alpha", "f", "logits", "y"), inferred, trained):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -208,9 +225,9 @@ def test_batched_evaluation_equals_per_item_predict(variant):
     # more items than one inference chunk, so the chunk boundary is crossed
     lengths = [1 + (i * 5) % 12 for i in range(INFER_CHUNK + 37)]
     params, items = _mixed_length_case(variant, seed=9, lengths=lengths)
-    predicted = [predict(params, it.sentence, it.feats) for it in items]
-    agree = [TrainItem(it.sentence, c, it.feats) for it, c in zip(items, predicted)]
-    differ = [TrainItem(it.sentence, (c + 1) % 3, it.feats) for it, c in zip(items, predicted)]
+    predicted = np.array([predict(params, it.sentence, it.feats) for it in items])
+    agree = PaddedItems(items.sentences, predicted, items.feats)
+    differ = PaddedItems(items.sentences, (predicted + 1) % 3, items.feats)
     assert evaluate_items(params, agree) == 1.0
     assert evaluate_items(params, differ) == 0.0
 
@@ -238,18 +255,23 @@ def test_evaluation_does_not_depend_on_item_order(variant):
     lengths = [4] * 130 + [1 + (i * 5) % 12 for i in range(3 * INFER_CHUNK - 130 + 20)]
     params, items = _mixed_length_case(variant, seed=13, lengths=lengths)
     hits = sum(predict(params, it.sentence, it.feats) == it.label for it in items)
-    shuffled = [items[i] for i in np.random.default_rng(0).permutation(len(items))]
-    by_length = sorted(items, key=lambda it: it.sentence.n)
-    for order in (items, shuffled, items[::-1], by_length, by_length[::-1]):
-        assert evaluate_items(params, order) == hits / len(items)
+    n = len(items)
+    shuffled = np.random.default_rng(0).permutation(n)
+    by_length = np.argsort(items.lengths, kind="stable")
+    for order in (np.arange(n), shuffled, np.arange(n)[::-1], by_length, by_length[::-1]):
+        assert evaluate_items(params, _subset(items, order)) == hits / n
 
 
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
 def test_an_empty_item_set_scores_zero(variant):
     params, items = _mixed_length_case(variant, seed=15, lengths=(2, 3))
-    assert evaluate_items(params, []) == 0.0
-    _, history = train(params, items, TrainConfig(epochs=1), dev_items=[])
+    empty = _subset(items, [])
+    assert evaluate_items(params, empty) == 0.0
+    _, history = train(params, items, TrainConfig(epochs=1), dev_items=empty)
     assert history[0]["dev_accuracy"] == 0.0
+    with pytest.raises(EmptyDatasetError, match="empty batch") as info:
+        loss_and_grads(params, empty)
+    assert isinstance(info.value, ValueError)  # callers catching ValueError still work
 
 
 def test_wrong_shape_feature_arrays_raise():
@@ -261,13 +283,13 @@ def test_wrong_shape_feature_arrays_raise():
         with pytest.raises(DimensionMismatchError):
             forward(params_w, item.sentence, bad)
         with pytest.raises(DimensionMismatchError):
-            loss_and_grads(params_w, [TrainItem(item.sentence, 0, bad)])
+            loss_and_grads(params_w, PaddedItems([item.sentence], [0], bad[None]))
     u = items_i[0].feats  # m_total = 6
     for bad in (u[:-1], np.append(u, 1.0), u[None, :], np.zeros(0)):
         with pytest.raises(DimensionMismatchError):
             forward(params_i, items_i[0].sentence, bad)
         with pytest.raises(DimensionMismatchError):
-            evaluate_items(params_i, [TrainItem(items_i[0].sentence, 0, bad)])
+            evaluate_items(params_i, PaddedItems([items_i[0].sentence], [0], bad[None]))
 
 
 def test_a_padded_set_of_the_wrong_shape_raises():
@@ -289,20 +311,36 @@ def test_a_padded_set_of_the_wrong_shape_raises():
     assert evaluate_items(params_w, PaddedItems(sentences, [0, 1], tags)) in (0.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("entry", ["train", "dev", "evaluate_items", "loss_and_grads"])
+def test_an_item_list_is_a_type_error(entry):
+    # a hand-built list reached `.labels` deep inside as an AttributeError
+    params, items = _mixed_length_case("word", seed=11, lengths=(3, 5))
+    listed = list(items)
+    before = params.theta.tobytes()
+    calls = {
+        "train": lambda: train(params, listed, TrainConfig(epochs=1)),
+        "dev": lambda: train(params, items, TrainConfig(epochs=1), dev_items=listed),
+        "evaluate_items": lambda: evaluate_items(params, listed),
+        "loss_and_grads": lambda: loss_and_grads(params, listed),
+    }
+    with pytest.raises(TypeError, match=r"expected a PaddedItems \(see build_items\), got list"):
+        calls[entry]()
+    assert params.theta.tobytes() == before
+
+
 def test_uniform_logits_loss_is_log_C():
     params = _nnsc_params(C=4)
     params.mlp_w2[:] = 0.0
     params.mlp_b2[:] = 0.0
-    item = TrainItem(Sentence.from_text("a b"), 2)
-    loss, _ = loss_and_grads(params, [item])
+    loss, _ = loss_and_grads(params, PaddedItems([Sentence.from_text("a b")], [2]))
     assert abs(loss - np.log(4)) < 1e-12
 
 
 def test_duplicated_sample_keeps_mean_loss():
     params = _nnsc_params(seed=9)
-    item = TrainItem(Sentence.from_text("a c b"), 1)
-    single, _ = loss_and_grads(params, [item])
-    double, _ = loss_and_grads(params, [item, item])
+    s = Sentence.from_text("a c b")
+    single, _ = loss_and_grads(params, PaddedItems([s], [1]))
+    double, _ = loss_and_grads(params, PaddedItems([s, s], [1, 1]))
     assert abs(single - double) < 1e-12
 
 
@@ -317,11 +355,11 @@ def test_predict_argmax_and_tie_break():
 
 def _toy_items():
     # label decided by the marker word: linearly separable
-    items = []
+    sentences = []
     for i in range(10):
-        items.append(TrainItem(Sentence.from_text(f"w{i} yes w{(i+3)%10}"), 1))
-        items.append(TrainItem(Sentence.from_text(f"w{i} no w{(i+7)%10}"), 0))
-    return items
+        sentences.append(Sentence.from_text(f"w{i} yes w{(i+3)%10}"))
+        sentences.append(Sentence.from_text(f"w{i} no w{(i+7)%10}"))
+    return PaddedItems(sentences, [1, 0] * 10)
 
 
 def test_train_memorizes_separable_toy_set():
@@ -334,7 +372,7 @@ def test_train_memorizes_separable_toy_set():
 
 
 def test_zero_learning_rate_keeps_params_bitwise():
-    items = _toy_items()[:4]
+    items = _subset(_toy_items(), range(4))
     vocab = build_vocab(it.sentence for it in items)
     params = ModelParams.init("nnsc", vocab, d=4, h=3, C=2, seed=2)
     before = {k: v.tobytes() for k, v in params.tensors().items()}
@@ -366,11 +404,11 @@ def test_early_stopping_returns_best_dev_params():
         params,
         items,
         TrainConfig(epochs=40, lr=0.5, seed=4, patience=3),
-        dev_items=items[:8],
+        dev_items=_subset(items, range(8)),
     )
     assert all(entry["dev_accuracy"] is not None for entry in history)
     best = max(entry["dev_accuracy"] for entry in history)
-    assert evaluate_items(trained, items[:8]) == best
+    assert evaluate_items(trained, _subset(items, range(8))) == best
 
 
 def test_blowup_aborts_with_last_good_params():
@@ -505,7 +543,7 @@ def test_non_finite_embedding_value_is_a_malformed_line(tmp_path, value):
 def test_train_refuses_non_finite_initial_weights():
     params = _nnsc_params()
     params.emb[1, 0] = np.nan
-    items = [TrainItem(Sentence.from_text("a b"), 0)]
+    items = PaddedItems([Sentence.from_text("a b")], [0])
     with pytest.raises(NumericalError, match="initial weights"):
         train(params, items, TrainConfig(epochs=1))
 
@@ -600,9 +638,10 @@ def test_padded_rows_give_the_item_lists_loss_and_gradient_bytes(variant, rows):
     # another batch first, so the buffer holds its gradients, `emb` included
     loss_and_grads(params, _Batch(data, np.array([5, 8, 9]), grads))
     batch = _Batch(data, np.array(rows), grads)
-    assert len(batch) == len(rows) and list(batch) == [items[i] for i in rows]
+    assert len(batch) == len(rows)
+    assert [it.sentence for it in batch] == [items.sentences[i] for i in rows]
     loss, got = loss_and_grads(params, batch)
-    expected_loss, expected = loss_and_grads(params, [items[i] for i in rows])
+    expected_loss, expected = loss_and_grads(params, _subset(items, rows))
     assert got is grads
     assert loss == expected_loss
     assert got.flat.tobytes() == expected.flat.tobytes()
@@ -729,14 +768,15 @@ def test_impossible_training_settings_are_config_errors(setting):
 def test_empty_training_set_is_empty_dataset_error():
     params = _nnsc_params(C=2)
     with pytest.raises(EmptyDatasetError, match="empty training set") as info:
-        train(params, [], TrainConfig(epochs=1))
+        train(params, PaddedItems([], []), TrainConfig(epochs=1))
     assert isinstance(info.value, ValueError)  # callers catching ValueError still work
 
 
 @pytest.mark.parametrize("label", [-1, 2, 7])
 def test_label_out_of_range_is_config_error(label):
     params = _nnsc_params(C=2)
-    items = _toy_items()[:3] + [TrainItem(Sentence.from_text("a b"), label)]
+    toy = _toy_items()
+    items = PaddedItems(toy.sentences[:3] + [Sentence.from_text("a b")], [*toy.labels[:3], label])
     before = params.theta.copy()
     with pytest.raises(ConfigError, match=f"label {label} outside 0..1"):
         train(params, items, TrainConfig(epochs=1))
@@ -747,24 +787,25 @@ def test_label_out_of_range_is_config_error(label):
 def test_scoring_a_label_outside_the_classes_is_config_error(label):
     # evaluate_items counted it as a miss: 0.0 for a lone item
     params = _nnsc_params(C=3)
-    bad = [TrainItem(Sentence.from_text("a b"), 1), TrainItem(Sentence.from_text("alpha"), label)]
+    bad = PaddedItems([Sentence.from_text("a b"), Sentence.from_text("alpha")], [1, label])
     message = f"label {label} outside 0..2"
     with pytest.raises(ConfigError, match=message):
-        evaluate_items(params, bad[1:])
+        evaluate_items(params, _subset(bad, [1]))
     with pytest.raises(ConfigError, match=message):
-        evaluate_items(params, PaddedItems([it.sentence for it in bad], [1, label]))
+        evaluate_items(params, bad)
     with pytest.raises(ConfigError, match=message):
         loss_and_grads(params, bad)
     before = params.theta.tobytes()
     with pytest.raises(ConfigError, match=message):
-        train(params, bad[:1], TrainConfig(epochs=1), dev_items=bad)
+        train(params, _subset(bad, [0]), TrainConfig(epochs=1), dev_items=bad)
     assert params.theta.tobytes() == before
 
 
 def test_empty_sentence_is_a_typed_error_before_the_first_step():
     # it was a bare ValueError from the batch that held it, mid-epoch; with
     # seed 1 the empty item falls in the last of five batches
-    items = _toy_items()[:19] + [TrainItem(Sentence(()), 0)]
+    toy = _toy_items()
+    items = PaddedItems(toy.sentences[:19] + [Sentence(())], [*toy.labels[:19], 0])
     params = ModelParams.init("nnsc", build_vocab(it.sentence for it in items), d=4, h=3, C=2)
     before = params.theta.tobytes()
     with pytest.raises(EmptySentenceError, match="item 19 has no words") as info:
@@ -772,10 +813,10 @@ def test_empty_sentence_is_a_typed_error_before_the_first_step():
     assert isinstance(info.value, RulefuseError) and isinstance(info.value, ValueError)
     assert params.theta.tobytes() == before
     with pytest.raises(EmptySentenceError, match="item 19 has no words"):
-        train(params, items[:19], TrainConfig(epochs=1, batch_size=4, seed=1), items)
+        train(params, _subset(items, range(19)), TrainConfig(epochs=1, batch_size=4, seed=1), items)
     assert params.theta.tobytes() == before
     with pytest.raises(EmptySentenceError, match="item 1 has no words"):
-        loss_and_grads(params, items[-2:])
+        loss_and_grads(params, _subset(items, [18, 19]))
     with pytest.raises(EmptySentenceError, match="item 19 has no words"):
         evaluate_items(params, items)
 
