@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 
 from .errors import CapacityExceededError
 from .rules import Alternation, AnyWord, Concat, Literal, Opt, Plus, RegexNode, Star
@@ -42,6 +42,7 @@ __all__ = [
 DEFAULT_STATE_BUDGET = 10_000
 
 OTHER_LABEL = "<other>"
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
 def collect_literals(ast: RegexNode) -> list[str]:
@@ -57,14 +58,6 @@ def collect_literals(ast: RegexNode) -> list[str]:
         elif isinstance(node, (Star, Plus, Opt)):
             stack.append(node.child)
     return sorted(words)
-
-
-def _bits(mask: int):
-    """Indices of the set bits of a non-negative int, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass
@@ -95,24 +88,28 @@ class Nfa:
 
 
 def nfa_from_ast(ast: RegexNode) -> Nfa:
-    """Build the position automaton of the AST, over its sorted literals."""
-    symbols = tuple(collect_literals(ast))
-    symbol_ids = {word: sid for sid, word in enumerate(symbols)}
-    labels: list[int | None] = [None]
+    """Build the position automaton of the AST, over its sorted literals, in
+    one walk that records each position's word (None for the start and `.`)
+    and links follow sets; the distinct words are then sorted once for the
+    symbol ids, the order `collect_literals` gives."""
+    words: list[str | None] = [None]
     follow = [0]
 
     def link(lasts: int, firsts: int) -> None:
-        for p in _bits(lasts):
-            follow[p] |= firsts
+        while lasts:  # each position in lasts may be followed by firsts
+            low = lasts & -lasts
+            follow[low.bit_length() - 1] |= firsts
+            lasts ^= low
 
     def walk(node: RegexNode) -> tuple[bool, int, int]:
         """(nullable, first mask, last mask) of a subpattern."""
-        if isinstance(node, (Literal, AnyWord)):
-            bit = 1 << len(labels)
-            labels.append(symbol_ids[node.word] if isinstance(node, Literal) else None)
+        kind = type(node)
+        if kind is Literal or kind is AnyWord:
+            bit = 1 << len(words)
+            words.append(node.word if kind is Literal else None)
             follow.append(0)
             return False, bit, bit
-        if isinstance(node, Concat):
+        if kind is Concat:
             nullable, first, last = walk(node.children[0])
             for child in node.children[1:]:
                 c_nullable, c_first, c_last = walk(child)
@@ -122,21 +119,23 @@ def nfa_from_ast(ast: RegexNode) -> Nfa:
                 last = last | c_last if c_nullable else c_last
                 nullable = nullable and c_nullable
             return nullable, first, last
-        if isinstance(node, Alternation):
-            parts = [walk(child) for child in node.children]
-            return (
-                any(part[0] for part in parts),
-                reduce(or_, (part[1] for part in parts)),
-                reduce(or_, (part[2] for part in parts)),
-            )
-        if isinstance(node, (Star, Plus, Opt)):
+        if kind is Alternation:
+            nullable, first, last = False, 0, 0
+            for child in node.children:
+                c_nullable, c_first, c_last = walk(child)
+                nullable, first, last = nullable or c_nullable, first | c_first, last | c_last
+            return nullable, first, last
+        if kind is Star or kind is Plus or kind is Opt:
             nullable, first, last = walk(node.child)
-            if not isinstance(node, Opt):
+            if kind is not Opt:
                 link(last, first)
-            return nullable or not isinstance(node, Plus), first, last
+            return nullable or kind is not Plus, first, last
         raise TypeError(f"unknown AST node: {node!r}")
 
     nullable, follow[0], last = walk(ast)
+    symbols = tuple(sorted({word for word in words if word is not None}))
+    symbol_ids = {word: sid for sid, word in enumerate(symbols)}
+    labels = [symbol_ids.get(word) for word in words]  # get(None) is None
     return Nfa(symbols, len(symbols), labels, follow, last | int(nullable))
 
 
@@ -178,6 +177,7 @@ def determinize(nfa: Nfa, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """
     n_symbols = nfa.other_id + 1
     keys = [f << 1 | (nfa.last >> p & 1) for p, f in enumerate(nfa.follow)]
+    reads = list(zip(nfa.labels, keys))  # position -> (symbol id, key)
     order = [keys[0]]
     ids = {order[0]: 0}
     rows: dict[int, list[int]] = {}  # follow mask -> row
@@ -187,12 +187,15 @@ def determinize(nfa: Nfa, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
         if row is None:
             targets = [0] * n_symbols
             anywhere = 0
-            for p in _bits(key >> 1):
-                sid = nfa.labels[p]
+            mask = key >> 1
+            while mask:  # each position that may be read next
+                low = mask & -mask
+                mask ^= low
+                sid, target = reads[low.bit_length() - 1]
                 if sid is None:
-                    anywhere |= keys[p]
+                    anywhere |= target
                 else:
-                    targets[sid] |= keys[p]
+                    targets[sid] |= target
             row = rows[key >> 1] = []
             for target in targets:
                 target |= anywhere
@@ -273,31 +276,34 @@ def minimize(dfa: Dfa) -> Mdfa:
     """Hopcroft minimization followed by canonical breadth-first renumbering.
 
     Blocks of the partition are bitsets of DFA states, with a block index
-    per state and a predecessor mask per (symbol, state).  A splitter
-    examines only the blocks of the states it hits, and the smaller half of
-    a split block takes a new index and joins the worklist, so refinement
-    stays O(k n log n).  Unreachable states (possible in hand-built inputs)
-    are dropped; the result is the unique minimal automaton of the
-    reachable language.
+    per state and a predecessor mask per (symbol, state).  A splitter ORs
+    its states' masks once per symbol and examines only the blocks of the
+    states it hits; the smaller half of a split block takes a new index
+    and joins the worklist, so refinement stays O(k n log n).  Unreachable
+    states (possible in hand-built inputs) are dropped; the result is the
+    unique minimal automaton of the reachable language.
     """
     n = dfa.n_states
     everything = (1 << n) - 1
     finals_mask = everything & sum(1 << s for s in dfa.finals)
     blocks = [b for b in (finals_mask, everything ^ finals_mask) if b]
-    block_of = [0] * n
-    for s in _bits(blocks[-1]):
-        block_of[s] = len(blocks) - 1
+    block_of = [len(blocks) - 1 if blocks[-1] >> s & 1 else 0 for s in range(n)]
     if len(blocks) > 1:
-        pre = [[0] * dfa.n_symbols for _ in range(n)]  # [state][symbol] -> mask
+        pre = [[0] * n for _ in range(dfa.n_symbols)]  # [symbol][state] -> mask
         for s, row in enumerate(dfa.transitions):
-            for sid, t in enumerate(row):
-                pre[t][sid] |= 1 << s
+            for pre_sid, t in zip(pre, row):
+                pre_sid[t] |= 1 << s
         worklist = {0 if finals_mask.bit_count() <= n // 2 else 1}
         while worklist:
-            hits_per_symbol = [0] * dfa.n_symbols
-            for t in _bits(blocks[worklist.pop()]):
-                hits_per_symbol = list(map(or_, hits_per_symbol, pre[t]))
-            for hits in hits_per_symbol:
+            splitter, states = blocks[worklist.pop()], []
+            while splitter:
+                low = splitter & -splitter
+                splitter ^= low
+                states.append(low.bit_length() - 1)
+            for pre_sid in pre:
+                hits = 0
+                for t in states:
+                    hits |= pre_sid[t]
                 while hits:  # one pass per block the splitter hits
                     b = block_of[(hits & -hits).bit_length() - 1]
                     part_in = blocks[b] & hits
@@ -309,9 +315,11 @@ def minimize(dfa: Dfa) -> Mdfa:
                         part_in, part_out = part_out, part_in
                     blocks[b] = part_out
                     worklist.add(len(blocks))
-                    for s in _bits(part_in):
-                        block_of[s] = len(blocks)
                     blocks.append(part_in)
+                    while part_in:
+                        low = part_in & -part_in
+                        part_in ^= low
+                        block_of[low.bit_length() - 1] = len(blocks) - 1
 
     # canonical BFS over the quotient automaton, one representative per block
     reps = [(b & -b).bit_length() - 1 for b in blocks]
@@ -323,13 +331,12 @@ def minimize(dfa: Dfa) -> Mdfa:
             if index[block_of[t]] < 0:
                 index[block_of[t]] = len(order)
                 order.append(block_of[t])
-    transitions = tuple(
-        tuple(index[block_of[t]] for t in dfa.transitions[reps[b]]) for b in order
-    )
+    renumber = [index[b] for b in block_of].__getitem__  # DFA state -> MDFA state
+    transitions = tuple(tuple(map(renumber, dfa.transitions[reps[b]])) for b in order)
     finals = frozenset(i for i, b in enumerate(order) if blocks[b] & finals_mask)
     dead = None
     for state, row in enumerate(transitions):
-        if state not in finals and all(t == state for t in row):
+        if state not in finals and row.count(state) == len(row):
             dead = state
             break
     return Mdfa(
@@ -347,9 +354,18 @@ def compile(ast: RegexNode, state_budget: int = DEFAULT_STATE_BUDGET) -> Mdfa:
     return minimize(determinize(nfa_from_ast(ast), state_budget=state_budget))
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a quoted DOT string, its `\\` and `"` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(mdfa: Mdfa, name: str = "mdfa") -> str:
-    """GraphViz DOT text for debugging; edges grouped per state pair."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point label=""];']
+    """GraphViz DOT text for debugging; edges grouped per state pair.  The
+    graph name is written bare when it is a plain ASCII identifier and no
+    DOT keyword, else as a quoted string."""
+    bare = re.fullmatch(r"[A-Za-z_]\w*", name, re.ASCII) and name.lower() not in _DOT_KEYWORDS
+    graph = name if bare else _dot_string(name)
+    lines = [f"digraph {graph} {{", "  rankdir=LR;", '  __start [shape=point label=""];']
     for state in range(mdfa.state_count):
         shape = "doublecircle" if state in mdfa.finals else "circle"
         label = f"{state} (dead)" if state == mdfa.dead else str(state)
@@ -361,7 +377,6 @@ def to_dot(mdfa: Mdfa, name: str = "mdfa") -> str:
             word = mdfa.symbols[sid] if sid < mdfa.other_id else OTHER_LABEL
             grouped.setdefault(dst, []).append(word)
         for dst, words in grouped.items():
-            label = ", ".join(words)
-            lines.append(f'  {src} -> {dst} [label="{label}"];')
+            lines.append(f"  {src} -> {dst} [label={_dot_string(', '.join(words))}];")
     lines.append("}")
     return "\n".join(lines)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import zipfile
@@ -232,8 +233,8 @@ class PaddedItems(Sequence):
     are `(N,)` arrays.  `build_items` makes these, and they are the only
     item set `train`, `evaluate_items` and `loss_and_grads` accept: each
     reads one as it is, after one check of its shapes.  As a sequence it
-    yields, on indexing or iteration, TrainItem rows whose `feats` are
-    views into the one array.
+    yields, on integer indexing or iteration, TrainItem rows whose `feats`
+    are views into the one array.
     """
 
     def __init__(self, sentences: list[Sentence], labels, feats: np.ndarray | None = None):
@@ -250,6 +251,7 @@ class PaddedItems(Sequence):
         return len(self.sentences)
 
     def __getitem__(self, i) -> TrainItem:
+        i = operator.index(i)  # one row: a slice or other non-integer is a TypeError
         sentence, feats = self.sentences[i], self.feats
         if feats is not None:
             feats = feats[i, : sentence.n] if feats.ndim == 3 else feats[i]

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _METACHARS = "()|*+?."
+# a word: a maximal run of characters other than whitespace and metacharacters
+_WORD = re.compile(f"[^\\s{re.escape(_METACHARS)}]+")
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class Literal:
     word: str
 
     def __post_init__(self):
-        if not self.word or any(c.isspace() or c in _METACHARS for c in self.word):
+        if not _WORD.fullmatch(self.word):
             raise ValueError(f"invalid literal word: {self.word!r}")
 
 
@@ -93,7 +95,7 @@ RegexNode = Union[Literal, AnyWord, Concat, Alternation, Star, Plus, Opt]
 
 _POSTFIX = {"*": Star, "+": Plus, "?": Opt}
 # a token is one metacharacter or a maximal run of other non-space characters
-_TOKEN = re.compile(f"[{re.escape(_METACHARS)}]|[^\\s{re.escape(_METACHARS)}]+")
+_TOKEN = re.compile(f"[{re.escape(_METACHARS)}]|{_WORD.pattern}")
 # what cannot start an atom: the end token, `|`, `)` and the postfix operators
 _NOT_ATOM = ("", "|", ")", *_POSTFIX)
 

@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,50 @@ def test_dot_export():
     assert dot.startswith("digraph pair {")
     assert "doublecircle" in dot
     assert "<other>" in dot
+
+
+# one edge line of `to_dot`, its label a well-formed quoted DOT string
+_DOT_EDGE = re.compile(r'  (\d+) -> (\d+) \[label="((?:[^"\\]|\\.)*)"\];')
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # words went into the quoted labels raw, so `"hi"` ended a label early
+    # and `back\slash` read as the DOT escape `\s`
+    mdfa = compile(parse_regex('say "hi" back\\slash'))
+    lines = to_dot(mdfa, name='rule "1" \\').splitlines()
+    assert lines[0] == 'digraph "rule \\"1\\" \\\\" {'
+    assert '  0 -> 1 [label="\\"hi\\", back\\\\slash, <other>"];' in lines
+    edges = {}
+    for line in lines:
+        if " -> " in line and not line.startswith("  __start"):
+            match = _DOT_EDGE.fullmatch(line)
+            assert match, line
+            edges[int(match[1]), int(match[2])] = re.sub(r"\\(.)", r"\1", match[3]).split(", ")
+    expected = {}
+    for src, row in enumerate(mdfa.transitions):
+        for sid, dst in enumerate(row):
+            word = mdfa.symbols[sid] if sid < mdfa.other_id else "<other>"
+            expected.setdefault((src, dst), []).append(word)
+    assert edges == expected
+
+
+@pytest.mark.parametrize("name", ["graph", "Node", "rule 1", "1rule", "règle", ""])
+def test_dot_quotes_a_graph_name_that_is_not_a_plain_ascii_identifier(name):
+    assert to_dot(compile(parse_regex("a")), name=name).startswith(f'digraph "{name}" {{')
+
+
+def test_nfa_alphabet_is_collect_literals():
+    # nfa_from_ast finds its words in its own walk; the bench's minimality
+    # oracle takes its alphabet from collect_literals, so the two must agree
+    rng = random.Random(27)
+    asts = [random_ast(rng, 4, ("b", "a", "c", "d")) for _ in range(500)]
+    atis_gen = _atis_gen()
+    for seed in range(3):
+        lines = atis_gen.generate_rules(seed)
+        asts += [rule.ast for rule in parse_rule_lines(lines, set(atis_gen.LABELS)).rules]
+    assert len(asts) == 500 + 162
+    for ast in asts:
+        assert nfa_from_ast(ast).symbols == tuple(collect_literals(ast)), ast
 
 
 def test_position_automaton_reads_its_own_literals():

@@ -91,3 +91,7 @@ def test_traced_op_passes_its_checks_and_counts(name, tmp_path, monkeypatch):
         assert counts["model.train_runs"] > 0
     if name == "rules_atis":
         assert tracer.calls([0], "experiment.features") == len(workload.slice_range(0))
+        # `compile` goes through the three wrapped stages, over the 54 seed-0 rules
+        assert counts["automata.nfa_states"] == 648
+        assert counts["automata.dfa_states"] == 684
+        assert counts["automata.mdfa_states"] == 432

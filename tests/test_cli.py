@@ -52,6 +52,17 @@ def test_compile_dot(corpus, capsys):
     assert out.count("digraph") == 6
 
 
+def test_compile_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    # the label used to read `label=""hi", back\slash, <other>"`: invalid DOT
+    rules = tmp_path / "rules.tsv"
+    rules.write_text('quote\tsay "hi" back\\slash\n', encoding="utf-8")
+    assert main(["compile", "--rules", str(rules), "--dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "digraph rule_1 {"
+    assert '  0 -> 1 [label="\\"hi\\", back\\\\slash, <other>"];' in lines
+    assert '  3 -> 4 [label="back\\\\slash"];' in lines
+
+
 def test_trace_lines(corpus, capsys):
     main([
         "trace", "--rules", str(corpus / "rules.tsv"),

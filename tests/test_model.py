@@ -194,6 +194,24 @@ def test_mixed_length_batch_gradients_match_finite_differences(variant):
 
 
 @pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
+def test_padded_items_index_one_row_by_integer_only(variant):
+    # a slice used to fail deep inside: an AttributeError on the sentence
+    # list for `word`, a numpy scalar conversion for the others
+    _, items = _mixed_length_case(variant, seed=9)
+    for key in (slice(0, 1), 1.0, "1", None):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            items[key]
+    row = items[np.intp(2)]  # what `_Batch` iterates with
+    assert row.sentence is items.sentences[2] and row.label == items.labels[2]
+    assert items[-1].sentence is items.sentences[-1]
+    if variant == "nnsc":
+        assert row.feats is None
+    else:
+        own = items.feats[2, : row.sentence.n] if variant == "word" else items.feats[2]
+        assert row.feats.shape == own.shape and np.shares_memory(row.feats, items.feats)
+
+
+@pytest.mark.parametrize("variant", ["nnsc", "instance", "word"])
 def test_padding_leaves_each_sentence_unchanged(variant):
     params, batch = _mixed_length_case(variant, seed=8)
     data = _ItemSet(params, batch)
