@@ -30,8 +30,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
+    """Labelled sentences, compared and hashed by identity (a feature cache keys on one)."""
+
     samples: list[tuple[Sentence, int]]
     label_names: list[str]
 

@@ -26,8 +26,8 @@ states are the slice `bounds[k]:bounds[k + 1]`) and per-rule
 `WordTagSeq`s at the default settings; the indicator is a fresh array,
 equal to the sentence's `encode_batch` row.  Tag lists are in rule
 order, so entry k belongs to `ruleset.rules[k]`.  Each accepting rule
-gets a fresh tag array, and every rejecting rule one `WordTagSeq` shared
-by all sentences of that length, whose tags are a read-only zero array.
+gets a fresh tag array, and the rejecting rules of one call share one
+`WordTagSeq`, whose tags are a read-only zero array.
 `run_trace` with `encode_instance` and `encode_word_tags` is the
 one-rule path all must agree with.
 """
@@ -45,6 +45,7 @@ from .errors import DimensionMismatchError
 from .matching import (
     Sentence,
     Trace,
+    padded_ids,
     run_trace,  # noqa: F401 - bench/tracer.py patches rulefuse.encoding.run_trace
 )
 from .rules import RuleSet
@@ -142,9 +143,6 @@ class RuleMatcher:
         )
         self.offsets = (table * self.width).ravel()
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
-        # sentence length n -> every rule's tags on rejection: one shared
-        # WordTagSeq of a read-only zeros(n)
-        self._rejected: dict[int, list[WordTagSeq]] = {}
 
     def _steps(self, syms: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         """The row offsets (global state x `width`) after each step, one array
@@ -168,10 +166,9 @@ class RuleMatcher:
 
         Equal, bit for bit, to `run_trace` followed by `encode_instance`
         (split at `bounds`) and `encode_word_tags` per rule.  An accepting
-        rule gets a fresh writeable tag array; every rejecting rule gets the
-        one `WordTagSeq` shared by all sentences of the same length, whose
-        tags are a read-only zero array.  The tag list is fresh on every
-        call.
+        rule gets a fresh writeable tag array; the rejecting rules share one
+        `WordTagSeq`, whose tags are a read-only zero array.  Nothing is
+        shared between calls.
         """
         n = sentence.n
         syms = self.symbols[[self.word_ids.get(word, self.other) for word in sentence.words]]
@@ -186,12 +183,9 @@ class RuleMatcher:
         consumed = np.where(accepted, hit.argmax(axis=0) + 1 if n else 0, n)
         indicator = np.zeros(self.m_total, dtype=np.float64)
         indicator[states[np.arange(n)[:, None] < consumed]] = 1.0
-        rejected = self._rejected.get(n)
-        if rejected is None:
-            zeros = np.zeros(n, dtype=np.float64)
-            zeros.flags.writeable = False
-            rejected = self._rejected[n] = [WordTagSeq(zeros)] * len(self.start)
-        tag_seqs = rejected.copy()
+        zeros = np.zeros(n, dtype=np.float64)
+        zeros.setflags(write=False)
+        tag_seqs = [WordTagSeq(zeros)] * len(self.start)
         for k in accepted.nonzero()[0].tolist():
             tags = np.zeros(n, dtype=np.float64)
             tags[: consumed[k]] = 1.0
@@ -207,31 +201,23 @@ class RuleMatcher:
         """Words consumed and acceptance of every rule in N sentences (see
         run_trace), and with `visited` the indicator of the states visited.
 
-        Word ids are mapped once into a time-major `(T, N)` array, by one
-        `map` of `word_ids.get` over every word (an identity hit for words
-        interned by `Sentence.from_text`, as the rule literals keyed in
-        `word_ids` are), and all N x p automata advance together one word
-        position at a time; each step reads only that position's `(N, p)`
-        local symbols and updates the `(N, p)` words consumed and
-        acceptance flags in place.  A
-        (sentence, rule) pair consumes a step while the sentence has words
-        left and, at the early stop, the rule has not yet accepted; with
-        `visited`, each step marks the states of those pairs.  Returns the
-        `(N, m_total)` float64 indicator of the visited states (None without
-        `visited`; not gated), the `(N, p)` words consumed and the `(N, p)`
-        acceptance flags, each row equal to what `run_trace` gives for that
-        sentence and rule.
+        Word ids are mapped once into an `(N, T)` array by `padded_ids`
+        (an identity hit for words interned by `Sentence.from_text`, as the
+        rule literals keyed in `word_ids` are), and all N x p automata
+        advance together one word position, one column of that array, at a
+        time; each step reads only that position's `(N, p)` local symbols
+        and updates the `(N, p)` words consumed and acceptance flags in
+        place.  A (sentence, rule) pair consumes a step while the sentence
+        has words left and, at the early stop, the rule has not yet
+        accepted; with `visited`, each step marks the states of those
+        pairs.  Returns the `(N, m_total)` float64 indicator of the visited
+        states (None without `visited`; not gated), the `(N, p)` words
+        consumed and the `(N, p)` acceptance flags, each row equal to what
+        `run_trace` gives for that sentence and rule.
         """
         N, p = len(sentences), len(self.start)
         lengths = np.fromiter((s.n for s in sentences), dtype=np.intp, count=N)
-        T = int(lengths.max(initial=0))
-        gids = np.full((T, N), self.other, dtype=np.intp)
-        words = itertools.chain.from_iterable(s.words for s in sentences)
-        gids.T[np.arange(T) < lengths[:, None]] = np.fromiter(
-            map(self.word_ids.get, words, itertools.repeat(self.other)),
-            dtype=np.intp,
-            count=int(lengths.sum()),
-        )
+        gids = padded_ids(sentences, lengths, self.word_ids, self.other)
         # an empty sentence takes no step: its rules accept iff they start final
         accepted = np.zeros((N, p), dtype=bool)
         accepted[lengths == 0] = self.final[self.start]
@@ -243,7 +229,7 @@ class RuleMatcher:
         flat = indicator.reshape(-1) if visited else None
         rows = np.arange(N)[:, None] * self.m_total  # each sentence's first flat index
         state = np.empty((N, p), dtype=np.intp)
-        for t, offset in enumerate(self._steps(self.symbols[row] for row in gids)):
+        for t, offset in enumerate(self._steps(self.symbols[column] for column in gids.T)):
             np.floor_divide(offset, self.width, out=state)
             words_left = (t < lengths)[:, None]
             if full_match:

@@ -147,9 +147,7 @@ class FeatureCache:
         self.ruleset = ruleset
         self.mdfas = mdfas
         self.m_total = state_bounds(ruleset, mdfas)[-1]
-        # (id(dataset), variant) -> (dataset, features); holding the dataset
-        # keeps its id from passing to another object
-        self._encoded: dict[tuple[int, str], tuple[Dataset, np.ndarray]] = {}
+        self._encoded: dict[tuple[Dataset, str], np.ndarray] = {}
 
     @functools.cached_property
     def matcher(self) -> RuleMatcher:
@@ -163,13 +161,12 @@ class FeatureCache:
     def dataset_features(self, dataset: Dataset, variant: str) -> np.ndarray:
         """The `instance` state indicators `(N, m_total)` or the `word` tags
         `(N, T, p)` of the dataset's sentences (see `PaddedItems`)."""
-        key = (id(dataset), variant)
+        key = (dataset, variant)
         if key not in self._encoded:
             matcher = self.matcher
             encode = matcher.state_indicators if variant == "instance" else matcher.word_tags
-            features = encode([sentence for sentence, _ in dataset.samples])
-            self._encoded[key] = (dataset, features)
-        return self._encoded[key][1]
+            self._encoded[key] = encode([sentence for sentence, _ in dataset.samples])
+        return self._encoded[key]
 
 
 def build_items(dataset: Dataset, variant: str, cache: FeatureCache | None) -> PaddedItems:
@@ -322,13 +319,17 @@ def run_experiment(
     feature cache.  The CSV is written once, however the grid ends: on
     failure it holds the rows finished so far with an error row appended.
     An empty axis (no variant, q value, sampling seed or training seed),
-    a q below 1, a negative seed or a training setting no run can use
-    (epochs, batch size, lr, clip norm, d, h) raises ConfigError before
-    anything is written.
+    a value repeated on an axis, a q below 1, a negative seed or a
+    training setting no run can use (epochs, batch size, lr, clip norm, d,
+    h) raises ConfigError before anything is written.
     """
     for axis in ("variants", "q_values", "sample_seeds", "train_seeds"):
-        if not getattr(config, axis):
+        values = getattr(config, axis)
+        if not values:
             raise ConfigError(f"the experiment grid has an empty {axis} axis")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"the experiment grid's {axis} axis repeats {value!r}")
     seeds, top3 = config.sample_seeds, config.augment_top3
     fewshots = {q: FewShotConfig(q, seeds, top3) for q in config.q_values}
     train_configs = {

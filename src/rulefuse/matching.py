@@ -9,12 +9,16 @@ classical whole-sentence membership instead.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .automata import Mdfa
 
-__all__ = ["Sentence", "Trace", "run_trace"]
+__all__ = ["Sentence", "Trace", "padded_ids", "run_trace"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,6 +51,22 @@ class Sentence:
 
     def text(self) -> str:
         return " ".join(self.words)
+
+
+def padded_ids(
+    sentences: Sequence[Sentence], lengths: np.ndarray, table: dict[str, int], default: int
+) -> np.ndarray:
+    """The `(N, T)` ids `table` gives the words of N sentences of the given
+    lengths, T the longest; `default` stands for a word not in `table` and
+    fills each row past its sentence's length.  One `map` of `table.get`
+    covers every word (an identity hit for words interned by `from_text`)."""
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    ids = np.full(mask.shape, default, dtype=np.intp)
+    words = itertools.chain.from_iterable(sentence.words for sentence in sentences)
+    ids[mask] = np.fromiter(
+        map(table.get, words, itertools.repeat(default)), np.intp, int(lengths.sum())
+    )
+    return ids
 
 
 @dataclass(frozen=True)

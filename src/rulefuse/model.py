@@ -24,7 +24,6 @@ scores length-sorted batches.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -49,7 +48,7 @@ from .errors import (
     RulefuseError,
     require,
 )
-from .matching import Sentence
+from .matching import Sentence, padded_ids
 
 __all__ = [
     "VARIANTS", "UNK", "CHECKPOINT_VERSION", "ModelParams", "ActivationRecord", "TrainItem",
@@ -112,6 +111,9 @@ class ModelParams:
         for name, low in zip(_SIZES, (1, 1, 1, 0, 0)):
             value = getattr(self, name)
             require(value >= low, f"{name} must be >= {low}, got {value}")
+        names = self.labels
+        distinct = names is None or len(names) == len(set(names)) == self.C
+        require(distinct, f"labels must be {self.C} distinct class names, got {names!r}")
         d_in, h4, h2 = self.input_width, 4 * self.h, 2 * self.h
         shapes = {
             "emb": (len(self.vocab), self.d), "wx": (2, d_in, h4), "wh": (2, self.h, h4),
@@ -230,7 +232,8 @@ class PaddedItems(Sequence):
     padded once: the `word` tags `(N, T, p)`, T the longest sentence's
     length and zero past each sentence's own; the `instance` state
     indicators `(N, m_total)`; None for `nnsc`.  `labels` and `lengths`
-    are `(N,)` arrays.  `build_items` makes these, and they are the only
+    are `(N,)` arrays; labels that make a float or bool array raise
+    ConfigError.  `build_items` makes these, and they are the only
     item set `train`, `evaluate_items` and `loss_and_grads` accept: each
     reads one as it is, after one check of its shapes.  As a sequence it
     yields, on integer indexing or iteration, TrainItem rows whose `feats`
@@ -239,11 +242,14 @@ class PaddedItems(Sequence):
 
     def __init__(self, sentences: list[Sentence], labels, feats: np.ndarray | None = None):
         self.sentences = sentences
-        self.labels = np.asarray(labels, dtype=np.intp)
-        if self.labels.shape != (len(sentences),):
+        labels = np.asarray(labels)
+        if labels.shape != (len(sentences),):
             raise DimensionMismatchError(
-                f"labels of shape {self.labels.shape} for {len(sentences)} sentences"
+                f"labels of shape {labels.shape} for {len(sentences)} sentences"
             )
+        whole = labels.dtype.kind in "iu" or not len(labels)
+        require(whole, f"labels must be integers, got {labels.dtype} values")
+        self.labels = labels.astype(np.intp, copy=False)
         self.lengths = np.fromiter((s.n for s in sentences), np.intp, len(sentences))
         self.feats = feats
 
@@ -294,65 +300,47 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _padded_set(params, items: PaddedItems) -> PaddedItems:
-    """`items`, checked against `params`.
+class _ItemSet:
+    """A PaddedItems as the arrays the model reads, checked once and read
+    many times: per batch in `train`, per chunk in `evaluate_items`.  It
+    holds the labels, lengths and features of `items`, whose rows a
+    `_Batch` iterates, and the vocabulary ids of its words (`padded_ids`,
+    unknown words and padding as UNK's 0).
 
     Anything but a PaddedItems raises TypeError; a label outside `0..C-1`,
     ConfigError; an empty sentence, EmptySentenceError naming its
     position; a missing feature array, MissingFeaturesError (at p = 0 it
     reads as zero-width); one of the wrong shape, DimensionMismatchError.
     """
-    if not isinstance(items, PaddedItems):
-        raise TypeError(f"expected a PaddedItems (see build_items), got {type(items).__name__}")
-    labels, lengths = items.labels, items.lengths
-    bad = (labels < 0) | (labels >= params.C)
-    if bad.any():
-        raise ConfigError(f"label {labels[bad][0]} outside 0..{params.C - 1}")
-    if (lengths < 1).any():
-        raise EmptySentenceError(
-            f"item {int(lengths.argmin())} has no words; the model reads non-empty sentences"
-        )
-    if params.variant == "nnsc":
-        return items
-    word = params.variant == "word"
-    what = "tag matrix" if word else "state indicator"
-    longest = int(lengths.max(initial=0))
-    shape = (len(items), longest, params.p) if word else (len(items), params.m_total)
-    if items.feats is None:
-        if params.p:
-            raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
-        items = PaddedItems(items.sentences, labels, np.zeros(shape[:-1] + (0,)))
-    if items.feats.shape != shape:
-        raise DimensionMismatchError(
-            f"{what} array is {items.feats.shape}, expected one of shape {shape}"
-        )
-    return items
-
-
-def _padded_ids(params, sentences, lengths):
-    """The vocabulary ids (N, T) of N sentences of the given lengths,
-    zero-padded after each sentence's words to the longest."""
-    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    words = itertools.chain.from_iterable(sentence.words for sentence in sentences)
-    ids = np.zeros(mask.shape, dtype=np.intp)
-    ids[mask] = np.fromiter(
-        map(params.vocab.get, words, itertools.repeat(0)), np.intp, int(lengths.sum())
-    )
-    return ids
-
-
-class _ItemSet:
-    """A PaddedItems as the arrays the model reads, checked once and read
-    many times: per batch in `train`, per chunk in `evaluate_items`.  It
-    holds the `_padded_set` labels, lengths and features and the
-    `_padded_ids` ids; `items` is the checked PaddedItems, whose rows a
-    `_Batch` iterates."""
 
     def __init__(self, params: ModelParams, items: PaddedItems):
-        self.items = _padded_set(params, items)
-        self.labels, self.lengths = self.items.labels, self.items.lengths
-        self.feats = None if params.variant == "nnsc" else self.items.feats
-        self.ids = _padded_ids(params, self.items.sentences, self.lengths)
+        if not isinstance(items, PaddedItems):
+            raise TypeError(f"expected a PaddedItems (see build_items), got {type(items).__name__}")
+        labels, lengths, feats = items.labels, items.lengths, items.feats
+        bad = (labels < 0) | (labels >= params.C)
+        if bad.any():
+            raise ConfigError(f"label {labels[bad][0]} outside 0..{params.C - 1}")
+        if (lengths < 1).any():
+            raise EmptySentenceError(
+                f"item {int(lengths.argmin())} has no words; the model reads non-empty sentences"
+            )
+        if params.variant == "nnsc":
+            feats = None
+        else:
+            word = params.variant == "word"
+            what = "tag matrix" if word else "state indicator"
+            longest = int(lengths.max(initial=0))
+            shape = (len(items), longest, params.p) if word else (len(items), params.m_total)
+            if feats is None:
+                if params.p:
+                    raise MissingFeaturesError(f"{params.variant} variant requires a {what}")
+                feats = np.zeros(shape[:-1] + (0,))
+            if feats.shape != shape:
+                raise DimensionMismatchError(
+                    f"{what} array is {feats.shape}, expected one of shape {shape}"
+                )
+        self.items, self.labels, self.lengths, self.feats = items, labels, lengths, feats
+        self.ids = padded_ids(items.sentences, lengths, params.vocab, 0)
 
     def rows(self, rows: np.ndarray) -> tuple:
         """(ids, lengths, feats, labels) of the given rows, in that order,
@@ -644,7 +632,7 @@ def evaluate_items(params: ModelParams, items: PaddedItems) -> float:
     """Fraction of items whose prediction matches the gold label.
 
     The `PaddedItems` (as `build_items` makes it) is checked once
-    (`_padded_set`) and every item's words are mapped to ids in one pass.
+    (`_ItemSet`) and every item's words are mapped to ids in one pass.
     A label outside `0..C-1` raises ConfigError.  The items are then
     scored in order of length, in forward-only batches of at most
     INFER_CHUNK sentences, each a row gather padded only to its own longest
@@ -697,7 +685,7 @@ def train(
 
     Both sets are `PaddedItems` (as `build_items` makes them); anything
     else raises TypeError.  Each is checked once per call, before the first
-    step (`_padded_set`): a bad label, an empty sentence or a bad feature
+    step (`_ItemSet`): a bad label, an empty sentence or a bad feature
     array in either raises then, with `theta` unchanged.  Every batch is a
     row gather from the training set, passed to `loss_and_grads`, and
     writes its gradients into one buffer allocated once per call.

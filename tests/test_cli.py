@@ -500,6 +500,48 @@ def test_experiment_with_an_empty_axis_fails_and_writes_nothing(corpus, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, values, axis", [
+    ("--variant", "nnsc,nnsc", "variants"), ("--q", "2,3,2", "q_values"),
+    ("--seeds", "0,0", "sample_seeds"), ("--train-seeds", "1,1", "train_seeds"),
+])
+def test_experiment_with_a_repeated_axis_value_fails_and_writes_nothing(
+    corpus, tmp_path, capsys, flag, values, axis
+):
+    out = tmp_path / "results.csv"
+    assert run([
+        "experiment", "--rules", str(corpus / "rules.tsv"), "--train", str(corpus / "train.tsv"),
+        "--test", str(corpus / "test.tsv"), "--epochs", "1", "--emb-dim", "4", "--hidden", "3",
+        flag, values, "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rulefuse: error: ") and f"{axis} axis repeats" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_eval_of_a_checkpoint_with_repeated_label_names_is_a_one_line_error(tmp_path, capsys):
+    # labels ["x", "x"] loaded, every x line became class 1 and eval
+    # printed accuracy=0.5000 with exit 0
+    ckpt = tmp_path / "model.npz"
+    save_model(ModelParams.init("nnsc", {"<unk>": 0, "a": 1}, d=4, h=3, C=2,
+                                labels=["x", "y"]), ckpt)
+    with np.load(ckpt, allow_pickle=False) as data:
+        arrays = dict(data)
+    meta = json.loads(arrays["meta"].item())
+    meta["labels"] = ["x", "x"]
+    arrays["meta"] = np.array(json.dumps(meta))
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    test = tmp_path / "test.tsv"
+    test.write_text("x\ta\nx\ta a\n")
+    assert run(["eval", "--test", str(test), "--model", str(ckpt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"rulefuse: error: cannot read checkpoint {ckpt}: labels must be 2")
+    assert len(err.splitlines()) == 1
+
+
 def test_train_with_patience_and_no_clipping_from_config(corpus, tmp_path, capsys):
     flags = _flags_file(tmp_path, "--patience 1\n--clip-norm none\n")
     assert main([

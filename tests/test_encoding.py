@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import inspect
 import json
@@ -183,16 +184,42 @@ def test_accepting_rule_tags_are_fresh_writeable_arrays():
     assert second[0].tags.tolist() == [1.0, 0.0, 0.0]
 
 
-def test_same_length_rejections_share_one_tag_sequence():
+def test_rejecting_rules_share_one_read_only_array_within_a_call_only():
+    ruleset = parse_rule_lines(["hit\ta (.)*", "miss\tq q q", "miss\tz"], {"hit", "miss"})
+    matcher = RuleMatcher(ruleset, compile_rules(ruleset))
+    _, first = matcher.encode(Sentence.from_text("a b c"))
+    _, second = matcher.encode(Sentence.from_text("b c b"))
+    assert first[1].tags is first[2].tags  # rules 2 and 3 reject "a b c"
+    assert not first[1].tags.flags.writeable
+    assert first[0].tags is not first[1].tags  # rule 1 accepts it
+    assert second[0].tags is second[1].tags is second[2].tags  # every rule rejects
+    # a second call of the same length shares nothing with the first
+    assert not np.shares_memory(second[1].tags, first[1].tags)
+    assert second[1] is not first[1]
+
+
+def test_encoding_leaves_every_matcher_attribute_as_it_was():
     ruleset, mdfas = _tiny_rules()
     matcher = RuleMatcher(ruleset, mdfas)
-    _, tags_a = matcher.encode(Sentence.from_text("a b c"))
-    _, tags_b = matcher.encode(Sentence.from_text("b c b"))
-    assert tags_b[1] is tags_a[1]  # rule 2 rejects both
-    assert tags_b[0] is not tags_a[0]  # rule 1 accepts only "a b c"
-    assert tags_b[0].tags is tags_b[1].tags  # rejecting rules share one array
-    _, shorter = matcher.encode(Sentence.from_text("b c"))
-    assert shorter[1].tags.shape == (2,) and shorter[1] is not tags_a[1]
+    objects = dict(vars(matcher))
+    values = copy.deepcopy(objects)
+    rng = random.Random(4)
+    sentences = [
+        Sentence(tuple(rng.choice("a b c q z".split()) for _ in range(rng.randrange(9))))
+        for _ in range(100)
+    ]
+    for sentence in sentences:
+        matcher.encode(sentence)
+    matcher.run_batch(sentences, visited=True)
+    matcher.run_batch(sentences, full_match=True)
+    assert vars(matcher).keys() == objects.keys()
+    for name, value in vars(matcher).items():
+        assert value is objects[name], name
+        if isinstance(value, np.ndarray):
+            assert value.dtype == values[name].dtype and value.shape == values[name].shape
+            assert value.tobytes() == values[name].tobytes(), name
+        else:
+            assert value == values[name], name
 
 
 def test_changing_returned_features_leaves_later_results_unchanged():

@@ -23,7 +23,7 @@ from rulefuse.experiment import (
     run_experiment,
 )
 from rulefuse.matching import Sentence
-from rulefuse.model import ModelParams, TrainConfig, _padded_set, build_vocab
+from rulefuse.model import ModelParams, TrainConfig, _ItemSet, build_vocab
 from rulefuse.rules import RuleSet, parse_rule_lines
 
 
@@ -150,7 +150,7 @@ def test_build_items_equals_the_stacked_per_sentence_features(variant, rules, si
         for b, tags in enumerate(rows):
             stacked[b, : len(tags)] = tags
     built = build_items(ds, variant, cache)
-    assert _padded_set(params, built) is built
+    assert _ItemSet(params, built).items is built
     assert built.sentences == sentences
     assert built.labels.tolist() == labels
     assert built.lengths.tolist() == [s.n for s in sentences]
@@ -382,6 +382,25 @@ def test_run_experiment_empty_axis_is_config_error_before_any_csv(tmp_path, axis
     setattr(config, axis, ())
     out = tmp_path / "results.csv"
     with pytest.raises(ConfigError, match=axis):
+        run_experiment(ruleset, mdfas, train, test, config, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("variants", ("nnsc", "word", "nnsc")), ("q_values", (20, 20)),
+    ("sample_seeds", (0, 0)), ("train_seeds", (1, 2, 1)),
+])
+def test_run_experiment_repeated_axis_value_is_config_error_before_any_csv(tmp_path, axis, values):
+    # a repeated value reran its cells and folded the copies into the
+    # aggregate: ("nnsc", "nnsc") x seeds (0, 0) gave 4 rows and ±0.000000
+    ruleset, mdfas, train, test = _tiny_experiment_setup()
+    config = ExperimentConfig(
+        variants=("nnsc",), q_values=(20,), sample_seeds=(0,), train_seeds=(0,),
+        epochs=1, d=4, h=4,
+    )
+    setattr(config, axis, values)
+    out = tmp_path / "results.csv"
+    with pytest.raises(ConfigError, match=f"{axis} axis repeats {values[0]!r}"):
         run_experiment(ruleset, mdfas, train, test, config, out)
     assert not out.exists()
 

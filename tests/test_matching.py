@@ -2,11 +2,12 @@ import dataclasses
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from oracles import OOV, oracle_earlystop_accepts, oracle_full_match, random_ast
 from rulefuse.automata import collect_literals, compile
-from rulefuse.matching import Sentence, Trace, run_trace
+from rulefuse.matching import Sentence, Trace, padded_ids, run_trace
 from rulefuse.rules import AnyWord, Star, parse_regex
 
 
@@ -157,3 +158,32 @@ def test_monotone_consumption_and_purity():
         if not trace.accepted:
             assert trace.consumed == sentence.n
         assert run_trace(mdfa, sentence) == trace
+
+
+def _padded(texts, table, default):
+    sentences = [Sentence.from_text(text) for text in texts]
+    lengths = np.array([s.n for s in sentences], dtype=np.intp)
+    return padded_ids(sentences, lengths, table, default)
+
+
+def test_padded_ids_give_unknown_words_and_padding_the_default():
+    ids = _padded(["a b", "c", "b x a"], {"a": 1, "b": 2, "c": 3}, 9)
+    assert ids.dtype == np.intp
+    assert ids.tolist() == [[1, 2, 9], [3, 9, 9], [2, 9, 1]]
+
+
+def test_padded_ids_of_no_sentences_and_of_empty_ones():
+    assert _padded([], {"a": 1}, 0).shape == (0, 0)
+    empty = _padded(["", "", ""], {"a": 1}, 5)
+    assert empty.shape == (3, 0) and empty.dtype == np.intp
+
+
+def test_padded_ids_of_mixed_lengths_match_a_word_by_word_lookup():
+    rng = random.Random(3)
+    table = {word: i for i, word in enumerate("abcdef")}
+    texts = [" ".join(rng.choice("abcdefgh") for _ in range(rng.randrange(7))) for _ in range(40)]
+    ids = _padded(texts, table, 6)
+    longest = max(len(text.split()) for text in texts)
+    want = [[table.get(w, 6) for w in text.split()] + [6] * (longest - len(text.split()))
+            for text in texts]
+    assert ids.tolist() == want

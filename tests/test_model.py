@@ -40,7 +40,6 @@ from rulefuse.model import (
     _input_forward,
     _ItemSet,
     _lstm_forward,
-    _padded_ids,
 )
 from rulefuse.rules import parse_regex
 
@@ -256,8 +255,7 @@ def test_lstm_forward_equals_the_step_by_step_oracle_byte_for_byte(variant, keep
     # halved i/f/o weights and one tanh per step must not change a bit
     params, batch = _mixed_length_case(variant, seed=12)
     data = _ItemSet(params, batch)
-    ids = _padded_ids(params, [it.sentence for it in batch], data.lengths)
-    Xd, _, _ = _input_forward(params, ids, data.lengths, data.feats)
+    Xd, _, _ = _input_forward(params, data.ids, data.lengths, data.feats)
     wx, wh, b = (params._views[name] for name in ("wx", "wh", "b"))
     hs, saved = _lstm_forward(Xd, wx, wh, b, keep=keep)
     expected = oracle_lstm(np.ascontiguousarray(Xd.swapaxes(0, 1)), wx, wh, b)
@@ -788,6 +786,35 @@ def test_empty_training_set_is_empty_dataset_error():
     with pytest.raises(EmptyDatasetError, match="empty training set") as info:
         train(params, PaddedItems([], []), TrainConfig(epochs=1))
     assert isinstance(info.value, ValueError)  # callers catching ValueError still work
+
+
+@pytest.mark.parametrize(
+    "labels", [[0.9, True], [0.0, 1.0], [True, False], np.array([1.5, 0.0]), ["0", "1"]]
+)
+def test_non_integer_labels_are_config_error(labels):
+    # [0.9, True] was silently truncated to [0, 1]
+    sentence = Sentence.from_text("a b")
+    with pytest.raises(ConfigError, match="labels must be integers"):
+        PaddedItems([sentence, sentence], labels)
+
+
+def test_integer_and_empty_labels_are_kept():
+    sentence = Sentence.from_text("a b")
+    for labels in ([0, 1], np.array([1, 0], dtype=np.uint8), (np.int32(1), 1)):
+        items = PaddedItems([sentence, sentence], labels)
+        assert items.labels.dtype == np.intp
+        assert items.labels.tolist() == [int(label) for label in labels]
+    assert PaddedItems([], []).labels.shape == (0,)
+
+
+@pytest.mark.parametrize("labels", [["x", "x"], ["x"], ["x", "y", "z"], []])
+def test_label_names_must_be_C_distinct_names(labels):
+    message = re.escape(f"labels must be 2 distinct class names, got {labels!r}")
+    with pytest.raises(ConfigError, match=message):
+        ModelParams.init("nnsc", _vocab("a"), d=4, h=3, C=2, labels=labels)
+    with pytest.raises(ConfigError, match=message):
+        ModelParams("nnsc", _vocab("a"), d=4, h=3, C=2, p=0, m_total=0, labels=labels)
+    assert ModelParams.init("nnsc", _vocab("a"), d=4, h=3, C=2, labels=["x", "y"]).C == 2
 
 
 @pytest.mark.parametrize("label", [-1, 2, 7])
