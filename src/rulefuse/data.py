@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass
 class Dataset:
-    """Labelled sentences, compared and hashed by identity (a feature cache keys on one)."""
+    """Labelled sentences and the class names their labels index."""
 
     samples: list[tuple[Sentence, int]]
     label_names: list[str]

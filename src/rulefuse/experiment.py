@@ -8,8 +8,8 @@ rows, one aggregate row per (variant, q) carries the mean accuracy and the
 ``mean±halfwidth``, with ``all`` in both seed columns.  Everything except
 the wall_secs column is reproducible bit-for-bit for fixed seeds.  A
 run's wall_secs covers its `init_model` + `fit_run` call: vocabulary and
-weights, train and test items from the shared feature cache (encoding only
-datasets not seen before), training, and scoring.
+weights, train and test items encoded through the shared feature cache's
+matcher, training, and scoring.
 
 `build_items` hands the model each dataset as one `PaddedItems`: labels,
 lengths and the one feature array the variant reads, straight from one
@@ -19,7 +19,6 @@ lengths and the one feature array the variant reads, straight from one
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import os
 import time
@@ -32,7 +31,6 @@ from .data import Dataset, FewShotConfig, sample_fewshot
 from .encoding import (
     RuleMatcher,
     encode_all,  # noqa: F401 - bench/tracer.py patches rulefuse.experiment.encode_all
-    state_bounds,
 )
 from .errors import ConfigError, RulesMismatchError, UnknownLabelError, require
 from .matching import Sentence
@@ -129,54 +127,39 @@ def check_rule_binding(params: ModelParams, ruleset: RuleSet, mdfas: list[Mdfa])
 
 
 class FeatureCache:
-    """Rule features, computed lazily and shared across runs.
+    """The rules, their automata and one matcher over them, shared across runs.
 
-    `dataset_features` gives the one feature array a variant reads for a
-    whole dataset, from one batched matcher pass that computes only that
-    kind, and keeps it for the next call with the same dataset object:
-    the grid's shared test set is encoded once per cache and kind.  A
-    dataset is read as unchanged once it is encoded, and the cache keeps
-    it.  `features` gives one sentence's `(m_total,)` indicator
-    and per-rule tags, uncached (see `RuleMatcher.encode`).  The matcher
-    is built on first use, so a cache only `nnsc` reads builds none.  The
-    rules and automata it encodes with stay readable as `ruleset` and
-    `mdfas`, so a model built on the cache can record them.
+    `build_items` encodes each dataset it is given through `matcher`, in
+    one batched pass per call; the cache keeps no features.  `features`
+    gives one sentence's `(m_total,)` indicator and per-rule tags (see
+    `RuleMatcher.encode`).  The rules and automata stay readable as
+    `ruleset` and `mdfas`, so a model built on the cache can record them.
     """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
         self.ruleset = ruleset
         self.mdfas = mdfas
-        self.m_total = state_bounds(ruleset, mdfas)[-1]
-        self._encoded: dict[tuple[Dataset, str], np.ndarray] = {}
-
-    @functools.cached_property
-    def matcher(self) -> RuleMatcher:
-        return RuleMatcher(self.ruleset, self.mdfas)
+        self.matcher = RuleMatcher(ruleset, mdfas)
+        self.m_total = self.matcher.m_total
 
     # Kept for the benchmark's `rules_atis` op, which calls it per sentence: a
     # one-row `encode_batch` is about 5 times slower.  It goes once that op is batched.
     def features(self, sentence: Sentence):
         return self.matcher.encode(sentence)
 
-    def dataset_features(self, dataset: Dataset, variant: str) -> np.ndarray:
-        """The `instance` state indicators `(N, m_total)` or the `word` tags
-        `(N, T, p)` of the dataset's sentences (see `PaddedItems`)."""
-        key = (dataset, variant)
-        if key not in self._encoded:
-            matcher = self.matcher
-            encode = matcher.state_indicators if variant == "instance" else matcher.word_tags
-            self._encoded[key] = encode([sentence for sentence, _ in dataset.samples])
-        return self._encoded[key]
-
 
 def build_items(dataset: Dataset, variant: str, cache: FeatureCache | None) -> PaddedItems:
     """The dataset as one padded item set, carrying only the feature array
-    the variant reads (none for `nnsc`, which needs no cache)."""
+    the variant reads, from one pass of the cache's matcher: the `instance`
+    state indicators `(N, m_total)` or the `word` tags `(N, T, p)` (see
+    `PaddedItems`); none for `nnsc`, which needs no cache."""
     sentences = [sentence for sentence, _ in dataset.samples]
     labels = [label for _, label in dataset.samples]
     if variant not in ("instance", "word"):
         return PaddedItems(sentences, labels)
-    return PaddedItems(sentences, labels, cache.dataset_features(dataset, variant))
+    matcher = cache.matcher
+    encode = matcher.state_indicators if variant == "instance" else matcher.word_tags
+    return PaddedItems(sentences, labels, encode(sentences))
 
 
 def evaluate_accuracy(

@@ -65,6 +65,7 @@ INFER_CHUNK = 64  # sentences per forward-only inference batch
 # stall learning, as the stacked squashing layers attenuate the gradient
 _INIT_SCALE = 0.3
 _SIZES = ("d", "h", "C", "p", "m_total")  # the model's sizes, as checkpoint meta keys
+_BOOLS = frozenset((bool, np.bool_))
 
 _TENSOR_NAMES = (
     "emb", "fwd_wx", "fwd_wh", "fwd_b", "bwd_wx", "bwd_wh", "bwd_b",
@@ -114,6 +115,14 @@ class ModelParams:
         names = self.labels
         distinct = names is None or len(names) == len(set(names)) == self.C
         require(distinct, f"labels must be {self.C} distinct class names, got {names!r}")
+        ids = sorted(self.vocab.values())
+        require(ids == list(range(len(ids))), f"vocabulary ids must be 0..{len(ids) - 1} once each")
+        bound = self.rules is None or isinstance(self.rules, list) and all(
+            isinstance(rule, dict)
+            and all(isinstance(rule.get(key), str) for key in ("fingerprint", "pattern", "label"))
+            for rule in self.rules
+        )
+        require(bound, "rules must be a list of dicts with string fingerprint, pattern and label")
         d_in, h4, h2 = self.input_width, 4 * self.h, 2 * self.h
         shapes = {
             "emb": (len(self.vocab), self.d), "wx": (2, d_in, h4), "wh": (2, self.h, h4),
@@ -232,23 +241,26 @@ class PaddedItems(Sequence):
     padded once: the `word` tags `(N, T, p)`, T the longest sentence's
     length and zero past each sentence's own; the `instance` state
     indicators `(N, m_total)`; None for `nnsc`.  `labels` and `lengths`
-    are `(N,)` arrays; labels that make a float or bool array raise
-    ConfigError.  `build_items` makes these, and they are the only
-    item set `train`, `evaluate_items` and `loss_and_grads` accept: each
-    reads one as it is, after one check of its shapes.  As a sequence it
+    are `(N,)` arrays; labels that are not all integers (a float or bool
+    array, or a bool among ints) raise ConfigError.  `build_items` makes
+    these, and they are the only item set `train`, `evaluate_items` and
+    `loss_and_grads` accept: each reads one as it is, after one check of
+    its shapes.  As a sequence it
     yields, on integer indexing or iteration, TrainItem rows whose `feats`
     are views into the one array.
     """
 
     def __init__(self, sentences: list[Sentence], labels, feats: np.ndarray | None = None):
         self.sentences = sentences
-        labels = np.asarray(labels)
+        given, labels = labels, np.asarray(labels)
         if labels.shape != (len(sentences),):
             raise DimensionMismatchError(
                 f"labels of shape {labels.shape} for {len(sentences)} sentences"
             )
-        whole = labels.dtype.kind in "iu" or not len(labels)
-        require(whole, f"labels must be integers, got {labels.dtype} values")
+        # a bool among ints still makes an int array
+        bools = not isinstance(given, np.ndarray) and not _BOOLS.isdisjoint(map(type, given))
+        whole = (labels.dtype.kind in "iu" or not len(labels)) and not bools
+        require(whole, f"labels must be integers, got {'bool' if bools else labels.dtype} values")
         self.labels = labels.astype(np.intp, copy=False)
         self.lengths = np.fromiter((s.n for s in sentences), np.intp, len(sentences))
         self.feats = feats

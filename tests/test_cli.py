@@ -16,7 +16,7 @@ from rulefuse.errors import (
     RulesMismatchError,
     UnknownLabelError,
 )
-from rulefuse.experiment import ExperimentConfig, compile_rules, evaluate_accuracy
+from rulefuse.experiment import ExperimentConfig, compile_rules, evaluate_accuracy, rule_binding
 from rulefuse.matching import run_trace
 from rulefuse.model import ModelParams, TrainConfig, load_model, save_model
 from rulefuse.rules import load_rules
@@ -204,11 +204,12 @@ def test_eval_of_a_checkpoint_without_label_names_is_a_one_line_error(corpus, tm
         assert len(err.splitlines()) == 1
 
 
-def test_nnsc_train_and_eval_build_no_matcher(corpus, tmp_path, capsys, monkeypatch):
-    def no_matcher(*args):
-        raise AssertionError("an nnsc run built a RuleMatcher")
+def test_nnsc_train_and_eval_encode_nothing(corpus, tmp_path, capsys, monkeypatch):
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("an nnsc run encoded a sentence")
 
-    monkeypatch.setattr(RuleMatcher, "__init__", no_matcher)
+    monkeypatch.setattr(RuleMatcher, "run_batch", no_encoding)
+    monkeypatch.setattr(RuleMatcher, "encode", no_encoding)
     ckpt = tmp_path / "model.npz"
     rules, test = str(corpus / "rules.tsv"), str(corpus / "test.tsv")
     assert main(["train", "--rules", rules, "--train", str(corpus / "train.tsv"),
@@ -526,19 +527,75 @@ def test_eval_of_a_checkpoint_with_repeated_label_names_is_a_one_line_error(tmp_
     ckpt = tmp_path / "model.npz"
     save_model(ModelParams.init("nnsc", {"<unk>": 0, "a": 1}, d=4, h=3, C=2,
                                 labels=["x", "y"]), ckpt)
-    with np.load(ckpt, allow_pickle=False) as data:
-        arrays = dict(data)
-    meta = json.loads(arrays["meta"].item())
-    meta["labels"] = ["x", "x"]
-    arrays["meta"] = np.array(json.dumps(meta))
-    with open(ckpt, "wb") as fh:
-        np.savez(fh, **arrays)
+    _rewrite_checkpoint(ckpt, lambda meta, arrays: meta.update(labels=["x", "x"]))
     test = tmp_path / "test.tsv"
     test.write_text("x\ta\nx\ta a\n")
     assert run(["eval", "--test", str(test), "--model", str(ckpt)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"rulefuse: error: cannot read checkpoint {ckpt}: labels must be 2")
+    assert len(err.splitlines()) == 1
+
+
+def _rewrite_checkpoint(path, change):
+    """Rewrite the checkpoint at `path` after `change(meta, arrays)` edits it in place."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    meta = json.loads(arrays.pop("meta").item())
+    change(meta, arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+
+def _instance_checkpoint(tmp_path):
+    """A valid `instance` checkpoint with its rules and test files, as eval argv."""
+    rules, test, ckpt = tmp_path / "rules.tsv", tmp_path / "test.tsv", tmp_path / "model.npz"
+    rules.write_text("x\ta\ny\tb\n")
+    test.write_text("x\ta\ny\tb a\n")
+    ruleset = load_rules(rules)
+    mdfas = compile_rules(ruleset)
+    save_model(ModelParams.init(
+        "instance", {"<unk>": 0, "a": 1, "b": 2}, d=4, h=3, C=2, p=ruleset.p,
+        m_total=sum(m.state_count for m in mdfas), labels=["x", "y"],
+        rules=rule_binding(ruleset, mdfas),
+    ), ckpt)
+    load_model(ckpt)  # so a failing load is the corruption's doing
+    return ckpt, ["eval", "--rules", str(rules), "--test", str(test), "--model", str(ckpt)]
+
+
+def _set_meta(**fields):
+    return lambda meta, arrays: meta.update(fields)
+
+
+def _set_word_id(word, index):
+    return lambda meta, arrays: meta["vocab"].update({word: index})
+
+
+CORRUPTIONS = {
+    "vocab_id_out_of_range": _set_word_id("b", 10**6),
+    "vocab_id_negative": _set_word_id("b", -1),
+    "vocab_id_duplicated": _set_word_id("b", 1),
+    "rules_an_int": _set_meta(rules=5),
+    "rules_strings": _set_meta(rules=["x", "y"]),
+    "rules_dicts_missing_keys": _set_meta(rules=[{"label": "x"}, {"label": "y"}]),
+    "unknown_version": _set_meta(version="rulefuse-v9"),
+    "unknown_variant": _set_meta(variant="lstm"),
+    "negative_d": _set_meta(d=-4),
+    "missing_tensor": lambda meta, arrays: arrays.pop("mlp_b2"),
+    "nan_weight": lambda meta, arrays: arrays["att_w"].fill(np.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_eval_of_a_corrupted_checkpoint_is_a_one_line_error_naming_it(tmp_path, capsys, case):
+    # the vocabulary cases raised IndexError or printed an accuracy, and the
+    # rules cases raised TypeError or KeyError from check_rule_binding
+    ckpt, argv = _instance_checkpoint(tmp_path)
+    _rewrite_checkpoint(ckpt, CORRUPTIONS[case])
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"rulefuse: error: cannot read checkpoint {ckpt}: ")
     assert len(err.splitlines()) == 1
 
 

@@ -76,31 +76,45 @@ def test_rule_only_with_a_label_the_dataset_lacks_names_it():
         rule_baseline_accuracy(ruleset, compile_rules(ruleset), ds)
 
 
-def test_feature_cache_reuses_entries():
+def test_build_items_encodes_afresh_on_every_call():
     ruleset, mdfas = _ruleset()
     cache = FeatureCache(ruleset, mdfas)
     ds = Dataset([(Sentence.from_text("show me flights"), 0)], ["flight", "airline"])
-    first = cache.dataset_features(ds, "instance")
-    assert cache.dataset_features(ds, "instance") is first
-    assert cache.dataset_features(ds, "word") is not first
-    # another dataset object is encoded afresh, to the same values
-    again = Dataset(list(ds.samples), ds.label_names)
-    assert cache.dataset_features(again, "instance") is not first
-    assert cache.dataset_features(again, "instance").tobytes() == first.tobytes()
+    for variant in ("instance", "word"):
+        first, second = (build_items(ds, variant, cache).feats for _ in range(2))
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
     assert cache.m_total == sum(m.state_count for m in mdfas)
+
+
+def test_build_items_reads_a_changed_dataset_as_changed():
+    # a feature memo keyed on the dataset returned the first call's features
+    ruleset, mdfas = _ruleset()
+    cache = FeatureCache(ruleset, mdfas)
+    ds = Dataset([(Sentence.from_text("show me flights"), 0)], ["flight", "airline"])
+    for variant in ("instance", "word"):
+        build_items(ds, variant, cache)
+    ds.samples[0] = (Sentence.from_text("which airline"), 1)
+    for variant in ("instance", "word"):
+        got = build_items(ds, variant, cache)
+        want = build_items(ds, variant, FeatureCache(ruleset, mdfas))
+        assert got.labels.tolist() == [1]
+        assert got.feats.shape == want.feats.shape
+        assert got.feats.tobytes() == want.feats.tobytes()
 
 
 def test_build_items_feature_coherence():
     ruleset, mdfas = _ruleset()
     cache = FeatureCache(ruleset, mdfas)
     ds = Dataset([(Sentence.from_text("show me flights"), 0)], ["flight", "airline"])
+    sentences = [sentence for sentence, _ in ds.samples]
     nnsc = build_items(ds, "nnsc", cache)
     inst = build_items(ds, "instance", cache)
     word = build_items(ds, "word", cache)
     assert nnsc.feats is None and nnsc[0].feats is None
-    assert inst.feats is cache.dataset_features(ds, "instance")
+    assert inst.feats.tobytes() == cache.matcher.state_indicators(sentences).tobytes()
     assert inst.feats.shape == (1, cache.m_total) and inst[0].feats.shape == (cache.m_total,)
-    assert word.feats is cache.dataset_features(ds, "word")
+    assert word.feats.tobytes() == cache.matcher.word_tags(sentences).tobytes()
     assert word.feats.shape == (1, 3, ruleset.p) and word[0].feats.shape == (3, ruleset.p)
     for items in (nnsc, inst, word):
         assert len(items) == 1 and items.labels.tolist() == [0]
@@ -190,7 +204,7 @@ def _count_matcher_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["instance", "word"])
-def test_the_shared_test_set_is_encoded_once_per_cache(monkeypatch, variant):
+def test_one_matcher_for_the_grid_and_one_pass_per_build_items_call(monkeypatch, variant):
     ruleset, mdfas, train, test = _tiny_experiment_setup()
     passes, built = _count_matcher_passes(monkeypatch)
     config = ExperimentConfig(
@@ -199,14 +213,14 @@ def test_the_shared_test_set_is_encoded_once_per_cache(monkeypatch, variant):
     )
     run_experiment(ruleset, mdfas, train, test, config)
     test_sentences = [sentence for sentence, _ in test.samples]
-    assert sum(sentences == test_sentences for sentences in passes) == 1
-    # one pass per training subset too, and one matcher for the whole grid
-    assert len(passes) == 1 + 2 and len(built) == 1
+    # each of the 4 runs encodes its training subset and the test set once
+    assert sum(sentences == test_sentences for sentences in passes) == 4
+    assert len(passes) == 2 * 4 and len(built) == 1
 
 
-def test_an_nnsc_run_and_eval_build_no_matcher(monkeypatch, tmp_path):
+def test_an_nnsc_run_and_eval_encode_nothing(monkeypatch, tmp_path):
     ruleset, mdfas, train, test = _tiny_experiment_setup()
-    passes, built = _count_matcher_passes(monkeypatch)
+    passes, _ = _count_matcher_passes(monkeypatch)
     cache = FeatureCache(ruleset, mdfas)
     params = init_model("nnsc", cache, train, TrainConfig(d=4, h=4))
     fit_run(params, cache, train, TrainConfig(epochs=1, d=4, h=4), dev_set=test, test_set=test)
@@ -215,7 +229,7 @@ def test_an_nnsc_run_and_eval_build_no_matcher(monkeypatch, tmp_path):
         variants=("nnsc",), q_values=(2,), sample_seeds=(0,), train_seeds=(0, 1), epochs=1,
         d=4, h=4,
     ))
-    assert built == [] and passes == []
+    assert passes == []
 
 
 def test_constant_predictor_scores_one_over_C():

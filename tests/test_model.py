@@ -789,10 +789,13 @@ def test_empty_training_set_is_empty_dataset_error():
 
 
 @pytest.mark.parametrize(
-    "labels", [[0.9, True], [0.0, 1.0], [True, False], np.array([1.5, 0.0]), ["0", "1"]]
+    "labels", [
+        [0.9, True], [0.0, 1.0], [True, False], np.array([1.5, 0.0]), ["0", "1"],
+        [1, True], (np.True_, 0),
+    ]
 )
 def test_non_integer_labels_are_config_error(labels):
-    # [0.9, True] was silently truncated to [0, 1]
+    # [0.9, True] was silently truncated to [0, 1], and [1, True] became [1, 1]
     sentence = Sentence.from_text("a b")
     with pytest.raises(ConfigError, match="labels must be integers"):
         PaddedItems([sentence, sentence], labels)
@@ -805,6 +808,21 @@ def test_integer_and_empty_labels_are_kept():
         assert items.labels.dtype == np.intp
         assert items.labels.tolist() == [int(label) for label in labels]
     assert PaddedItems([], []).labels.shape == (0,)
+
+
+@pytest.mark.parametrize("ids", [[0, 1, 10**6], [0, 1, -1], [0, 1, 1], [1, 2, 3]])
+def test_vocabulary_ids_must_be_0_to_V_minus_1_once_each(ids):
+    vocab = dict(zip([UNK, "a", "b"], ids))
+    with pytest.raises(ConfigError, match=re.escape("vocabulary ids must be 0..2 once each")):
+        ModelParams.init("nnsc", vocab, d=4, h=3, C=2)
+
+
+@pytest.mark.parametrize("rules", [
+    5, "r", ["x"], [{"label": "x"}], [{"fingerprint": "f", "pattern": "a", "label": 1}], ({},),
+])
+def test_a_malformed_rule_binding_is_config_error(rules):
+    with pytest.raises(ConfigError, match="rules must be a list of dicts with string"):
+        ModelParams("instance", _vocab("a"), d=4, h=3, C=2, p=1, m_total=2, rules=rules)
 
 
 @pytest.mark.parametrize("labels", [["x", "x"], ["x"], ["x", "y", "z"], []])
