@@ -13,10 +13,15 @@ Two encodings per (sentence, rule) pair:
 `RuleMatcher` computes them for a whole rule set at once: it stacks every
 rule's automaton into one flat transition table and advances all of them
 together, one array lookup per word, in one stepping loop that all of its
-paths share.  Its batched pass, `run_batch`, steps all N x p automata one
-word position at a time and keeps only `(N, p)` state between steps (the
-words consumed and the acceptance flags), marking visited states straight
-into the `(N, m_total)` indicator when asked; no array of every step's
+paths share.  The early stop is in the table: in the one stepped at the
+early stop every final state loops to itself, so a rule that has
+accepted stays put, and a rule whose start state is final begins in a
+non-final copy of it.  Its batched pass, `run_batch`, steps the N x p
+automata one word position at a time, longest sentence first, and step
+t advances only the rows of the sentences longer than t; between steps
+it keeps only `(N, p)` arrays (each row's last offsets and the steps
+that end in a non-final state), marking visited states straight into each sentence's
+row of the `(N, m_total)` indicator when asked; no array of every step's
 states is built.  `encode_batch` gives a whole dataset's features of both
 kinds, for any gate/full-match setting; `state_indicators` and
 `word_tags` each give one kind, padded, at the default settings (no
@@ -113,11 +118,17 @@ class RuleMatcher:
     transitions are rows of `width` entries in the one flat table
     `offsets`, and each entry holds the target state's row offset
     (state * width), so a vector of the p current offsets advances with
-    one 1-D lookup per word.  The tables hold native index integers
-    (`np.intp`): indexing with them skips a cast on every step.  One
-    generator, `_steps`, does the stepping for the per-sentence `encode`
-    and the batched `run_batch` alike; `run_batch` reads each step's
-    `(N, p)` states as they come and keeps none of them.
+    one 1-D lookup per word.  The early stop is built into a second
+    table, `stops`, in which every final state's row points back to
+    itself: a rule that has accepted stays where it stopped.  A rule
+    whose start state is final begins in a non-final copy of it, one row
+    after all the rules' states that steps as the start state does and
+    that no transition re-enters; `entry` holds each rule's first row
+    offset, and `nonfinal`, indexed by row offset, flags the rows that
+    are not final (the copies included).  The tables hold native index
+    integers (`np.intp`): indexing with them skips a cast on every step.
+    Every array is read-only.  One generator, `_steps`, does the stepping
+    for the per-sentence `encode` and the batched `run_batch` alike.
     """
 
     def __init__(self, ruleset: RuleSet, mdfas: list[Mdfa]):
@@ -141,20 +152,39 @@ class RuleMatcher:
         self.start = np.array(
             [base + m.start for m, base in zip(mdfas, self.bounds)], dtype=np.intp
         )
+        # a rule whose start state is final begins in a non-final copy of it
+        nullable = self.final[self.start]
+        entry = self.start.copy()
+        entry[nullable] = np.arange(self.m_total, self.m_total + np.count_nonzero(nullable))
+        table = np.concatenate([table, table[self.start[nullable]]])
+        ends = self.final.nonzero()[0]
+        stops = table.copy()
+        stops[ends] = ends[:, None]  # each final state's row points back to itself
+        nonfinal = np.ones(len(table), dtype=bool)
+        nonfinal[ends] = False
         self.offsets = (table * self.width).ravel()
+        self.stops = (stops * self.width).ravel()
+        self.entry = entry * self.width
+        self.nonfinal = np.repeat(nonfinal, self.width)
+        for array in (self.symbols, self.offsets, self.stops, self.entry,
+                      self.nonfinal, self.final, self.start):
+            array.setflags(write=False)
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
 
-    def _steps(self, syms: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """The row offsets (global state x `width`) after each step, one array
-        per row of `syms`, for rows of `(..., p)` local symbol ids: every rule
-        starts in its start state, and step i advances it by row i.  The
-        states keep stepping past a rule's early stop.  Each row is
+    def _steps(
+        self, table: np.ndarray, syms: Iterable[np.ndarray], offset: np.ndarray
+    ) -> Iterator[np.ndarray]:
+        """The row offsets (global row x `width`) after each step through
+        `table` from the `(..., p)` row offsets `offset`, one array per row
+        of `syms`, which holds `(..., p)` local symbol ids.  Rows may shrink
+        but never grow: a row shorter than the offsets before it advances
+        just their first `len(row)` rows.  Each row of `syms` is
         overwritten, so that a step allocates only the offsets it yields."""
-        offsets = self.offsets
-        offset = self.start * self.width
         for row in syms:
+            if len(row) < len(offset):
+                offset = offset[: len(row)]
             row += offset
-            offset = offsets[row]
+            offset = table[row]
             yield offset
 
     # Kept for `FeatureCache.features`, which the benchmark's `rules_atis` op calls
@@ -170,25 +200,26 @@ class RuleMatcher:
         `WordTagSeq`, whose tags are a read-only zero array.  Nothing is
         shared between calls.
         """
-        n = sentence.n
+        n, p = sentence.n, len(self.start)
         syms = self.symbols[[self.word_ids.get(word, self.other) for word in sentence.words]]
         states = np.empty(syms.shape, dtype=np.intp)
-        for i, offset in enumerate(self._steps(syms)):
+        for i, offset in enumerate(self._steps(self.stops, syms, self.entry)):
             states[i] = offset
         states //= self.width
+        # a rule stays in the final state it stops in, so every state after
+        # a step is one it visited, and the last step's states tell acceptance
         hit = self.final[states]
         # an empty sentence visits no state and has no tags, so it counts as
         # rejected by every rule here, even one that accepts the empty string
-        accepted = hit.any(axis=0)
-        consumed = np.where(accepted, hit.argmax(axis=0) + 1 if n else 0, n)
+        accepted = hit[-1] if n else np.zeros(p, dtype=bool)
         indicator = np.zeros(self.m_total, dtype=np.float64)
-        indicator[states[np.arange(n)[:, None] < consumed]] = 1.0
+        indicator[states] = 1.0
         zeros = np.zeros(n, dtype=np.float64)
         zeros.setflags(write=False)
-        tag_seqs = [WordTagSeq(zeros)] * len(self.start)
+        tag_seqs = [WordTagSeq(zeros)] * p
         for k in accepted.nonzero()[0].tolist():
             tags = np.zeros(n, dtype=np.float64)
-            tags[: consumed[k]] = 1.0
+            tags[: hit[:, k].argmax() + 1] = 1.0  # up to the rule's first final state
             tag_seqs[k] = WordTagSeq(tags)
         return indicator, tag_seqs
 
@@ -203,46 +234,58 @@ class RuleMatcher:
 
         Word ids are mapped once into an `(N, T)` array by `padded_ids`
         (an identity hit for words interned by `Sentence.from_text`, as the
-        rule literals keyed in `word_ids` are), and all N x p automata
-        advance together one word position, one column of that array, at a
-        time; each step reads only that position's `(N, p)` local symbols
-        and updates the `(N, p)` words consumed and acceptance flags in
-        place.  A (sentence, rule) pair consumes a step while the sentence
-        has words left and, at the early stop, the rule has not yet
-        accepted; with `visited`, each step marks the states of those
-        pairs.  Returns the `(N, m_total)` float64 indicator of the visited
-        states (None without `visited`; not gated), the `(N, p)` words
-        consumed and the `(N, p)` acceptance flags, each row equal to what
-        `run_trace` gives for that sentence and rule.
+        rule literals keyed in `word_ids` are).  The sentences are stepped
+        longest first, one word position, one column of that array, at a
+        time, through `stops` at the early stop and `offsets` with
+        `full_match`; step t advances only the rows of the sentences
+        longer than t, a prefix of the sorted rows, so no padding is
+        stepped.  At the early stop a rule consumes the steps that end in
+        a non-final row and, if it accepts, the one that entered its final
+        row; with `visited`, each step marks its states in the sentence's
+        own row of the indicator.  Acceptance is read from each row's last
+        state, and the results go back to input order.  Returns the
+        `(N, m_total)` float64 indicator of the visited states (None
+        without `visited`; not gated), the `(N, p)` words consumed and the
+        `(N, p)` acceptance flags, each row equal to what `run_trace` gives
+        for that sentence and rule.
         """
         N, p = len(sentences), len(self.start)
         lengths = np.fromiter((s.n for s in sentences), dtype=np.intp, count=N)
-        gids = padded_ids(sentences, lengths, self.word_ids, self.other)
-        # an empty sentence takes no step: its rules accept iff they start final
-        accepted = np.zeros((N, p), dtype=bool)
-        accepted[lengths == 0] = self.final[self.start]
+        order = np.argsort(-lengths, kind="stable")  # longest first
+        columns = padded_ids(sentences, lengths, self.word_ids, self.other)[order].T
+        live = N - np.cumsum(np.bincount(lengths))[:-1]  # live[t]: sentences longer than t
+        syms = (self.symbols[column[:n]] for column, n in zip(columns, live))
+        table = self.offsets if full_match else self.stops
+        # whether each sorted row's last state is non-final; an empty
+        # sentence's row stays at its entry row, which never is final
+        last_open = np.ones((N, p), dtype=bool)
+        steps = np.zeros((N, p), dtype=np.intp)  # steps that end in a non-final row
+        indicator = None
+        if visited:
+            indicator = np.zeros((N, self.m_total), dtype=np.float64)
+            flat = indicator.reshape(-1)
+            rows = order[:, None] * self.m_total  # each sorted row's first flat index
+            state = np.empty((N, p), dtype=np.intp)
+        still_live = itertools.chain(live[1:].tolist(), [0])
+        for offset, n in zip(self._steps(table, syms, self.entry[None]), still_live):
+            last_open[n : len(offset)] = self.nonfinal[offset[n:]]  # sentences that end here
+            if not full_match:
+                steps[: len(offset)] += self.nonfinal[offset]
+            if visited:
+                marks = np.floor_divide(offset, self.width, out=state[: len(offset)])
+                marks += rows[: len(offset)]
+                flat[marks] = 1.0
+        reached = ~last_open
         if full_match:
             consumed = np.repeat(lengths[:, None], p, axis=1)
         else:
-            consumed = np.zeros((N, p), dtype=np.intp)
-        indicator = np.zeros((N, self.m_total), dtype=np.float64) if visited else None
-        flat = indicator.reshape(-1) if visited else None
-        rows = np.arange(N)[:, None] * self.m_total  # each sentence's first flat index
-        state = np.empty((N, p), dtype=np.intp)
-        for t, offset in enumerate(self._steps(self.symbols[column] for column in gids.T)):
-            np.floor_divide(offset, self.width, out=state)
-            words_left = (t < lengths)[:, None]
-            if full_match:
-                last = lengths == t + 1
-                accepted[last] = self.final[state[last]]
-                live = np.broadcast_to(words_left, state.shape)
-            else:
-                live = words_left & ~accepted
-                consumed += live
-                accepted |= live & self.final[state]
-            if visited:
-                state += rows
-                flat[state[live]] = 1.0
+            steps += reached  # and the one that entered the final state
+            consumed = np.empty_like(steps)
+            consumed[order] = steps
+        # an empty sentence takes no step: its rules accept iff they start final
+        reached[np.count_nonzero(lengths) :] = self.final[self.start]
+        accepted = np.empty_like(reached)
+        accepted[order] = reached
         return indicator, consumed, accepted
 
     @staticmethod

@@ -113,6 +113,12 @@ class ModelParams:
             value = getattr(self, name)
             require(value >= low, f"{name} must be >= {low}, got {value}")
         names = self.labels
+        # as `load_dataset` and `load_labels` make them, so that data can match them
+        clean = names is None or isinstance(names, list) and all(
+            isinstance(name, str) and name and name == name.strip().lower() for name in names
+        )
+        require(clean, f"labels must be a list of non-empty, stripped, lowercased strings, "
+                       f"got {names!r}")
         distinct = names is None or len(names) == len(set(names)) == self.C
         require(distinct, f"labels must be {self.C} distinct class names, got {names!r}")
         ids = sorted(self.vocab.values())
@@ -777,6 +783,19 @@ def save_model(params: ModelParams, path: str | os.PathLike) -> None:
         np.savez(fh, meta=np.array(json.dumps(meta)), **params.tensors())
 
 
+def _meta_int(value, what: str, word: str | None = None) -> int:
+    """`value`, the checkpoint meta entry `what` (of `word`, for a vocabulary
+    id), as an int; anything but an integer (a float, a string or a bool)
+    raises `CheckpointError`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    name = what if word is None else f"{what} of {word!r}"
+    raise CheckpointError(f"{name} must be an integer, got {value!r}")
+
+
 def load_model(path: str | os.PathLike) -> ModelParams:
     """Read a `rulefuse-v2` or `rulefuse-v1` checkpoint (v1 has no rule binding).
 
@@ -784,8 +803,9 @@ def load_model(path: str | os.PathLike) -> ModelParams:
     that sentences read by `Sentence.from_text` and rule literals hold.
 
     A file that exists but is not a readable rulefuse checkpoint, or holds
-    a NaN or infinite weight, raises `CheckpointError` naming the path; a
-    missing one, `FileNotFoundError`.
+    a NaN or infinite weight, a size or vocabulary id that is not an
+    integer, or label names that no dataset could hold, raises
+    `CheckpointError` naming the path; a missing one, `FileNotFoundError`.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -794,8 +814,11 @@ def load_model(path: str | os.PathLike) -> ModelParams:
                 raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
             params = ModelParams(
                 variant=meta["variant"],
-                vocab={sys.intern(word): int(idx) for word, idx in meta["vocab"].items()},
-                **{key: int(meta[key]) for key in _SIZES},
+                vocab={
+                    sys.intern(word): _meta_int(idx, "vocabulary id", word)
+                    for word, idx in meta["vocab"].items()
+                },
+                **{key: _meta_int(meta[key], key) for key in _SIZES},
                 labels=meta.get("labels"),
                 rules=meta.get("rules"),
             )

@@ -537,6 +537,27 @@ def test_eval_of_a_checkpoint_with_repeated_label_names_is_a_one_line_error(tmp_
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("labels", [[1, 2], ["X", "y"], [" x", "y"]])
+def test_eval_of_a_checkpoint_with_unmatchable_label_names_is_a_one_line_error(
+    tmp_path, capsys, labels
+):
+    # these loaded, and eval blamed the test file: "unknown label 'x' (line 1)"
+    ckpt = tmp_path / "model.npz"
+    save_model(ModelParams.init("nnsc", {"<unk>": 0, "a": 1}, d=4, h=3, C=2,
+                                labels=["x", "y"]), ckpt)
+    _rewrite_checkpoint(ckpt, lambda meta, arrays: meta.update(labels=labels))
+    test = tmp_path / "test.tsv"
+    test.write_text("x\ta\ny\ta a\n")
+    assert run(["eval", "--test", str(test), "--model", str(ckpt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        f"rulefuse: error: cannot read checkpoint {ckpt}: labels must be a list of non-empty, "
+        f"stripped, lowercased strings, got {labels!r}"
+    )
+    assert len(err.splitlines()) == 1
+
+
 def _rewrite_checkpoint(path, change):
     """Rewrite the checkpoint at `path` after `change(meta, arrays)` edits it in place."""
     with np.load(path, allow_pickle=False) as data:
@@ -575,6 +596,11 @@ CORRUPTIONS = {
     "vocab_id_out_of_range": _set_word_id("b", 10**6),
     "vocab_id_negative": _set_word_id("b", -1),
     "vocab_id_duplicated": _set_word_id("b", 1),
+    "vocab_id_a_float": _set_word_id("b", 2.0),
+    "vocab_id_a_string": _set_word_id("b", "2"),
+    "vocab_id_a_bool": _set_word_id("a", True),
+    "d_a_float": _set_meta(d=4.5),
+    "h_a_string": _set_meta(h="3"),
     "rules_an_int": _set_meta(rules=5),
     "rules_strings": _set_meta(rules=["x", "y"]),
     "rules_dicts_missing_keys": _set_meta(rules=[{"label": "x"}, {"label": "y"}]),

@@ -348,6 +348,93 @@ def test_matcher_equals_per_rule_traces_bit_for_bit():
             _assert_equals_traces(matcher, mdfas, [sentence])
 
 
+def _nullable_rules():
+    """Rules whose start state is final, `( a b )*`, `a ?` and `( . )*`, each
+    after a rule that is not, so that their start copies sit after other
+    rules' states."""
+    ruleset = parse_rule_lines(
+        ["x\ta b", "y\t( a b )*", "x\tb a", "y\ta ?", "x\tb ( a | b ) b", "y\t( . )*"]
+    )
+    mdfas = compile_rules(ruleset)
+    assert [m.is_final(m.start) for m in mdfas] == [False, True, False, True, False, True]
+    return ruleset, mdfas
+
+
+def test_rules_that_accept_the_empty_sentence_match_like_their_traces():
+    # a start state that loops to itself at the early stop would keep such a
+    # rule from ever leaving it: "a" would visit the start, not the state after a
+    ruleset, mdfas = _nullable_rules()
+    matcher = RuleMatcher(ruleset, mdfas)
+    sentences = [Sentence.from_text(text) for text in ("", "a", "b a", "a b a b")]
+    _assert_equals_traces(matcher, mdfas, sentences)
+    for sentence in sentences:
+        _assert_equals_traces(matcher, mdfas, [sentence])
+    _, consumed, accepted = matcher.run_batch(sentences)
+    assert accepted[0].tolist() == [False, True, False, True, False, True]
+    assert consumed[1].tolist() == [1, 1, 1, 1, 1, 1]  # "a"'s one word, accepted or not
+    assert accepted[1].tolist() == [False, False, False, True, False, True]
+
+
+def test_a_start_copy_is_never_re_entered_and_final_rows_loop_at_the_early_stop():
+    ruleset, mdfas = _nullable_rules()
+    matcher = RuleMatcher(ruleset, mdfas)
+    width, m_total = matcher.width, matcher.m_total
+    nullable = matcher.final[matcher.start]
+    rows = m_total + int(nullable.sum())
+    plain = matcher.offsets.reshape(rows, width)
+    stops = matcher.stops.reshape(rows, width)
+    # each nullable rule begins in its own copy row, after every rule's states;
+    # the others begin in their start state
+    copies = matcher.entry[nullable] // width
+    assert copies.tolist() == list(range(m_total, rows))
+    assert (matcher.entry[~nullable] == matcher.start[~nullable] * width).all()
+    assert plain[copies].tobytes() == plain[matcher.start[nullable]].tobytes()
+    # no transition of either table targets a copy row
+    assert plain.max() < m_total * width and stops.max() < m_total * width
+    for state in range(rows):
+        if state < m_total and matcher.final[state]:
+            assert (stops[state] == state * width).all(), state
+        else:
+            assert stops[state].tobytes() == plain[state].tobytes(), state
+    flags = matcher.nonfinal.reshape(rows, width)
+    assert (flags == flags[:, :1]).all()
+    assert flags[:, 0].tolist() == [*(~matcher.final).tolist(), *[True] * len(copies)]
+
+
+def test_run_batch_does_not_depend_on_input_order():
+    ruleset, mdfas = _nullable_rules()
+    matcher = RuleMatcher(ruleset, mdfas)
+    rng = random.Random(31)
+    # many ties under the stable sort, several empty sentences, one longest
+    lengths = [3] * 12 + [5] * 9 + [0] * 4 + [1] * 6 + [11]
+    sentences = [Sentence(tuple(rng.choice("a b c".split()) for _ in range(n))) for n in lengths]
+    for _ in range(5):
+        perm = list(range(len(sentences)))
+        rng.shuffle(perm)
+        shuffled = [sentences[i] for i in perm]
+        for full_match in (False, True):
+            for visited in (False, True):
+                want = matcher.run_batch(sentences, full_match, visited)
+                got = matcher.run_batch(shuffled, full_match, visited)
+                assert (want[0] is None) == (got[0] is None) == (not visited)
+                for g, w in zip(got, want):
+                    if w is not None:
+                        assert g.dtype == w.dtype and g.shape == w.shape
+                        assert g.tobytes() == w[perm].tobytes()
+
+
+def test_every_matcher_array_is_read_only():
+    matcher = RuleMatcher(*_nullable_rules())
+    arrays = {name: v for name, v in vars(matcher).items() if isinstance(v, np.ndarray)}
+    assert arrays.keys() == {"symbols", "offsets", "stops", "nonfinal", "entry", "final", "start"}
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
+        with pytest.raises(ValueError, match="read-only"):
+            array += array[(0,) * array.ndim]
+
+
 def _atis_gen():
     """bench/atis_gen.py: the seeded 54-rule ATIS-shaped rules and corpus."""
     path = Path(__file__).resolve().parents[1] / "bench" / "atis_gen.py"

@@ -766,6 +766,57 @@ def test_impossible_model_sizes_are_config_errors(sizes):
         ModelParams.init("instance", _vocab("a"), **kwargs)
 
 
+def _saved_with_meta(tmp_path, change):
+    """A valid `instance` checkpoint (p = 1) saved after `change(meta)` edits its meta."""
+    import json
+
+    params = ModelParams.init(
+        "instance", _vocab("a", "b"), d=4, h=3, C=2, p=1, m_total=3, labels=["x", "y"], seed=2
+    )
+    path = tmp_path / "model.npz"
+    save_model(params, path)
+    with np.load(path, allow_pickle=False) as data:
+        stored = dict(data)
+    meta = json.loads(stored.pop("meta").item())
+    change(meta)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **stored)
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value, what",
+    [
+        ("b", 2.0, "vocabulary id of 'b'"), ("b", 1.7, "vocabulary id of 'b'"),
+        ("b", "2", "vocabulary id of 'b'"), ("a", True, "vocabulary id of 'a'"),
+        ("d", 4.5, "d"), ("h", "3", "h"), ("p", True, "p"), ("m_total", 3.0, "m_total"),
+    ],
+)
+def test_a_checkpoint_size_or_word_id_that_is_not_an_integer_is_a_checkpoint_error(
+    tmp_path, key, value, what
+):
+    # int(...) truncated 4.5 to 4 and 1.7 to 1, and let "2" and True through
+    def change(meta):
+        (meta["vocab"] if key in meta["vocab"] else meta)[key] = value
+
+    path = _saved_with_meta(tmp_path, change)
+    message = f"{what} must be an integer, got {value!r}"
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "labels", [[1, 2], ["X", "y"], [" x", "y"], ["x", "y "], ["", "y"], "xy", [["x"], ["y"]]]
+)
+def test_label_names_must_be_stripped_lowercased_strings(tmp_path, labels):
+    message = "labels must be a list of non-empty, stripped, lowercased strings"
+    with pytest.raises(ConfigError, match=message):
+        ModelParams("nnsc", _vocab("a"), d=4, h=3, C=2, p=0, m_total=0, labels=labels)
+    path = _saved_with_meta(tmp_path, lambda meta: meta.update(labels=labels))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
 @pytest.mark.parametrize(
     "setting",
     [
