@@ -65,6 +65,7 @@ INFER_CHUNK = 64  # sentences per forward-only inference batch
 # stall learning, as the stacked squashing layers attenuate the gradient
 _INIT_SCALE = 0.3
 _SIZES = ("d", "h", "C", "p", "m_total")  # the model's sizes, as checkpoint meta keys
+_META = ("variant", *_SIZES, "vocab", "labels", "rules")  # meta keys after `version`, in order
 _BOOLS = frozenset((bool, np.bool_))
 
 _TENSOR_NAMES = (
@@ -83,6 +84,10 @@ def build_vocab(sentences: Iterable[Sentence]) -> dict[str, int]:
     return vocab
 
 
+def _is_int(value) -> bool:  # an exact integer: a Python or numpy int, not a bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class ModelParams:
     """The configuration of one classifier and all its weights.
@@ -93,6 +98,10 @@ class ModelParams:
     view.  The two LSTM directions of each of `wx`, `wh` and `b` lie back
     to back (`fwd_wx, bwd_wx, fwd_wh, bwd_wh, fwd_b, bwd_b`), so each
     tensor with both directions stacked on axis 0 is a view too.
+
+    It is also the one check of a checkpoint's meta fields: a field no
+    model can have raises ConfigError, as does a size or vocabulary id
+    that is not an exact integer (a bool included).
     """
 
     variant: str
@@ -111,6 +120,7 @@ class ModelParams:
         require(self.variant in VARIANTS, f"unknown variant {self.variant!r}")
         for name, low in zip(_SIZES, (1, 1, 1, 0, 0)):
             value = getattr(self, name)
+            require(_is_int(value), f"{name} must be an integer, got {value!r}")
             require(value >= low, f"{name} must be >= {low}, got {value}")
         names = self.labels
         # as `load_dataset` and `load_labels` make them, so that data can match them
@@ -121,6 +131,9 @@ class ModelParams:
                        f"got {names!r}")
         distinct = names is None or len(names) == len(set(names)) == self.C
         require(distinct, f"labels must be {self.C} distinct class names, got {names!r}")
+        require(isinstance(self.vocab, dict), f"vocab must be a dict, got {self.vocab!r}")
+        for word, idx in self.vocab.items():
+            require(_is_int(idx), f"vocabulary id of {word!r} must be an integer, got {idx!r}")
         ids = sorted(self.vocab.values())
         require(ids == list(range(len(ids))), f"vocabulary ids must be 0..{len(ids) - 1} once each")
         bound = self.rules is None or isinstance(self.rules, list) and all(
@@ -775,53 +788,39 @@ def save_model(params: ModelParams, path: str | os.PathLike) -> None:
         raise NumericalError(f"refusing to save non-finite weights to {os.fspath(path)}")
     meta = {
         "version": UNBOUND_CHECKPOINT_VERSION if params.rules is None else CHECKPOINT_VERSION,
-        **{key: getattr(params, key) for key in ("variant", *_SIZES, "vocab", "labels")},
+        **{key: getattr(params, key) for key in _META},
     }
-    if params.rules is not None:
-        meta["rules"] = params.rules
+    if params.rules is None:
+        del meta["rules"]  # the rulefuse-v1 layout
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **params.tensors())
-
-
-def _meta_int(value, what: str, word: str | None = None) -> int:
-    """`value`, the checkpoint meta entry `what` (of `word`, for a vocabulary
-    id), as an int; anything but an integer (a float, a string or a bool)
-    raises `CheckpointError`."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    name = what if word is None else f"{what} of {word!r}"
-    raise CheckpointError(f"{name} must be an integer, got {value!r}")
 
 
 def load_model(path: str | os.PathLike) -> ModelParams:
     """Read a `rulefuse-v2` or `rulefuse-v1` checkpoint (v1 has no rule binding).
 
-    Vocabulary words are interned (`sys.intern`), so they are the strings
-    that sentences read by `Sentence.from_text` and rule literals hold.
-
-    A file that exists but is not a readable rulefuse checkpoint, or holds
-    a NaN or infinite weight, a size or vocabulary id that is not an
-    integer, or label names that no dataset could hold, raises
-    `CheckpointError` naming the path; a missing one, `FileNotFoundError`.
+    `ModelParams` checks every meta field; this reader checks only what a
+    file alone can get wrong: its version, that a v2 file carries its rule
+    binding, and that each vocabulary word is one a sentence can hold
+    (`Sentence.from_text(word).words == (word,)`).  The words are interned
+    (`sys.intern`), as sentences' words and rule literals are.  A file that
+    is not a readable rulefuse checkpoint, fails a check or holds a NaN or
+    infinite weight raises `CheckpointError` naming the path; a missing
+    one, `FileNotFoundError`.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(data["meta"].item())
-            if meta.get("version") not in (CHECKPOINT_VERSION, UNBOUND_CHECKPOINT_VERSION):
-                raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
-            params = ModelParams(
-                variant=meta["variant"],
-                vocab={
-                    sys.intern(word): _meta_int(idx, "vocabulary id", word)
-                    for word, idx in meta["vocab"].items()
-                },
-                **{key: _meta_int(meta[key], key) for key in _SIZES},
-                labels=meta.get("labels"),
-                rules=meta.get("rules"),
-            )
+            version = meta.get("version")
+            if version not in (CHECKPOINT_VERSION, UNBOUND_CHECKPOINT_VERSION):
+                raise CheckpointError(f"unsupported checkpoint version {version!r}")
+            if version == CHECKPOINT_VERSION and meta.get("rules") is None:
+                raise CheckpointError(f"a {version} checkpoint must carry its rule binding")
+            params = ModelParams(**{key: meta.get(key) for key in _META})
+            odd = next((w for w in params.vocab if Sentence.from_text(w).words != (w,)), None)
+            if odd is not None:
+                raise CheckpointError(f"vocabulary word {odd!r} is not one a sentence can hold")
+            params.vocab = {sys.intern(word): idx for word, idx in params.vocab.items()}
             for name, view in params.tensors().items():
                 stored = data[name] if name in data else None
                 if stored is None or stored.shape != view.shape:

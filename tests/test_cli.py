@@ -592,6 +592,10 @@ def _set_word_id(word, index):
     return lambda meta, arrays: meta["vocab"].update({word: index})
 
 
+def _rename_word(word, new):
+    return lambda meta, arrays: meta["vocab"].update({new: meta["vocab"].pop(word)})
+
+
 CORRUPTIONS = {
     "vocab_id_out_of_range": _set_word_id("b", 10**6),
     "vocab_id_negative": _set_word_id("b", -1),
@@ -601,6 +605,17 @@ CORRUPTIONS = {
     "vocab_id_a_bool": _set_word_id("a", True),
     "d_a_float": _set_meta(d=4.5),
     "h_a_string": _set_meta(h="3"),
+    "C_not_the_label_count": _set_meta(C=3),
+    "p_negative": _set_meta(p=-1),
+    "m_total_a_float": _set_meta(m_total=3.0),
+    "labels_repeated": _set_meta(labels=["x", "x"]),
+    "vocab_a_list": _set_meta(vocab=["<unk>", "a", "b"]),
+    "vocab_word_uppercase": _rename_word("b", "A"),
+    "vocab_word_padded": _rename_word("b", " b"),
+    "vocab_word_two_words": _rename_word("b", "a b"),
+    "vocab_word_empty": _rename_word("b", ""),
+    "rules_removed": lambda meta, arrays: meta.pop("rules"),
+    "rules_null": _set_meta(rules=None),
     "rules_an_int": _set_meta(rules=5),
     "rules_strings": _set_meta(rules=["x", "y"]),
     "rules_dicts_missing_keys": _set_meta(rules=[{"label": "x"}, {"label": "y"}]),
@@ -623,6 +638,24 @@ def test_eval_of_a_corrupted_checkpoint_is_a_one_line_error_naming_it(tmp_path, 
     assert out == ""
     assert err.startswith(f"rulefuse: error: cannot read checkpoint {ckpt}: ")
     assert len(err.splitlines()) == 1
+
+
+def test_every_checkpoint_meta_key_has_a_corruption_case(tmp_path):
+    # so that a new meta key cannot land without a case in CORRUPTIONS
+    ckpt, _ = _instance_checkpoint(tmp_path)
+    with np.load(ckpt, allow_pickle=False) as data:
+        arrays = dict(data)
+    meta = json.loads(arrays.pop("meta").item())
+    assert meta["version"] == "rulefuse-v2"
+    corrupted = set()
+    for change in CORRUPTIONS.values():
+        changed = json.loads(json.dumps(meta))
+        change(changed, {name: array.copy() for name, array in arrays.items()})
+        corrupted.update(
+            key for key in meta
+            if key not in changed or json.dumps(changed[key]) != json.dumps(meta[key])
+        )
+    assert set(meta) - {"version"} - corrupted == set()
 
 
 def test_train_with_patience_and_no_clipping_from_config(corpus, tmp_path, capsys):

@@ -790,19 +790,27 @@ def _saved_with_meta(tmp_path, change):
         ("b", 2.0, "vocabulary id of 'b'"), ("b", 1.7, "vocabulary id of 'b'"),
         ("b", "2", "vocabulary id of 'b'"), ("a", True, "vocabulary id of 'a'"),
         ("d", 4.5, "d"), ("h", "3", "h"), ("p", True, "p"), ("m_total", 3.0, "m_total"),
+        ("h", True, "h"), ("p", 2.0, "p"), ("vocab", None, "vocab"),
+        ("vocab", ["<unk>", "a", "b"], "vocab"),
     ],
 )
 def test_a_checkpoint_size_or_word_id_that_is_not_an_integer_is_a_checkpoint_error(
     tmp_path, key, value, what
 ):
-    # int(...) truncated 4.5 to 4 and 1.7 to 1, and let "2" and True through
+    # int(...) truncated 4.5 to 4 and 1.7 to 1, and let "2" and True through;
+    # built in code, a float or bool size died in numpy with a TypeError, a
+    # float id passed, and a vocab that is not a dict raised AttributeError
     def change(meta):
         (meta["vocab"] if key in meta["vocab"] else meta)[key] = value
 
     path = _saved_with_meta(tmp_path, change)
-    message = f"{what} must be an integer, got {value!r}"
+    message = f"{what} must be {'a dict' if key == 'vocab' else 'an integer'}, got {value!r}"
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
         load_model(path)
+    fields = dict(vocab=_vocab("a", "b"), d=4, h=3, C=2, p=1, m_total=3, labels=["x", "y"])
+    change(fields)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ModelParams("instance", **fields)
 
 
 @pytest.mark.parametrize(
